@@ -1,15 +1,25 @@
 """Decision procedure for the pure part of symbolic heaps.
 
 Sound but deliberately incomplete: congruence closure over equalities, a
-disequality table, and all-pairs shortest paths over unit-coefficient
-difference constraints (x - y <= c).  Everything outside that fragment
-degrades to Unknown, never to a wrong verdict.  Sat answers always carry a
-verified witness.
+disequality table, and a sparse graph of unit-coefficient difference
+constraints (x - y <= c) over the congruence classes.  One Bellman-Ford pass
+from a virtual source finds negative cycles and feasible potentials; forced
+equalities are then single-source Dijkstra runs on reduced costs (Cotton &
+Maler, SAT 2006).  Everything outside that fragment degrades to Unknown,
+never to a wrong verdict.  Sat answers always carry a verified witness.
+
+Each ``PureSet`` builds its solver once, on first use, and keeps it.  The
+separation of a heap's points-to locations arrives as the set's
+``separated`` tuple (pairwise distinct, none nil) instead of O(n^2)
+disequality atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Optional
 
 from .formula import (
@@ -105,21 +115,111 @@ class SatResult:
     witness: Optional[dict[str, int]] = None
 
 
+class _Graph:
+    """Sparse difference-constraint graph over the representatives of one
+    solver version, with feasible potentials from a single Bellman-Ford pass."""
+
+    def __init__(self, solver: "_Solver"):
+        find = solver.find
+        self.index: dict = {}  # representative -> node number
+        weights: dict[tuple[int, int], int] = {}
+
+        def edge(y, x, c: int) -> None:
+            # x - y <= c: edge y -> x with weight c
+            u = self.index.setdefault(y, len(self.index))
+            v = self.index.setdefault(x, len(self.index))
+            if c < weights.get((u, v), _INF):
+                weights[(u, v)] = c
+
+        for x, y, c in solver.edges:
+            edge(find(y), find(x), c)
+        # pinned constants are mutual offsets from the zero node
+        if solver.ZERO in solver.parent:
+            zero = find(solver.ZERO)
+            for key, cval in solver.const.items():
+                r = find(key)
+                if r != zero:
+                    edge(zero, r, cval)
+                    edge(r, zero, -cval)
+        n = len(self.index)
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v), c in weights.items():
+            self.adj[u].append((v, c))
+        # a virtual source with 0-weight edges to every node: its distances
+        # are the potentials, and relaxation that never settles is a
+        # negative cycle
+        pot = [0] * n
+        changed = True
+        for _ in range(n + 1):
+            changed = False
+            for u in range(n):
+                pu = pot[u]
+                for v, c in self.adj[u]:
+                    if pu + c < pot[v]:
+                        pot[v] = pu + c
+                        changed = True
+            if not changed:
+                break
+        self.negative_cycle = changed
+        self.pot = pot
+        self._dist: dict[int, dict[int, int]] = {}
+
+    def potential(self, rep) -> int:
+        """Distance from the virtual source; 0 for a class no edge touches."""
+        i = self.index.get(rep)
+        return 0 if i is None else self.pot[i]
+
+    def dist_from(self, u: int) -> dict[int, int]:
+        """Shortest distances from node u (Dijkstra on reduced costs)."""
+        memo = self._dist.get(u)
+        if memo is not None:
+            return memo
+        pot, adj = self.pot, self.adj
+        reduced = {u: 0}
+        queue = [(0, u)]
+        while queue:
+            d, w = heapq.heappop(queue)
+            if d > reduced[w]:
+                continue
+            for v, c in adj[w]:
+                nd = d + c + pot[w] - pot[v]
+                if nd < reduced.get(v, _INF):
+                    reduced[v] = nd
+                    heapq.heappush(queue, (nd, v))
+        memo = {v: d - pot[u] + pot[v] for v, d in reduced.items()}
+        self._dist[u] = memo
+        return memo
+
+    def forced_equal(self, ra, rb) -> bool:
+        """Bounds close at 0 in both directions between two representatives."""
+        i, j = self.index.get(ra), self.index.get(rb)
+        if i is None or j is None:
+            return False
+        return self.dist_from(i).get(j) == 0 and self.dist_from(j).get(i) == 0
+
+
 class _Solver:
-    """Congruence closure + difference-constraint graph for one atom set."""
+    """Congruence closure + difference-constraint graph for one pure set.
+
+    Queries may intern new terms; ``version`` counts the unions and new
+    constants that change the graph, so the graph is rebuilt only then.
+    """
 
     ZERO = ("int", 0)
 
-    def __init__(self, atoms: tuple[PureAtomT, ...]):
+    def __init__(self, atoms: tuple[PureAtomT, ...], separated: tuple[SymExpr, ...]):
         self.atoms = atoms
+        self.separated = separated
         self.parent: dict = {}
         self.const: dict = {}  # rep -> pinned integer
         self.sig: dict = {}  # (functor-ish, child reps) -> rep
         self.parents_of: dict = {}  # rep -> set of composite keys using it
         self.contradiction = False
         self.diseqs: list[tuple] = []
+        self.sep_keys: list = []
         self.edges: list[tuple] = []  # (x, y, c) meaning x - y <= c, over keys
-        self.opaque: list[PureAtomT] = []
+        self.version = 0
+        self._graph_memo: Optional[tuple[int, _Graph]] = None
         self._build()
 
     # union-find ------------------------------------------------------------
@@ -130,6 +230,7 @@ class _Solver:
         self.parent[key] = key
         if key[0] == "int":
             self.const[key] = key[1]
+            self.version += 1
         if key[0] in ("+", "-", "*", "field"):
             children = [k for k in key[1:] if isinstance(k, tuple)]
             for ch in children:
@@ -181,6 +282,7 @@ class _Solver:
         if cb is None and ca is not None:
             ra, rb = rb, ra
         self.parent[ra] = rb
+        self.version += 1
         if self.const.get(ra) is not None:
             self.const[rb] = self.const[ra]
         moved = self.parents_of.pop(ra, set())
@@ -195,7 +297,6 @@ class _Solver:
             try:
                 lk, rk = canon_key(l), canon_key(r)
             except TypeError:
-                self.opaque.append((op, l, r))
                 continue
             self._intern(lk)
             self._intern(rk)
@@ -206,16 +307,30 @@ class _Solver:
             self._add_linear(op, l, r)
             if self.contradiction:
                 return
+        forms = set()
+        for loc in self.separated:
+            key = canon_key(loc)
+            self._intern(key)
+            self._intern(self.ZERO)
+            self.sep_keys.append(key)
+            lf = linear_form(loc)
+            if lf is not None:
+                form = (lf[0], frozenset(lf[1].items()))
+                if form == (0, frozenset()) or form in forms:
+                    self.contradiction = True  # nil or a repeated location
+                    return
+                forms.add(form)
         for lk, rk in self.diseqs:
             if self.find(lk) == self.find(rk):
                 self.contradiction = True
                 return
+        reps = [self.find(k) for k in self.sep_keys]
+        if len(set(reps)) < len(reps) or (reps and self.find(self.ZERO) in reps):
+            self.contradiction = True
 
     def _add_linear(self, op: str, l: SymExpr, r: SymExpr) -> None:
         lf = linear_form(ArithExpr("-", l, r))
         if lf is None:
-            if op != "!=":
-                self.opaque.append((op, l, r))
             return
         const, coeffs = lf
         # normalize to: coeffs + const OP 0
@@ -231,7 +346,9 @@ class _Solver:
             self.contradiction = True
 
     def _add_diff(self, coeffs: dict, c: int) -> None:
-        """Record sum(coeffs) <= c when it is a difference constraint."""
+        """Record sum(coeffs) <= c when it is a difference constraint; other
+        linear constraints stay outside the graph and are checked only
+        through the witness."""
         if not coeffs:
             if 0 > c:
                 self.contradiction = True
@@ -243,78 +360,48 @@ class _Solver:
                 self.edges.append((k, self.ZERO, c))
                 self._intern(k)
                 self._intern(self.ZERO)
-                return
-            if a == -1:
+            elif a == -1:
                 self.edges.append((self.ZERO, k, c))
                 self._intern(k)
                 self._intern(self.ZERO)
-                return
-        if len(items) == 2:
+        elif len(items) == 2:
             (k1, a1), (k2, a2) = items
             if a1 == 1 and a2 == -1:
                 self.edges.append((k1, k2, c))
-                self._intern(k1)
-                self._intern(k2)
-                return
-            if a1 == -1 and a2 == 1:
+            elif a1 == -1 and a2 == 1:
                 self.edges.append((k2, k1, c))
-                self._intern(k1)
-                self._intern(k2)
+            else:
                 return
-        self.opaque.append(("<=", _coeffs_expr(coeffs), IntLit(c)))
+            self._intern(k1)
+            self._intern(k2)
 
     # difference graph ----------------------------------------------------------
 
-    def _graph(self):
-        """All-pairs shortest paths over representative nodes."""
-        reps = sorted({self.find(k) for k in self.parent})
-        index = {r: i for i, r in enumerate(reps)}
-        n = len(reps)
-        dist = [[0 if i == j else _INF for j in range(n)] for i in range(n)]
-        # x - y <= c: edge y -> x with weight c
-        for x, y, c in self.edges:
-            i, j = index[self.find(y)], index[self.find(x)]
-            if c < dist[i][j]:
-                dist[i][j] = c
-        # pinned constants are mutual offsets from the zero node
-        zero = self.find(self.ZERO) if self.ZERO in self.parent else None
-        if zero is not None:
-            zi = index[zero]
-            for r in reps:
-                cval = self.const.get(r)
-                if cval is not None and r != zero:
-                    ri = index[r]
-                    dist[zi][ri] = min(dist[zi][ri], cval)
-                    dist[ri][zi] = min(dist[ri][zi], -cval)
-        for k in range(n):
-            dk = dist[k]
-            for i in range(n):
-                dik = dist[i][k]
-                if dik == _INF:
-                    continue
-                di = dist[i]
-                for j in range(n):
-                    alt = dik + dk[j]
-                    if alt < di[j]:
-                        di[j] = alt
-        return reps, index, dist
+    def _graph(self) -> _Graph:
+        if self._graph_memo is None or self._graph_memo[0] != self.version:
+            self._graph_memo = (self.version, _Graph(self))
+        return self._graph_memo[1]
 
     def check(self) -> SatResult:
         if self.contradiction:
             return SatResult(UNSAT)
-        reps, index, dist = self._graph()
-        n = len(reps)
-        for i in range(n):
-            if dist[i][i] < 0:
-                return SatResult(UNSAT)
+        graph = self._graph()
+        if graph.negative_cycle:
+            return SatResult(UNSAT)
         for lk, rk in self.diseqs:
-            i, j = index[self.find(lk)], index[self.find(rk)]
-            if i == j:
+            ra, rb = self.find(lk), self.find(rk)
+            if ra == rb or graph.forced_equal(ra, rb):
                 return SatResult(UNSAT)
-            # dist bounds force equality exactly when both directions close at 0
-            if dist[i][j] == 0 and dist[j][i] == 0:
+        if self.sep_keys:
+            reps = {self.find(k) for k in self.sep_keys}
+            zero = self.find(self.ZERO)
+            if len(reps) < len(self.sep_keys) or zero in reps:
                 return SatResult(UNSAT)
-        witness = self._witness(reps, index, dist)
+            # only representatives that an edge touches can be forced equal
+            touched = [r for r in reps | {zero} if r in graph.index]
+            if any(graph.forced_equal(a, b) for a, b in combinations(touched, 2)):
+                return SatResult(UNSAT)
+        witness = self._witness(graph)
         if witness is not None:
             return SatResult(SAT, witness)
         return SatResult(UNKNOWN)
@@ -326,23 +413,23 @@ class _Solver:
         self._intern(rk)
         if self.contradiction:
             return True  # inconsistent context proves anything
-        if self.find(lk) == self.find(rk):
+        ra, rb = self.find(lk), self.find(rk)
+        if ra == rb:
             return True
-        _, index, dist = self._graph()
-        i, j = index[self.find(lk)], index[self.find(rk)]
-        return dist[i][j] == 0 and dist[j][i] == 0
+        graph = self._graph()
+        # without feasible potentials the bounds force nothing this procedure
+        # can read off; check() reports the negative cycle as unsat
+        return not graph.negative_cycle and graph.forced_equal(ra, rb)
 
     # witness construction ----------------------------------------------------
 
-    def _witness(self, reps, index, dist) -> Optional[dict[str, int]]:
-        n = len(reps)
-        if n == 0:
+    def _witness(self, graph: _Graph) -> Optional[dict[str, int]]:
+        reps = {self.find(k) for k in self.parent}
+        if not reps:
             return {} if self._verify({}) else None
-        # supersource potentials: min over rows
-        pot = [min(dist[i][j] for i in range(n)) for j in range(n)]
         zero = self.find(self.ZERO) if self.ZERO in self.parent else None
-        shift = pot[index[zero]] if zero is not None else 0
-        values = {r: int(pot[index[r]] - shift) for r in reps}
+        shift = graph.potential(zero)
+        values = {r: graph.potential(r) - shift for r in reps}
         for r in reps:
             if self.const.get(r) is not None:
                 values[r] = self.const[r]
@@ -354,7 +441,7 @@ class _Solver:
             touched.add(zero)
         spread = dict(values)
         step = 1_000_003
-        for i, r in enumerate(sorted(set(reps) - touched)):
+        for i, r in enumerate(sorted(reps - touched)):
             if self.const.get(r) is None:
                 spread[r] = step * (i + 1)
         if self._try(spread):
@@ -382,17 +469,10 @@ class _Solver:
                 return False
             if not _cmp(op, lv, rv):
                 return False
-        return True
-
-
-def _coeffs_expr(coeffs: dict) -> SymExpr:
-    # placeholder expression reconstructed only for opaque-atom bookkeeping
-    out: Optional[SymExpr] = None
-    for key, c in sorted(coeffs.items()):
-        leaf: SymExpr = Var(str(key)) if key[0] != "var" else Var(key[1])
-        piece = leaf if c == 1 else ArithExpr("*", IntLit(c), leaf)
-        out = piece if out is None else ArithExpr("+", out, piece)
-    return out if out is not None else IntLit(0)
+        locs = [_eval_key(loc, env) for loc in self.separated]
+        if None in locs or 0 in locs:
+            return False
+        return len(set(locs)) == len(locs)
 
 
 def _eval_key(e: SymExpr, env: dict) -> Optional[int]:
@@ -434,25 +514,28 @@ def _cmp(op: str, a: int, b: int) -> bool:
 
 @dataclass(frozen=True)
 class PureSet:
+    """A conjunction of comparison atoms.
+
+    ``separated`` holds locations known to be pairwise distinct and non-nil
+    (the points-to locations of a heap) without spelling out their O(n^2)
+    disequalities.  The solver is built on first use and kept on the set.
+    """
+
     atoms: tuple[PureAtomT, ...] = ()
+    separated: tuple[SymExpr, ...] = ()
 
     def add(self, op: str, left: SymExpr, right: SymExpr) -> "PureSet":
-        return PureSet(self.atoms + ((op, left, right),))
+        return PureSet(self.atoms + ((op, left, right),), self.separated)
 
     def extend(self, more: "PureSet") -> "PureSet":
-        return PureSet(self.atoms + more.atoms)
+        return PureSet(self.atoms + more.atoms, self.separated + more.separated)
 
+    @cached_property
     def _solver(self) -> _Solver:
-        cached = _solver_cache.get(self.atoms)
-        if cached is None:
-            cached = _Solver(self.atoms)
-            _solver_cache[self.atoms] = cached
-            if len(_solver_cache) > 4096:
-                _solver_cache.clear()
-        return cached
+        return _Solver(self.atoms, self.separated)
 
     def check_sat(self) -> SatResult:
-        return self._solver().check()
+        return self._solver.check()
 
     def entails(self, op: str, left: SymExpr, right: SymExpr) -> str:
         """yes / no / unknown for this set entailing the comparison atom."""
@@ -474,7 +557,7 @@ class PureSet:
             return False
         if ka == kb:
             return True
-        return self._solver().provably_equal(ka, kb)
+        return self._solver.provably_equal(ka, kb)
 
     def distinct(self, a: SymExpr, b: SymExpr) -> bool:
         return self.entails("!=", a, b) == YES
@@ -486,13 +569,11 @@ class PureSet:
             return None
         if key[0] == "int":
             return key[1]
-        solver = self._solver()
+        solver = self._solver
         if key not in solver.parent:
             return None
         return solver.const.get(solver.find(key))
 
-
-_solver_cache: dict[tuple, _Solver] = {}
 
 
 # --------------------------------------------------------------------------

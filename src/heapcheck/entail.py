@@ -9,9 +9,9 @@ Unknown pure answers always count as failure, never success.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 from . import formula as fm
 from .arith import PureSet, YES, UNSAT
@@ -81,10 +81,11 @@ class SymHeap:
     """Pure constraints plus a multiset of spatial atoms.
 
     Well-separation (pairwise distinct points-to locations, none nil) is not
-    stored but derived on demand by ``sep_pure``.
+    stored as atoms: ``sep_pure`` hands the points-to locations to the pure
+    set as its ``separated`` tuple, once per heap.
     """
 
-    pure: PureSet = PureSet()
+    pure: PureSet = field(default_factory=PureSet)
     spatial: tuple[SpatialAtom, ...] = ()
     existentials: frozenset[str] = frozenset()
 
@@ -108,14 +109,23 @@ class SymHeap:
         return SymHeap(self.pure.add(op, l, r), self.spatial, self.existentials)
 
     def sep_pure(self) -> PureSet:
-        """Pure part extended with the separation axioms of the spatial part."""
-        p = self.pure
-        ptos = [a for a in self.spatial if isinstance(a, PtoAtom)]
-        for a in ptos:
-            p = p.add("!=", a.loc, fm.Nil())
-        for a, b in itertools.combinations(ptos, 2):
-            p = p.add("!=", a.loc, b.loc)
-        return p
+        """Pure part together with the separation of the spatial part."""
+        return self._sep_pure
+
+    @cached_property
+    def _sep_pure(self) -> PureSet:
+        locs = tuple(a.loc for a in self.spatial if isinstance(a, PtoAtom))
+        return PureSet(self.pure.atoms, self.pure.separated + locs)
+
+    def released(self, gone: Iterable[SpatialAtom]) -> "SymHeap":
+        """Keep as pure facts that the cells ``gone``, which just left the heap,
+        were distinct from every points-to cell that remains."""
+        locs = [a.loc for a in self.spatial if isinstance(a, PtoAtom)]
+        facts = tuple(("!=", g.loc, loc) for g in gone if isinstance(g, PtoAtom) for loc in locs)
+        if not facts:
+            return self
+        pure = PureSet(self.pure.atoms + facts, self.pure.separated)
+        return SymHeap(pure, self.spatial, self.existentials)
 
     def consistent(self) -> bool:
         return self.sep_pure().check_sat().status != UNSAT

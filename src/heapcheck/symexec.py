@@ -9,6 +9,7 @@ is reported once.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -224,23 +225,6 @@ class _Engine:
         node = self.builder.node("fault", message, FAILED)
         state.node.children.append(node)
         self.diag(state, kind, span, message, node)
-        raise _PathFault()
-
-    def ambiguous_or_fault(self, state: SymState, addr: fm.SymExpr, kind: str, span: Span, message: str) -> None:
-        """Fault when the address is provably outside the heap; otherwise the
-        access may or may not hit a cell, which only taints the verdict."""
-        pure = state.heap.sep_pure()
-        provably_absent = True
-        for atom in state.heap.spatial:
-            if isinstance(atom, PredAtom):
-                provably_absent = False  # a predicate may hide the cell
-                break
-            if not pure.distinct(addr, atom.loc):
-                provably_absent = False
-                break
-        if provably_absent:
-            self.fault(state, kind, span, message)
-        self.taint_state(state, f"{message} (address not decidable)")
         raise _PathFault()
 
     def note(self, state: SymState, rule: str, text: str, outcome: str = OK) -> ProofNode:
@@ -586,9 +570,11 @@ class _Engine:
                         state,
                         f"call to {name}: disjunctive postcondition narrowed to its first case",
                     )
+                consumed = Counter(state.heap.spatial) - Counter(res.frame.spatial)
+                frame = res.frame.released(consumed.elements())
                 state.heap = SymHeap(
-                    res.frame.pure.extend(post_heap.pure),
-                    res.frame.spatial + post_heap.spatial,
+                    frame.pure.extend(post_heap.pure),
+                    frame.spatial + post_heap.spatial,
                     frozenset(),
                 )
                 return self.fresh_sym("r")
@@ -725,12 +711,9 @@ class _Engine:
         self.note(state, "stmt", emit_text(s))
         addr = self.fresh_sym("a")
         content = self.fresh_sym("v")
-        # persist freshness so absence stays provable after a later delete
-        heap = state.heap.add_pure("!=", addr, fm.Nil())
-        for atom in heap.spatial:
-            if isinstance(atom, PtoAtom):
-                heap = heap.add_pure("!=", addr, atom.loc)
-        state.heap = heap
+        # separation from the other cells holds while the cell is in the heap;
+        # delete and call keep it once the cell leaves
+        state.heap = state.heap.add_pure("!=", addr, fm.Nil())
         target = s.args[0]
         if isinstance(target, Atom):
             old = state.store.get(target.name)
@@ -757,7 +740,7 @@ class _Engine:
                 self.fault(state, INVALID_FREE, span, message)
             self.taint_state(state, f"{message} (address not decidable)")
             return []
-        state.heap = state.heap.without(cell)
+        state.heap = state.heap.without(cell).released([cell])
         self.leak_check(state, [cell.val], span)
         return [state]
 

@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 
+from heapcheck import arith
 from heapcheck.arith import (
     NO,
     PureSet,
@@ -11,9 +12,11 @@ from heapcheck.arith import (
     YES,
     simplify_expr,
 )
-from heapcheck.formula import ArithExpr, IntLit, Nil, Var
+from heapcheck.entail import PtoAtom, SymHeap
+from heapcheck.formula import ArithExpr, IntLit, Nil, OffsetOf, Var
 
 X, Y, Z, A, I = Var("x"), Var("y"), Var("z"), Var("a"), Var("i")
+W, P, Q = Var("w"), Var("p"), Var("q")
 
 _OPS = {
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -151,3 +154,89 @@ def test_soundness_vs_brute_force_sample():
                     return 0
                 return env[e.name]
             assert all(_OPS[op](ev(l), ev(r)) for op, l, r in atoms), atoms
+
+
+def test_zero_weight_cycle_forces_equality():
+    p = PureSet().add("<=", X, Y).add("<=", Y, X)
+    assert p.equal(X, Y) and p.equal(Y, X)
+    assert not PureSet().add("<=", X, Y).equal(X, Y)
+
+
+def test_zero_weight_cycle_through_pinned_constants():
+    # bounds against literals run through the zero node that nil pins
+    p = PureSet().add("<=", X, IntLit(3)).add(">=", X, IntLit(3))
+    assert p.equal(X, IntLit(3))
+    assert not p.equal(X, IntLit(4))
+    q = PureSet().add("<=", X, Y).add("<=", Y, Nil()).add(">=", X, Nil())
+    assert q.equal(Y, Nil()) and q.equal(X, Y)
+
+
+def test_negative_cycle_is_unsat():
+    p = (PureSet().add("<=", ArithExpr("+", X, IntLit(1)), Y)
+         .add("<=", ArithExpr("+", Y, IntLit(1)), Z).add("<=", Z, X))
+    assert p.check_sat().status == UNSAT
+
+
+def test_contradiction_proves_any_equality():
+    p = PureSet().add("==", X, IntLit(1)).add("==", X, IntLit(2))
+    assert p.equal(Y, Z)
+    assert PureSet(separated=(X, X)).equal(Y, Z)
+
+
+def test_disequality_broken_by_bounds():
+    p = PureSet().add("!=", X, IntLit(3)).add(">=", X, IntLit(3))
+    assert p.check_sat().status != UNSAT
+    assert p.add("<=", X, IntLit(3)).check_sat().status == UNSAT
+
+
+def test_separated_locations():
+    res = PureSet(separated=(X, Y, Z)).check_sat()
+    assert res.status == SAT
+    values = [res.witness[v] for v in "xyz"]
+    assert 0 not in values and len(set(values)) == 3
+    assert PureSet(separated=(X, Y, X)).check_sat().status == UNSAT
+    assert PureSet((("==", Y, Nil()),), (X, Y)).check_sat().status == UNSAT
+    assert PureSet(separated=(Nil(),)).check_sat().status == UNSAT
+    shifted = (OffsetOf(OffsetOf(X, 2), -1), OffsetOf(X, 1))
+    assert PureSet(separated=shifted).check_sat().status == UNSAT
+    # forced equal by bounds, not by congruence
+    forced = PureSet((("<=", X, Y), ("<=", Y, X)), (X, Y))
+    assert forced.check_sat().status == UNSAT
+    assert PureSet(separated=(X, Y)).distinct(X, Y)
+    assert PureSet(separated=(X,)).distinct(X, Nil())
+
+
+def test_query_union_invalidates_graph():
+    # a == x+1 and a == b by bounds; interning y+1 with x == y unions with a's
+    # class after the graph was built, and the new class must be found in it
+    p = (PureSet().add("==", X, Y).add("==", A, ArithExpr("+", X, IntLit(1)))
+         .add("<=", A, Z).add("<=", Z, A))
+    assert p.equal(Z, A)
+    solver = p._solver
+    before = solver.version
+    assert p.equal(Z, ArithExpr("+", Y, IntLit(1)))
+    assert solver.version > before
+
+
+def test_witnesses_unchanged():
+    p = (PureSet().add("<", X, Y).add("<=", Y, ArithExpr("+", Z, IntLit(2)))
+         .add("==", Z, IntLit(5)).add("!=", W, X).add(">=", W, IntLit(-3)))
+    assert p.check_sat().witness == {"x": 4, "y": 5, "z": 5, "w": 5}
+    h = SymHeap(
+        PureSet().add("<", P, Q).add("!=", X, Nil()).add(">", Q, IntLit(7)),
+        (PtoAtom(P, IntLit(1)), PtoAtom(Q, X), PtoAtom(W, Nil())),
+    )
+    assert h.sep_pure().check_sat().witness == {"p": 7, "q": 8, "x": 3000009, "w": 2000006}
+
+
+def test_sep_pure_is_computed_once_per_heap():
+    h = SymHeap(PureSet(), (PtoAtom(X, IntLit(1)), PtoAtom(Y, IntLit(2))))
+    assert h.sep_pure() is h.sep_pure()
+    assert h.sep_pure().separated == (X, Y)
+    assert h.sep_pure().atoms == ()
+
+
+def test_solver_is_owned_by_the_set():
+    assert not hasattr(arith, "_solver_cache")
+    p = PureSet().add("<", X, Y)
+    assert p._solver is p._solver

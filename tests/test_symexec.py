@@ -350,3 +350,68 @@ def test_leaked_chunk_stays_allocated():
     assert v.status != REFUTED or all(
         d.kind not in (INVALID_ACCESS, INVALID_FREE) for d in v.diagnostics
     )
+
+
+# -- generated straight-line list programs ------------------------------------
+
+
+def _function(name: str, params: list[str], pre: str, body: list[str], post: str) -> str:
+    lines = "\n".join(f"  {s}" for s in body)
+    ps = ", ".join(f"int {p}" for p in params)
+    return f"int {name}({ps})\n@ {pre} @\n{{\n{lines}\n}}\n@ {post} @\n"
+
+
+def walk_source(n: int, tail: tuple[str, ...] = ()) -> str:
+    """Read ``.next`` n times over an n-node list, keeping every node in a variable."""
+    nodes = ",".join(f"a{i}" for i in range(n))
+    body, prev = [], "x"
+    for i in range(1, n + 1):
+        body.append(f"p{i} = {prev}.next;")
+        prev = f"p{i}"
+    return _function(f"walk{n}", ["x"], f"x->{nodes}", body + list(tail), f"x->{nodes}")
+
+
+def copy_source(n: int) -> str:
+    """Copy an n-node list into n fresh cells, last node first."""
+    nodes = ",".join(f"a{i}" for i in range(n))
+    body = ["p0 = x;"] + [f"p{i} = p{i - 1}.next;" for i in range(1, n)]
+    for i in reversed(range(n)):
+        body.append(f"new(q{i});")
+        body.append(f"q{i}.value = p{i}.value;")
+        body.append(f"q{i}.next = " + (f"q{i + 1};" if i + 1 < n else "null;"))
+    body.append("z = q0;")
+    return _function(f"copy{n}", ["x", "z"], f"x->{nodes}", body, f"x->{nodes} * z->{nodes}")
+
+
+def test_long_walk_verifies():
+    v = only_verdict(walk_source(48))
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_long_copy_verifies():
+    # the pairwise separation atoms once made this heap too deep to print
+    v = only_verdict(copy_source(20))
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_double_delete_of_precondition_node_is_invalid_free():
+    # the freed node's distinctness from the remaining cells outlives it
+    v = only_verdict(walk_source(8, ("delete(p5);", "delete(p5);")))
+    assert v.status == REFUTED
+    assert [d.kind for d in v.diagnostics] == [INVALID_FREE]
+
+
+def test_double_delete_of_new_cell_among_others_is_invalid_free():
+    v = only_verdict("int f() { new(b); new(a); delete(a); delete(a); delete(b); }")
+    assert v.status == REFUTED
+    assert [d.kind for d in v.diagnostics] == [INVALID_FREE]
+
+
+def test_delete_after_call_consumed_the_cell_is_invalid_free():
+    src = """
+int consume(int p) @ exists v. p->v @ { delete(p); } @ emp @
+int f() { new(b); new(a); consume(a); delete(a); delete(b); }
+"""
+    verdicts = verify_source(src)
+    assert [v.status for v in verdicts] == [VERIFIED, REFUTED]
+    assert [d.kind for d in verdicts[1].diagnostics] == [INVALID_FREE]
