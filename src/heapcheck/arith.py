@@ -11,14 +11,14 @@ never to a wrong verdict.  Sat answers always carry a verified witness.
 Each ``PureSet`` builds its solver once, on first use, and keeps it.  The
 separation of a heap's points-to locations arrives as the set's
 ``separated`` tuple (pairwise distinct, none nil) instead of O(n^2)
-disequality atoms.
+disequality atoms.  A ``ClassIndex`` groups terms by their class under one
+set, so callers look a term up instead of scanning with ``equal``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -109,6 +109,23 @@ def _merge(a: dict, b: dict, sign: int) -> dict:
     return out
 
 
+class lazy:
+    """A per-instance memo like ``functools.cached_property``, without the
+    lock that Python 3.11 takes on each first access: pure sets and heaps
+    are built and read by one thread, and most are read only a few times.
+    It writes the instance dict directly, so it works on frozen dataclasses."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class SatResult:
     status: str
@@ -142,6 +159,7 @@ class _Graph:
                     edge(zero, r, cval)
                     edge(r, zero, -cval)
         n = len(self.index)
+        self.reps = list(self.index)  # node number -> representative
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (u, v), c in weights.items():
             self.adj[u].append((v, c))
@@ -196,6 +214,20 @@ class _Graph:
         if i is None or j is None:
             return False
         return self.dist_from(i).get(j) == 0 and self.dist_from(j).get(i) == 0
+
+    def forced_class(self, rep) -> list:
+        """``rep`` and every representative ``forced_equal`` to it."""
+        i = self.index[rep]
+        pot = self.pot
+        # a class forced equal to rep lies on a cycle of edges whose reduced
+        # cost is 0, so without such an edge out of rep there is none
+        if all(v == i or c + pot[i] - pot[v] for v, c in self.adj[i]):
+            return [rep]
+        return [rep] + [
+            self.reps[j]
+            for j, d in self.dist_from(i).items()
+            if d == 0 and j != i and self.dist_from(j).get(i) == 0
+        ]
 
 
 class _Solver:
@@ -530,7 +562,7 @@ class PureSet:
     def extend(self, more: "PureSet") -> "PureSet":
         return PureSet(self.atoms + more.atoms, self.separated + more.separated)
 
-    @cached_property
+    @lazy
     def _solver(self) -> _Solver:
         return _Solver(self.atoms, self.separated)
 
@@ -574,6 +606,70 @@ class PureSet:
             return None
         return solver.const.get(solver.find(key))
 
+
+class ClassIndex:
+    """Tags of expressions by the solver class of each expression under one
+    pure set.
+
+    ``find(e)`` returns, sorted, the tags of exactly the expressions that
+    ``PureSet.equal`` proves equal to ``e``: its congruence class, classes
+    that bounds force equal to it, and every expression when the set is
+    contradictory.  Entries come in tag order.  The table is built on the
+    first ``find``.  Representatives move only when classes merge, which
+    moves the solver's ``version``; the table is then rebuilt.
+    """
+
+    def __init__(self, pure: PureSet, entries: list[tuple[SymExpr, int]]):
+        self._pure = pure
+        self._entries = entries
+        self._version = -1
+        self._by_class: dict = {}
+
+    def first(self, e: SymExpr) -> Optional[int]:
+        """The first tag of ``find(e)``.  Like ``PureSet.equal``, it needs no
+        solver when ``e`` is the first entry's own term."""
+        if not self._entries:
+            return None
+        head, tag = self._entries[0]
+        try:
+            if canon_key(head) == canon_key(e):
+                return tag
+        except TypeError:
+            pass
+        found = self.find(e)
+        return found[0] if found else None
+
+    def find(self, e: SymExpr) -> list[int]:
+        if not self._entries:
+            return []
+        try:
+            key = canon_key(e)
+        except TypeError:
+            return []
+        solver = self._pure._solver
+        solver._intern(key)
+        # interning the entries can itself merge classes
+        while self._version != solver.version:
+            self._version = solver.version
+            self._by_class = self._table(solver)
+        if solver.contradiction:
+            return sorted(t for tags in self._by_class.values() for t in tags)
+        rep = solver.find(key)
+        graph = solver._graph()
+        if graph.negative_cycle or rep not in graph.index:
+            return self._by_class.get(rep, [])
+        return sorted(t for r in graph.forced_class(rep) for t in self._by_class.get(r, ()))
+
+    def _table(self, solver: _Solver) -> dict:
+        by_class: dict = {}
+        for e, tag in self._entries:
+            try:
+                key = canon_key(e)
+            except TypeError:
+                continue
+            solver._intern(key)
+            by_class.setdefault(solver.find(key), []).append(tag)
+        return by_class
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,10 @@ Unknown pure answers always count as failure, never success.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from . import formula as fm
-from .arith import PureSet, YES, UNSAT
+from .arith import ClassIndex, PureSet, YES, UNSAT, lazy
 from .errors import UnknownPredicateError, UnsupportedFormulaError
 from .prooftree import FAILED, OK, PRUNED, ProofBuilder, ProofNode
 
@@ -82,7 +81,10 @@ class SymHeap:
 
     Well-separation (pairwise distinct points-to locations, none nil) is not
     stored as atoms: ``sep_pure`` hands the points-to locations to the pure
-    set as its ``separated`` tuple, once per heap.
+    set as its ``separated`` tuple, once per heap.  Each heap also keeps,
+    built on first use, its canonical text and an index of its spatial atoms
+    by the solver class of their addresses (``cell_at`` and friends), which
+    stands in for scanning the atoms with ``PureSet.equal``.
     """
 
     pure: PureSet = field(default_factory=PureSet)
@@ -112,10 +114,49 @@ class SymHeap:
         """Pure part together with the separation of the spatial part."""
         return self._sep_pure
 
-    @cached_property
+    @lazy
     def _sep_pure(self) -> PureSet:
         locs = tuple(a.loc for a in self.spatial if isinstance(a, PtoAtom))
         return PureSet(self.pure.atoms, self.pure.separated + locs)
+
+    # Spatial atoms by the solver class of an anchor under ``sep_pure``.  A
+    # lookup gives the positions, in spatial order, that a scan with
+    # ``sep_pure().equal`` would match.
+
+    def cell_at(self, e: fm.SymExpr) -> Optional[int]:
+        """The first points-to atom located at ``e``."""
+        return self._cells.first(e)
+
+    def cells_at(self, e: fm.SymExpr) -> list[int]:
+        """Points-to atoms located at ``e``."""
+        return self._cells.find(e)
+
+    def roots_at(self, e: fm.SymExpr) -> list[int]:
+        """Predicate instances whose first argument is ``e``."""
+        return self._roots.find(e)
+
+    def args_at(self, e: fm.SymExpr) -> list[int]:
+        """Predicate instances with ``e`` among their arguments."""
+        return self._args.find(e)
+
+    @lazy
+    def _cells(self) -> ClassIndex:
+        atoms = enumerate(self.spatial)
+        return ClassIndex(self.sep_pure(), [(a.loc, i) for i, a in atoms if isinstance(a, PtoAtom)])
+
+    @lazy
+    def _roots(self) -> ClassIndex:
+        atoms = enumerate(self.spatial)
+        return ClassIndex(
+            self.sep_pure(), [(a.args[0], i) for i, a in atoms if isinstance(a, PredAtom) and a.args]
+        )
+
+    @lazy
+    def _args(self) -> ClassIndex:
+        atoms = enumerate(self.spatial)
+        return ClassIndex(
+            self.sep_pure(), [(x, i) for i, a in atoms if isinstance(a, PredAtom) for x in a.args]
+        )
 
     def released(self, gone: Iterable[SpatialAtom]) -> "SymHeap":
         """Keep as pure facts that the cells ``gone``, which just left the heap,
@@ -147,6 +188,10 @@ class SymHeap:
         return out
 
     def pretty(self) -> str:
+        return self._text
+
+    @lazy
+    def _text(self) -> str:
         return fm.pretty(fm.normalize(self.to_formula()))
 
     def sorted_spatial(self) -> list[SpatialAtom]:
@@ -173,6 +218,7 @@ def formula_to_symheaps(
         pure: list[tuple[str, fm.SymExpr, fm.SymExpr]] = []
         spatial: list[SpatialAtom] = []
         existentials: set[str] = set()
+        renaming: dict[str, fm.SymExpr] = {}
 
         def walk(g: fm.Formula, spatial_ok: bool) -> None:
             if isinstance(g, (fm.Emp, fm.TrueF)):
@@ -212,15 +258,27 @@ def formula_to_symheaps(
                 walk(g.right, spatial_ok)
                 return
             if isinstance(g, fm.Exists):
-                name = fresh.var("e")
-                if not skolemize:
-                    existentials.add(name)
-                body = fm.substitute(g.body, {g.var: fm.Var(name)})
+                # a fresh name per binder, outermost first; the renaming of
+                # the binders in scope is applied at the atoms
+                binders, body = fm.exists_chain(g)
+                saved = [(v, renaming.get(v)) for v in binders]
+                for v in binders:
+                    name = fresh.var("e")
+                    if not skolemize:
+                        existentials.add(name)
+                    renaming[v] = fm.Var(name)
                 walk(body, spatial_ok)
+                for v, old in reversed(saved):
+                    if old is None:
+                        renaming.pop(v, None)
+                    else:
+                        renaming[v] = old
                 return
             raise UnsupportedFormulaError(f"formula outside the supported fragment: {g!r}")
 
         def _rn(e: fm.SymExpr) -> fm.SymExpr:
+            if isinstance(e, fm.Var):
+                return renaming.get(e.name, e)
             if isinstance(e, fm.FieldRef):
                 raise UnsupportedFormulaError(
                     "field references inside assertions are not supported; "
@@ -340,7 +398,7 @@ class _Prover:
 
     def match(
         self,
-        ant_pure: PureSet,
+        ant: SymHeap,
         ant_atoms: tuple[SpatialAtom, ...],
         con_atoms: tuple[SpatialAtom, ...],
         con_pure: tuple[tuple[str, fm.SymExpr, fm.SymExpr], ...],
@@ -350,7 +408,9 @@ class _Prover:
         nodes: list[ProofNode],
     ) -> Union[tuple[tuple[SpatialAtom, ...], dict[str, fm.SymExpr]], str]:
         """Consume all consequent atoms; returns (leftover, binding) or the
-        name of the rule nearest to the failure."""
+        name of the rule nearest to the failure.  ``ant_atoms`` are the atoms
+        of ``ant`` not consumed yet."""
+        ant_pure = ant.sep_pure()
         if not con_atoms:
             for op, l, r in con_pure:
                 ls = fm.substitute_expr(l, binding)
@@ -379,7 +439,16 @@ class _Prover:
         atom, rest = con_atoms[0], con_atoms[1:]
         if isinstance(atom, PtoAtom):
             nearest = "points-to"
-            candidates = [a for a in ant_atoms if isinstance(a, PtoAtom)]
+            loc = fm.substitute_expr(atom.loc, binding)
+            if isinstance(loc, fm.Record) or (isinstance(loc, fm.Var) and loc.name in exist):
+                candidates = [a for a in ant_atoms if isinstance(a, PtoAtom)]
+            else:
+                # a bound location unifies with exactly the cells in its class
+                live = {id(a) for a in ant_atoms}
+                cells = [ant.spatial[i] for i in ant.cells_at(loc)]
+                candidates = [
+                    a for a in cells if id(a) in live and not isinstance(a.loc, fm.Record)  # type: ignore[union-attr]
+                ]
             for cand in candidates:
                 b2 = self.unify(atom.loc, cand.loc, binding, exist, ant_pure)
                 if b2 is None:
@@ -395,7 +464,7 @@ class _Prover:
                         f"{fm.pretty(atom.to_formula())} matches {fm.pretty(cand.to_formula())}",
                     )
                 )
-                res = self.match(ant_pure, remaining, rest, con_pure, exist, b3, depth, nodes)
+                res = self.match(ant, remaining, rest, con_pure, exist, b3, depth, nodes)
                 if not isinstance(res, str):
                     return res
                 nearest = res
@@ -417,7 +486,7 @@ class _Prover:
             remaining = tuple(a for a in ant_atoms if a is not cand)
             mark = len(nodes)
             nodes.append(self.builder.node("pred-match", fm.pretty(atom.to_formula())))
-            res = self.match(ant_pure, remaining, rest, con_pure, exist, b2, depth, nodes)
+            res = self.match(ant, remaining, rest, con_pure, exist, b2, depth, nodes)
             if not isinstance(res, str):
                 return res
             nearest = res
@@ -440,7 +509,7 @@ class _Prover:
                 self.builder.node("fold", f"{fm.pretty(atom.to_formula())} via case {i + 1}")
             )
             res = self.match(
-                ant_pure, ant_atoms, new_con, new_pure, new_exist, binding, depth - 1, nodes
+                ant, ant_atoms, new_con, new_pure, new_exist, binding, depth - 1, nodes
             )
             if not isinstance(res, str):
                 return res
@@ -483,13 +552,12 @@ class _Prover:
         con_text: str,
         depth: int,
     ) -> EntailmentResult:
-        ant_pure = ant.sep_pure()
-        if ant_pure.check_sat().status == UNSAT:
+        if ant.sep_pure().check_sat().status == UNSAT:
             node = self.builder.node("pure-contradiction", ant.pretty())
             return Proved(SymHeap.emp(), {}, node)
         nodes: list[ProofNode] = []
         con_sorted = tuple(sorted(con_spatial, key=_atom_key))
-        res = self.match(ant_pure, ant.spatial, con_sorted, con_pure, exist, {}, depth, nodes)
+        res = self.match(ant, ant.spatial, con_sorted, con_pure, exist, {}, depth, nodes)
         if not isinstance(res, str):
             leftover, binding = res
             frame = SymHeap(ant.pure, leftover, frozenset())
@@ -528,7 +596,7 @@ class _Prover:
                     nearest = "unfold"
                     break
             if all_ok and frames:
-                canon = {fm.pretty(fm.normalize(f.to_formula())) for f in frames}
+                canon = {f.pretty() for f in frames}
                 if len(canon) == 1:
                     root = self.builder.node(
                         "entail", f"{ant.pretty()} |- {con_text}", OK, case_results

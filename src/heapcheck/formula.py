@@ -343,11 +343,7 @@ def pretty(f: Formula, level: int = 0) -> str:
         text = f"{pretty(f.left, _F_OR + 1)} || {pretty(f.right, _F_OR)}"
         return f"({text})" if level > _F_OR else text
     if isinstance(f, Exists):
-        binders = [f.var]
-        body = f.body
-        while isinstance(body, Exists):
-            binders.append(body.var)
-            body = body.body
+        binders, body = exists_chain(f)
         text = f"exists {', '.join(binders)}. {pretty(body)}"
         return f"({text})" if level > _F_OR else text
     if isinstance(f, PredApp):
@@ -433,13 +429,13 @@ def fold_expr(e: SymExpr) -> SymExpr:
 
 def normalize(f: Formula) -> Formula:
     """Canonical form: unit/absorption rewrites, folded constants, sorted flat
-    chains, canonical binders."""
-    g = _normalize1(_fold_formula(f))
-    while True:
-        h = _normalize1(g)
-        if h == g:
-            return _canon_binders(g)
-        g = h
+    chains, canonical binders.
+
+    Binder passes are linear in the formula: a chain of ``exists`` is checked
+    against one free-variable set of its body, and ``_canon_binders`` renames
+    every binder in one walk with one map.
+    """
+    return _canon_binders(_normalize1(_fold_formula(f)))
 
 
 def _fold_formula(f: Formula) -> Formula:
@@ -457,16 +453,38 @@ def _fold_formula(f: Formula) -> Formula:
     return f
 
 
+def exists_chain(f: Formula) -> tuple[list[str], Formula]:
+    """Binders of a run of directly nested Exists, outermost first, and the
+    body under the last of them."""
+    binders: list[str] = []
+    while isinstance(f, Exists):
+        binders.append(f.var)
+        f = f.body
+    return binders, f
+
+
+def _parts(f: Formula, cls: type) -> list[Formula]:
+    """Normalized operands of a ``cls`` chain.  An operand that normalizes to
+    a ``cls`` chain itself is spliced in, so one pass reaches the fixpoint."""
+    return [q for p in _flatten(f, cls) for q in _flatten(_normalize1(p), cls)]
+
+
 def _normalize1(f: Formula) -> Formula:
     if isinstance(f, (Emp, TrueF, FalseF, PointsTo, PredApp, PureAtom)):
         return f
     if isinstance(f, Exists):
-        body = _normalize1(f.body)
-        if f.var not in free_vars(body):
-            return body
-        return Exists(f.var, body)
+        # one free-variable set for the whole chain: a binder is vacuous when
+        # its name is not free below it, counting only the binders kept inside
+        binders, body = exists_chain(f)
+        out = _normalize1(body)
+        free = free_vars(out)
+        for v in reversed(binders):
+            if v in free:
+                free.discard(v)
+                out = Exists(v, out)
+        return out
     if isinstance(f, Star):
-        parts = [_normalize1(p) for p in _flatten(f, Star)]
+        parts = _parts(f, Star)
         if any(isinstance(p, FalseF) for p in parts):
             return FalseF()
         parts = [p for p in parts if not isinstance(p, Emp)]
@@ -475,7 +493,7 @@ def _normalize1(f: Formula) -> Formula:
         parts.sort(key=_star_key)
         return _rebuild(parts, Star)
     if isinstance(f, And):
-        parts = [_normalize1(p) for p in _flatten(f, And)]
+        parts = _parts(f, And)
         if any(isinstance(p, FalseF) for p in parts):
             return FalseF()
         parts = [p for p in parts if not isinstance(p, TrueF)]
@@ -487,7 +505,7 @@ def _normalize1(f: Formula) -> Formula:
                 uniq.append(p)
         return _rebuild(uniq, And)
     if isinstance(f, Or):
-        parts = [_normalize1(p) for p in _flatten(f, Or)]
+        parts = _parts(f, Or)
         if any(isinstance(p, TrueF) for p in parts):
             return TrueF()
         parts = [p for p in parts if not isinstance(p, FalseF)]
@@ -502,9 +520,16 @@ def _normalize1(f: Formula) -> Formula:
 
 
 def _canon_binders(f: Formula) -> Formula:
-    """Rename every Exists binder to e0, e1, ... in traversal order."""
+    """Rename every Exists binder to e0, e1, ... in traversal order.
+
+    One walk carries the renaming of the binders in scope and applies it at
+    the atoms.  Every binder gets its own name, none of them free in ``f``,
+    so the simultaneous renaming cannot capture.
+    """
     free = free_vars(f)
     counter = [0]
+    names: dict[str, SymExpr] = {}
+    renamed = [False]
 
     def next_name() -> str:
         while True:
@@ -515,20 +540,34 @@ def _canon_binders(f: Formula) -> Formula:
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Exists):
-            fresh = next_name()
-            body = substitute(g.body, {g.var: Var(fresh)}) if g.var != fresh else g.body
-            return Exists(fresh, walk(body))
+            binders, body = exists_chain(g)
+            fresh = [next_name() for _ in binders]
+            if fresh != binders:
+                renamed[0] = True
+            # inner binders shadow outer ones of the same name
+            saved = [(v, names.get(v)) for v in binders]
+            for v, n in zip(binders, fresh):
+                names[v] = Var(n)
+            out = walk(body)
+            for v, old in reversed(saved):
+                if old is None:
+                    names.pop(v, None)
+                else:
+                    names[v] = old
+            for n in reversed(fresh):
+                out = Exists(n, out)
+            return out
         if isinstance(g, Star):
             return Star(walk(g.left), walk(g.right))
         if isinstance(g, And):
             return And(walk(g.left), walk(g.right))
         if isinstance(g, Or):
             return Or(walk(g.left), walk(g.right))
-        return g
+        return substitute(g, names) if names else g
 
     out = walk(f)
     # renaming can disturb the sorted chain order; re-sort once more
-    return out if out == f else _normalize1(out)
+    return _normalize1(out) if renamed[0] else out
 
 
 # --------------------------------------------------------------------------

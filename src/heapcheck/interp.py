@@ -345,12 +345,21 @@ class _Goal:
         self._binders += 1
         return f"?b{self._binders}"
 
-    def extract(self, g: fm.Formula, parts: list, out: dict) -> None:
+    def extract(
+        self, g: fm.Formula, parts: list, out: dict, renaming: Optional[dict] = None
+    ) -> None:
         """Split an or-free formula into exact spatial parts and pure checks.
 
         A pure-only operand of ``*`` leaves its heap share unconstrained, so it
         sets the absorb flag; pure content pinned by an ``&&`` does not.
+        Binders get fresh names through ``renaming``, which is applied at the
+        parts rather than by substituting each binder's whole body.
         """
+        ren = {} if renaming is None else renaming
+
+        def rn(e: fm.SymExpr) -> fm.SymExpr:
+            return fm.substitute_expr(e, ren) if ren else e
+
         if isinstance(g, fm.Emp):
             parts.append(("emp",))
         elif isinstance(g, fm.TrueF):
@@ -358,25 +367,30 @@ class _Goal:
         elif isinstance(g, fm.FalseF):
             parts.append(("false",))
         elif isinstance(g, fm.PureAtom):
-            parts.append(("pure", g.op, g.left, g.right))
+            parts.append(("pure", g.op, rn(g.left), rn(g.right)))
         elif isinstance(g, fm.PointsTo):
-            parts.append(("pto", g.loc, g.val))
+            parts.append(("pto", rn(g.loc), rn(g.val)))
         elif isinstance(g, fm.PredApp):
-            parts.append(("pred", g.name, g.args, self.depth))
+            parts.append(("pred", g.name, tuple(rn(a) for a in g.args), self.depth))
         elif isinstance(g, fm.Star):
             for child in (g.left, g.right):
                 if fm.is_pure_only(child):
                     out["absorb"] = True
-                self.extract(child, parts, out)
+                self.extract(child, parts, out, ren)
         elif isinstance(g, fm.And):
             if fm.is_pure_only(g.left) or fm.is_pure_only(g.right):
-                self.extract(g.left, parts, out)
-                self.extract(g.right, parts, out)
+                self.extract(g.left, parts, out, ren)
+                self.extract(g.right, parts, out, ren)
             else:
-                parts.append(("nested", g))
+                parts.append(("nested", fm.substitute(g, ren)))
         elif isinstance(g, fm.Exists):
-            name = self.fresh_binder()
-            self.extract(fm.substitute(g.body, {g.var: fm.Var(name)}), parts, out)
+            shadowed = ren.get(g.var)
+            ren[g.var] = fm.Var(self.fresh_binder())
+            self.extract(g.body, parts, out, ren)
+            if shadowed is None:
+                del ren[g.var]
+            else:
+                ren[g.var] = shadowed
         else:
             raise TypeError(f"unknown formula {g!r}")
 

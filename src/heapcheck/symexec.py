@@ -243,26 +243,23 @@ class _Engine:
     # -- heap access ----------------------------------------------------------
 
     def find_cell(self, state: SymState, addr: fm.SymExpr) -> Optional[PtoAtom]:
-        pure = state.heap.sep_pure()
-        for atom in state.heap.spatial:
-            if isinstance(atom, PtoAtom) and pure.equal(atom.loc, addr):
-                return atom
-        return None
+        i = state.heap.cell_at(addr)
+        return None if i is None else state.heap.spatial[i]  # type: ignore[return-value]
 
     def try_unfold_at(self, state: SymState, addr: fm.SymExpr, span: Span) -> list[SymState]:
         """Expose a cell hidden in a predicate instance whose root is addr."""
-        pure = state.heap.sep_pure()
-        for atom in state.heap.spatial:
-            if isinstance(atom, PredAtom) and atom.args and pure.equal(atom.args[0], addr):
-                cases = unfold(state.heap, atom, self.preds, self.fresh, prune=True)
-                out = []
-                for i, case in enumerate(cases):
-                    child = self.note(state, "unfold", f"{fm.pretty(atom.to_formula())} case {i + 1}")
-                    st = state.fork(child)
-                    st.heap = case
-                    out.append(st)
-                return out
-        return []
+        at = state.heap.roots_at(addr)
+        if not at:
+            return []
+        atom = state.heap.spatial[at[0]]
+        cases = unfold(state.heap, atom, self.preds, self.fresh, prune=True)  # type: ignore[arg-type]
+        out = []
+        for i, case in enumerate(cases):
+            child = self.note(state, "unfold", f"{fm.pretty(atom.to_formula())} case {i + 1}")
+            st = state.fork(child)
+            st.heap = case
+            out.append(st)
+        return out
 
     def resolve_cell(
         self, state: SymState, addr: fm.SymExpr, span: Span
@@ -317,37 +314,26 @@ class _Engine:
     # -- reachability and leaks ------------------------------------------------
 
     def _reachable_atoms(self, state: SymState) -> set[int]:
-        """Indices of spatial atoms reachable from the store roots."""
-        pure = state.heap.sep_pure()
-        atoms = list(state.heap.spatial)
-        values: list[fm.SymExpr] = list(state.store.values())
+        """Indices of spatial atoms reachable from the store roots: one
+        worklist pass, each value looked up by its solver class."""
+        heap = state.heap
         reached: set[int] = set()
-        changed = True
-
-        def expand(v: fm.SymExpr) -> list[fm.SymExpr]:
-            if isinstance(v, fm.Record):
-                out = []
-                for _, x in v.fields:
-                    out.extend(expand(x))
-                return out
-            return [v]
-
-        flat: list[fm.SymExpr] = []
-        for v in values:
-            flat.extend(expand(v))
-        while changed:
-            changed = False
-            for i, atom in enumerate(atoms):
+        seen: set[fm.SymExpr] = set()
+        work = [x for v in state.store.values() for x in _components(v)]
+        while work:
+            v = work.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            for i in heap.cells_at(v) + heap.args_at(v):
                 if i in reached:
                     continue
-                anchors = [atom.loc] if isinstance(atom, PtoAtom) else list(atom.args)
-                if any(pure.equal(a, v) for a in anchors for v in flat):
-                    reached.add(i)
-                    if isinstance(atom, PtoAtom):
-                        flat.extend(expand(atom.val))
-                    else:
-                        flat.extend(atom.args)
-                    changed = True
+                reached.add(i)
+                atom = heap.spatial[i]
+                if isinstance(atom, PtoAtom):
+                    work.extend(_components(atom.val))
+                else:
+                    work.extend(atom.args)
         return reached
 
     def check_reachability(self, state: SymState, span: Span, origin: str) -> None:
@@ -371,49 +357,51 @@ class _Engine:
         if not lost:
             self.note(state, "leak-check", origin, OK)
 
-    def leak_check(self, state: SymState, old_values: list[fm.SymExpr], span: Span) -> None:
-        """After an overwrite: chunks only rooted by the old value leak."""
+    def leak_check(
+        self,
+        state: SymState,
+        old_values: list[fm.SymExpr],
+        span: Span,
+        reached: Optional[set[int]] = None,
+    ) -> None:
+        """After an overwrite: chunks only rooted by the old value leak.
+
+        The heap does not change while losses are reported, so follow-on
+        losses reuse one reachability pass.
+        """
         if state.partial_heap:
             return
+        heap = state.heap
         candidates = []
         for v in old_values:
-            vs = [v]
-            if isinstance(v, fm.Record):
-                vs = [x for _, x in v.fields]
+            vs = [x for _, x in v.fields] if isinstance(v, fm.Record) else [v]
             for x in vs:
-                cell = self.find_cell(state, x)
-                if cell is not None:
+                if heap.cell_at(x) is not None or any(
+                    isinstance(a, PredAtom) and a.args and heap.pure.equal(a.args[0], x)
+                    for a in heap.spatial
+                ):
                     candidates.append(x)
-                else:
-                    for atom in state.heap.spatial:
-                        if isinstance(atom, PredAtom) and atom.args and state.heap.pure.equal(
-                            atom.args[0], x
-                        ):
-                            candidates.append(x)
-                            break
         if not candidates:
             return
-        reached = self._reachable_atoms(state)
-        atoms = list(state.heap.spatial)
-        pure = state.heap.sep_pure()
+        if reached is None:
+            reached = self._reachable_atoms(state)
         for x in candidates:
-            for i, atom in enumerate(atoms):
+            for i in sorted(heap.cells_at(x) + heap.roots_at(x)):
+                atom = heap.spatial[i]
                 if i in reached or atom in state.reported:
                     continue
-                anchors = [atom.loc] if isinstance(atom, PtoAtom) else list(atom.args[:1])
-                if any(pure.equal(a, x) for a in anchors):
-                    node = self.note(state, "leak-check", fm.pretty(atom.to_formula()), FAILED)
-                    self.diag(
-                        state,
-                        MEMORY_LEAK,
-                        span,
-                        f"last reference to chunk {fm.pretty(atom.to_formula())} was overwritten",
-                        node,
-                    )
-                    state.reported = state.reported | {atom}
-                    # follow-on losses (a lost record may root further chunks)
-                    if isinstance(atom, PtoAtom):
-                        self.leak_check(state, [atom.val], span)
+                node = self.note(state, "leak-check", fm.pretty(atom.to_formula()), FAILED)
+                self.diag(
+                    state,
+                    MEMORY_LEAK,
+                    span,
+                    f"last reference to chunk {fm.pretty(atom.to_formula())} was overwritten",
+                    node,
+                )
+                state.reported = state.reported | {atom}
+                # follow-on losses (a lost record may root further chunks)
+                if isinstance(atom, PtoAtom):
+                    self.leak_check(state, [atom.val], span, reached)
 
     # -- expression evaluation --------------------------------------------------
 
@@ -1042,6 +1030,13 @@ class _Engine:
             self.stats,
             self.taints[0] if self.taints else "",
         )
+
+
+def _components(v: fm.SymExpr) -> list[fm.SymExpr]:
+    """The non-record leaves of a stored value."""
+    if isinstance(v, fm.Record):
+        return [x for _, f in v.fields for x in _components(f)]
+    return [v]
 
 
 def _assigned_vars(stmts: list[Term]) -> set[str]:

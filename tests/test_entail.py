@@ -237,3 +237,61 @@ def test_no_false_unsat_pruning():
                 if any(k.pretty() == case.pretty() for k in kept):
                     continue
                 assert not list(enumerate_models(case)), (text, case.pretty())
+
+
+# -- binders: fresh names recorded before the renaming map was threaded --------
+
+
+def _heap_text(f: fm.Formula, skolemize: bool) -> list:
+    return [
+        (
+            sorted(h.existentials),
+            [fm.pretty(a.to_formula()) for a in h.spatial],
+            [fm.pretty(fm.PureAtom(*p)) for p in h.pure.atoms],
+        )
+        for h in formula_to_symheaps(f, FreshNames(), skolemize=skolemize)
+    ]
+
+
+def test_formula_to_symheaps_binder_edge_cases():
+    V, E, S, P = fm.Var, fm.Exists, fm.Star, fm.PointsTo
+    cases = [
+        (parse_assertion("exists x. exists x. x->y"), ["$e2->y"], []),
+        (parse_assertion("exists x. (x->1 * (exists x. x->2))"), ["$e1->1", "$e2->2"], []),
+        (parse_assertion("exists x. ((exists x. x->2) * x->1)"), ["$e2->2", "$e1->1"], []),
+        (parse_assertion("exists x. ((exists y, x. y->x) * x->y)"), ["$e2->$e3", "$e1->y"], []),
+        (parse_assertion("exists e0. exists x. e0->x"), ["$e1->$e2"], []),
+        (parse_assertion("e0->1 * (exists e1. exists x. x->e1)"), ["e0->1", "$e2->$e1"], []),
+        # a binder named like the first fresh name is renamed, not captured
+        (E("x", E("$e1", S(P(V("x"), V("$e1")), P(V("$e1"), V("e1"))))), ["$e1->$e2", "$e2->e1"], []),
+        (E("$e1", E("x", P(V("$e1"), V("x")))), ["$e1->$e2"], []),
+        (parse_assertion("exists a, b, c, d. a->c * c->d"), ["$e1->$e3", "$e3->$e4"], []),
+        (parse_assertion("x->1 * (exists a, b. a->b) * y->2"), ["x->1", "$e1->$e2", "y->2"], []),
+        (parse_assertion("(exists a, b. a->b) * (exists a, b. b->a)"), ["$e1->$e2", "$e4->$e3"], []),
+        (parse_assertion("exists a. (a->1 * (exists b. b->a))"), ["$e1->1", "$e2->$e1"], []),
+        (parse_assertion("exists a. exists b. (a->b && b != a)"), ["$e1->$e2"], ["$e2!=$e1"]),
+    ]
+    for f, spatial, pure in cases:
+        binders = sorted(f"$e{i}" for i in range(1, _binder_count(f) + 1))
+        assert _heap_text(f, False) == [(binders, spatial, pure)], fm.pretty(f)
+        assert _heap_text(f, True) == [([], spatial, pure)], fm.pretty(f)
+
+
+def _binder_count(f: fm.Formula) -> int:
+    if isinstance(f, fm.Exists):
+        return 1 + _binder_count(f.body)
+    if isinstance(f, (fm.Star, fm.And, fm.Or)):
+        return _binder_count(f.left) + _binder_count(f.right)
+    return 0
+
+
+def test_consumed_cell_is_not_matched_twice():
+    # a bound consequent location is looked up by class among the cells not
+    # consumed yet
+    r = prove(heap_of("x->1"), con("x->1 * x->1"), PREDS)
+    assert isinstance(r, Failed) and r.nearest_rule == "points-to"
+    r = prove(heap_of("x->1 * y->2"), con("exists u. x->1 * u->2 * x->1"), PREDS)
+    assert isinstance(r, Failed) and r.nearest_rule == "points-to"
+    r = prove(heap_of("x->1 * y->x"), con("exists u. u->x * x->1"), PREDS)
+    assert isinstance(r, Proved) and r.frame.spatial == ()
+    assert [n.input for n in r.tree.children] == ["$?1->x matches y->x", "x->1 matches x->1"]

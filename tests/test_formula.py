@@ -143,3 +143,86 @@ def test_pred_table_validation():
     clash = fm.PredDef("list", ("a",), parse_assertion("a->1"))
     with pytest.raises(AssertionSyntaxError):
         fm.check_pred_table([clash])
+
+
+# -- binder edge cases: canonical text recorded before the one-walk renaming ----
+
+_V, _E, _S, _P = fm.Var, fm.Exists, fm.Star, fm.PointsTo
+
+BINDER_CASES = [
+    # (formula, printed input, canonical text)
+    (parse_assertion("exists x. exists x. x->y"), "exists x, x. x->y", "exists e0. e0->y"),
+    (
+        parse_assertion("exists x. (x->1 * (exists x. x->2))"),
+        "exists x. x->1 * (exists x. x->2)",
+        "exists e0. e0->1 * (exists e1. e1->2)",
+    ),
+    (parse_assertion("exists x. exists x. x->x"), "exists x, x. x->x", "exists e0. e0->e0"),
+    (parse_assertion("exists e0. exists x. e0->x"), "exists e0, x. e0->x", "exists e0, e1. e0->e1"),
+    (
+        parse_assertion("e0->1 * (exists e1. exists x. x->e1)"),
+        "e0->1 * (exists e1, x. x->e1)",
+        "e0->1 * (exists e1, e2. e2->e1)",
+    ),
+    (
+        _E("x", _E("$e1", _S(_P(_V("x"), _V("$e1")), _P(_V("$e1"), _V("e1"))))),
+        "exists x, $e1. x->$e1 * $e1->e1",
+        "exists e0, e2. e0->e2 * e2->e1",
+    ),
+    (_E("$e1", _E("x", _P(_V("$e1"), _V("x")))), "exists $e1, x. $e1->x", "exists e0, e1. e0->e1"),
+    (
+        parse_assertion("exists a, b, c, d. a->c * c->d"),
+        "exists a, b, c, d. a->c * c->d",
+        "exists e0, e1, e2. e0->e1 * e1->e2",
+    ),
+    (parse_assertion("exists a, b, c. c->1"), "exists a, b, c. c->1", "exists e0. e0->1"),
+    (
+        parse_assertion("x->1 * (exists a, b. a->b) * y->2"),
+        "x->1 * (exists a, b. a->b) * y->2",
+        "x->1 * y->2 * (exists e0, e1. e0->e1)",
+    ),
+    (
+        parse_assertion("(exists a, b. a->b) * (exists a, b. b->a)"),
+        "(exists a, b. a->b) * (exists a, b. b->a)",
+        "(exists e0, e1. e0->e1) * (exists e2, e3. e3->e2)",
+    ),
+    (
+        # the outer x is back in scope after the shadowing chain
+        parse_assertion("exists x. (x->1 * (exists x. x->2) * (exists y. y->x))"),
+        "exists x. x->1 * (exists x. x->2) * (exists y. y->x)",
+        "exists e0. e0->1 * (exists e1. e1->2) * (exists e2. e2->e0)",
+    ),
+    (
+        # x is free again after the binder's scope
+        parse_assertion("(a->1 * (exists x. x->1)) && (b->x * c->1)"),
+        "a->1 * (exists x. x->1) && b->x * c->1",
+        "a->1 * (exists e0. e0->1) && b->x * c->1",
+    ),
+    (
+        parse_assertion("exists a. (a->1 * (exists b. b->a))"),
+        "exists a. a->1 * (exists b. b->a)",
+        "exists e0. e0->1 * (exists e1. e1->e0)",
+    ),
+    (
+        parse_assertion("exists a. exists b. (a->b && b != a)"),
+        "exists a, b. a->b && b!=a",
+        "exists e0, e1. e1!=e0 && e0->e1",
+    ),
+]
+
+
+def test_normalize_binder_edge_cases():
+    for f, text, canonical in BINDER_CASES:
+        assert fm.pretty(f) == text
+        n = fm.normalize(f)
+        assert fm.pretty(n) == canonical, text
+        assert fm.normalize(n) == n, text
+
+
+def test_normalize_long_binder_chain():
+    # a 300-binder chain is deeper than the default recursion limit allows
+    # dataclass equality to compare
+    f = fm.chain_points_to(fm.Var("x"), [fm.Var(f"a{i}") for i in range(300)])
+    text = fm.pretty(fm.normalize(f))
+    assert text.startswith("exists e0, e1, e2, ") and text.count("->") == 300
+    assert "x->object(node, a0, e0)" in text and "e298->object(node, a299, nil)" in text

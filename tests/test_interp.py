@@ -159,3 +159,15 @@ def test_value_ghosts_substitute():
     st = ConcreteState(store={"x": 1}, heap={1: node(3, 0)})
     f = substitute(parse_assertion("x->a"), {"a": IntLit(9)})
     assert not eval_assertion(f, st, config=OracleConfig())
+
+
+def test_assertion_binders_scope_and_shadow():
+    # binders are renamed by a map applied at the atoms: a free x outside a
+    # binder's scope is the store's x, and an inner binder shadows an outer one
+    free_after = parse_assertion("(exists x. x->1) * x->2")
+    assert eval_assertion(free_after, ConcreteState({"x": 2}, {1: 1, 2: 2}))
+    assert not eval_assertion(free_after, ConcreteState({"x": 1}, {1: 1, 2: 2}))
+    assert not eval_assertion(free_after, ConcreteState({"x": 2}, {1: 2, 2: 1}))
+    shadow = parse_assertion("exists x. ((exists x. x->2) * x->1)")
+    for heap, expected in [({1: 1, 2: 2}, True), ({5: 2, 6: 1}, True), ({1: 2, 2: 1}, True), ({1: 1}, False)]:
+        assert eval_assertion(shadow, ConcreteState({}, heap)) == expected, heap

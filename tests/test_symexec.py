@@ -1,9 +1,12 @@
+import random
+
 from conftest import data_text
 
 from heapcheck import formula as fm
-from heapcheck.entail import PtoAtom, SymHeap
+from heapcheck.arith import PureSet
+from heapcheck.entail import PredAtom, PtoAtom, SymHeap
 from heapcheck.parser import parse_program
-from heapcheck.prooftree import FAILED
+from heapcheck.prooftree import FAILED, ProofBuilder
 from heapcheck.symexec import (
     CONTRACT_VIOLATION,
     INVALID_ACCESS,
@@ -13,6 +16,8 @@ from heapcheck.symexec import (
     REFUTED,
     UNREACHABLE_MEMORY,
     VERIFIED,
+    SymState,
+    _Engine,
     verify_program_term,
 )
 from heapcheck.termir import lower_program
@@ -415,3 +420,193 @@ int f() { new(b); new(a); consume(a); delete(a); delete(b); }
     verdicts = verify_source(src)
     assert [v.status for v in verdicts] == [VERIFIED, REFUTED]
     assert [d.kind for d in verdicts[1].diagnostics] == [INVALID_FREE]
+
+
+# -- cell lookup by solver class agrees with a pairwise PureSet.equal scan ------
+
+X, Y, Z, W = (fm.Var(n) for n in "xyzw")
+
+
+def _scan_cells(heap: SymHeap, addr: fm.SymExpr) -> list[int]:
+    pure = heap.sep_pure()
+    return [
+        i for i, a in enumerate(heap.spatial) if isinstance(a, PtoAtom) and pure.equal(a.loc, addr)
+    ]
+
+
+def _scan_reachable(heap: SymHeap, roots: list) -> set[int]:
+    """Reachability as a fixpoint of pairwise equal tests over every atom."""
+    pure = heap.sep_pure()
+
+    def expand(v):
+        return [x for _, f in v.fields for x in expand(f)] if isinstance(v, fm.Record) else [v]
+
+    flat = [x for v in roots for x in expand(v)]
+    reached: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, atom in enumerate(heap.spatial):
+            anchors = [atom.loc] if isinstance(atom, PtoAtom) else list(atom.args)
+            if i not in reached and any(pure.equal(a, v) for a in anchors for v in flat):
+                reached.add(i)
+                flat += expand(atom.val) if isinstance(atom, PtoAtom) else list(atom.args)
+                changed = True
+    return reached
+
+
+def _index_reachable(heap: SymHeap, roots: list) -> set[int]:
+    engine = _Engine(None, {}, fm.builtin_preds(), {}, 4)  # type: ignore[arg-type]
+    store = {f"r{i}": v for i, v in enumerate(roots)}
+    state = SymState(store, heap, [], [set()], ProofBuilder().node("test", ""))
+    return engine._reachable_atoms(state)
+
+
+def _same_lookups(make_heap, addrs, roots) -> None:
+    """Index and scan on separate copies of one heap, so neither sees the
+    other's interned terms.  One copy answers every lookup in turn: a query
+    can merge classes and so move the representatives already indexed."""
+    shared = make_heap()
+    for addr in addrs:
+        expected = _scan_cells(make_heap(), addr)
+        assert make_heap().cells_at(addr) == expected, fm.pretty_expr(addr)
+        assert shared.cells_at(addr) == expected, fm.pretty_expr(addr)
+        assert make_heap().cell_at(addr) == (expected[0] if expected else None)
+    assert _index_reachable(make_heap(), roots) == _scan_reachable(make_heap(), roots)
+    assert _index_reachable(shared, roots) == _scan_reachable(make_heap(), roots)
+
+
+def _heap(pure=(), spatial=()) -> SymHeap:
+    return SymHeap(PureSet(tuple(pure)), tuple(spatial))
+
+
+def test_cell_lookup_on_inconsistent_heap_matches_every_cell():
+    # a repeated location makes the separated set contradictory: equal holds
+    # between any two terms, so the first cell answers every address
+    dup = lambda: _heap((), [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z), PtoAtom(X, W)])
+    assert dup().cells_at(W) == [0, 1, 2]
+    assert dup().cell_at(W) == 0
+    _same_lookups(dup, [X, Y, W, fm.Nil()], [W])
+    clash = lambda: _heap(
+        [("==", X, fm.IntLit(1)), ("==", X, fm.IntLit(2))], [PtoAtom(Y, X), PtoAtom(Z, W)]
+    )
+    _same_lookups(clash, [X, Z, W], [X])
+    assert _index_reachable(clash(), [X]) == {0, 1}
+
+
+def test_cell_lookup_address_equal_only_by_bounds():
+    # x <= y && y <= x puts x and y in different congruence classes that the
+    # difference bounds force equal
+    bounds = lambda: _heap([("<=", X, Y), ("<=", Y, X)], [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z)])
+    assert bounds().cells_at(X) == [0, 1]
+    _same_lookups(bounds, [X, Y, Z], [X])
+    # a negative cycle forces nothing: only congruence counts
+    cycle = lambda: _heap([("<", X, Y), ("<", Y, X)], [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z)])
+    assert cycle().cells_at(X) == [1]
+    _same_lookups(cycle, [X, Y], [X])
+
+
+def test_cell_lookup_offset_addresses():
+    spatial = [PtoAtom(X, fm.IntLit(1)), PtoAtom(fm.OffsetOf(X, 1), Y), PtoAtom(Y, fm.IntLit(3))]
+    offsets = lambda: _heap([("==", Y, fm.ArithExpr("+", X, fm.IntLit(2)))], spatial)
+    assert offsets().cells_at(fm.ArithExpr("+", X, fm.IntLit(1))) == [1]
+    assert offsets().cells_at(fm.OffsetOf(X, 2)) == [2]
+    assert offsets().cells_at(fm.OffsetOf(X, 3)) == []
+    addrs = [X, Y, fm.OffsetOf(X, 1), fm.OffsetOf(X, 2), fm.ArithExpr("-", Y, fm.IntLit(1))]
+    _same_lookups(offsets, addrs, [X])
+    # y+1 is congruent to the indexed x+1; interning it moves that class's
+    # representative, and the index follows
+    congruent = _heap([("==", X, Y)], [PtoAtom(fm.OffsetOf(X, 1), Z)])
+    assert congruent.cells_at(fm.OffsetOf(X, 1)) == [0]
+    assert congruent.cells_at(fm.OffsetOf(Y, 1)) == [0]
+
+
+def test_reachability_through_predicate_instance_anchor():
+    spatial = [
+        PredAtom("list", (X, Y)),
+        PtoAtom(Y, Z),
+        PtoAtom(Z, W),
+        PtoAtom(W, fm.node_record(fm.IntLit(1), X)),
+    ]
+    chain = lambda: _heap((), spatial)
+    assert chain().roots_at(X) == [0] and chain().args_at(Y) == [0]
+    assert _index_reachable(chain(), [X]) == {0, 1, 2, 3}
+    assert _index_reachable(chain(), [W]) == {0, 1, 2, 3}
+    assert _index_reachable(chain(), [Z]) == {0, 1, 2, 3}
+    assert _index_reachable(chain(), [fm.IntLit(5)]) == set()
+    for roots in ([X], [Y], [Z], [W], [fm.Nil()]):
+        _same_lookups(chain, [X, Y, Z, W], roots)
+
+
+def test_cell_lookup_matches_scan_on_random_heaps():
+    rng = random.Random(5)
+    terms = [X, Y, Z, W, fm.Nil(), fm.IntLit(2), fm.OffsetOf(X, 1), fm.ArithExpr("+", Y, fm.IntLit(1))]
+    for _ in range(300):
+        pure = [
+            (rng.choice(["==", "!=", "<=", "<"]), rng.choice(terms[:4]), rng.choice(terms))
+            for _ in range(rng.randint(0, 3))
+        ]
+        spatial = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.2:
+                spatial.append(PredAtom("list", (rng.choice(terms[:4]), rng.choice(terms))))
+            else:
+                val = rng.choice([rng.choice(terms), fm.node_record(rng.choice(terms), rng.choice(terms))])
+                spatial.append(PtoAtom(rng.choice(terms[:4] + terms[6:]), val))
+        make = lambda: _heap(pure, spatial)
+        _same_lookups(make, terms, [rng.choice(terms)])
+
+
+def test_follow_on_leaks_share_one_reachability_pass(monkeypatch):
+    calls = []
+    real = _Engine._reachable_atoms
+
+    def counted(self, state):
+        calls.append(1)
+        return real(self, state)
+
+    monkeypatch.setattr(_Engine, "_reachable_atoms", counted)
+    v = only_verdict("int f(int x) @ exists b, c. x->b * b->c * c->7 @ { x = nil; } @ true @")
+    assert [(d.kind, d.message) for d in v.diagnostics] == [
+        (MEMORY_LEAK, "last reference to chunk $p1->$e2 was overwritten"),
+        (MEMORY_LEAK, "last reference to chunk $e2->$e3 was overwritten"),
+        (MEMORY_LEAK, "last reference to chunk $e3->7 was overwritten"),
+    ]
+    # one pass for the overwrite and its two follow-on losses, one at block exit
+    assert len(calls) == 2
+
+
+def test_walk_256_verifies():
+    v = only_verdict(walk_source(256))
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_copy_64_verifies():
+    v = only_verdict(copy_source(64))
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_binder_and_lookup_work_grows_linearly_on_walks(monkeypatch):
+    # deterministic work counts instead of wall-clock time: each call of the
+    # recursive formula functions is one node visited
+    counts: dict[str, int] = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(fm, "substitute")
+    counted(fm, "free_vars")
+    counted(PureSet, "equal")
+    work = {}
+    for n in (64, 128):
+        counts.clear()
+        assert only_verdict(walk_source(n)).status == VERIFIED
+        work[n] = dict(counts)
+    for name in ("substitute", "free_vars", "equal"):
+        assert work[128][name] <= 2.5 * work[64][name], (name, work)
