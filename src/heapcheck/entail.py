@@ -345,22 +345,6 @@ class _Prover:
         self.builder = builder
         self.depth = depth
 
-    def pred_def(self, name: str, arity: Optional[int] = None) -> fm.PredDef:
-        d = self.preds.get(name)
-        if d is None:
-            raise UnknownPredicateError(f"unknown predicate '{name}'")
-        if arity is not None and arity != len(d.params):
-            raise UnknownPredicateError(
-                f"predicate '{name}' takes {len(d.params)} arguments, got {arity}"
-            )
-        return d
-
-    def instantiate(self, name: str, args: tuple[fm.SymExpr, ...], skolemize: bool) -> list[SymHeap]:
-        """Predicate body disjuncts with formals replaced by actuals."""
-        d = self.pred_def(name, len(args))
-        body = fm.substitute(d.body, dict(zip(d.params, args)))
-        return formula_to_symheaps(body, self.qfresh, skolemize=skolemize)
-
     # unification ---------------------------------------------------------
 
     def unify(
@@ -500,7 +484,8 @@ class _Prover:
             return "depth-exceeded"
         # fold: replace the consequent predicate by one of its body disjuncts
         args = tuple(fm.substitute_expr(a, binding) for a in atom.args)
-        for i, disjunct in enumerate(self.instantiate(atom.name, args, skolemize=False)):
+        body = pred_body(self.preds, atom.name, args)
+        for i, disjunct in enumerate(formula_to_symheaps(body, self.qfresh, skolemize=False)):
             new_exist = exist | disjunct.existentials
             new_con = disjunct.spatial + rest
             new_pure = con_pure + disjunct.pure.atoms
@@ -524,7 +509,7 @@ class _Prover:
         for h in (ant, con):
             for a in h.spatial:
                 if isinstance(a, PredAtom):
-                    self.pred_def(a.name, len(a.args))
+                    pred_body(self.preds, a.name, a.args)  # raises on a bad name or arity
         # rename consequent existentials into the reserved namespace so they
         # can never alias antecedent symbols
         rename = {v: fm.Var(f"$?{i}") for i, v in enumerate(sorted(con.existentials), 1)}
@@ -646,16 +631,9 @@ def unfold(
     """
     table = preds if preds is not None else fm.builtin_preds()
     fresh = fresh or FreshNames()
-    d = table.get(inst.name)
-    if d is None:
-        raise UnknownPredicateError(f"unknown predicate '{inst.name}'")
-    if len(d.params) != len(inst.args):
-        raise UnknownPredicateError(
-            f"predicate '{inst.name}' takes {len(d.params)} arguments, got {len(inst.args)}"
-        )
+    body = pred_body(table, inst.name, inst.args)
     if inst not in h.spatial:
         raise UnknownPredicateError(f"predicate instance not present: {inst.name}")
-    body = fm.substitute(d.body, dict(zip(d.params, inst.args)))
     base = h.without(inst)
     out: list[SymHeap] = []
     for disjunct in formula_to_symheaps(body, fresh, skolemize=True):
@@ -668,3 +646,18 @@ def unfold(
             continue
         out.append(merged)
     return out
+
+
+def pred_body(
+    preds: dict[str, fm.PredDef], name: str, args: tuple[fm.SymExpr, ...]
+) -> fm.Formula:
+    """The body of predicate ``name`` with its formals replaced by ``args``;
+    an unknown name or a wrong arity raises."""
+    d = preds.get(name)
+    if d is None:
+        raise UnknownPredicateError(f"unknown predicate '{name}'")
+    if len(d.params) != len(args):
+        raise UnknownPredicateError(
+            f"predicate '{name}' takes {len(d.params)} arguments, got {len(args)}"
+        )
+    return fm.substitute(d.body, dict(zip(d.params, args)))

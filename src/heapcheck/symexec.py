@@ -16,6 +16,7 @@ from typing import Optional
 from . import formula as fm
 from .arith import SAT, UNKNOWN, UNSAT, simplify_expr
 from .entail import (
+    EntailmentResult,
     Failed,
     FreshNames,
     PredAtom,
@@ -23,7 +24,6 @@ from .entail import (
     PtoAtom,
     SymHeap,
     formula_to_symheaps,
-    infer_frame,
     prove,
     unfold,
 )
@@ -102,7 +102,6 @@ class Verdict:
 class SymState:
     store: dict[str, fm.SymExpr]
     heap: SymHeap
-    path: list[Span]
     scopes: list[set[str]]
     node: ProofNode
     tainted: bool = False
@@ -116,7 +115,6 @@ class SymState:
         return SymState(
             dict(self.store),
             self.heap,
-            list(self.path),
             [set(s) for s in self.scopes],
             node if node is not None else self.node,
             self.tainted,
@@ -240,53 +238,73 @@ class _Engine:
     def fresh_sym(self, hint: str) -> fm.Var:
         return fm.Var(self.fresh.var(hint))
 
+    def heaps_of(
+        self, state: SymState, f: fm.Formula, skolemize: bool, what: str
+    ) -> Optional[list[SymHeap]]:
+        """An assertion as symbolic heaps, one per disjunct; outside the
+        fragment the path is tainted with ``what`` and the reason, and the
+        result is None."""
+        try:
+            return formula_to_symheaps(f, self.fresh, skolemize=skolemize)
+        except UnsupportedFormulaError as ex:
+            self.taint_state(state, f"{what}: {ex.message}")
+            return None
+
+    def prove_any(self, heap: SymHeap, goals: list[SymHeap]) -> EntailmentResult:
+        """The first proof of one of the disjuncts ``goals``, else the last
+        failure."""
+        for goal in goals:
+            res = prove(heap, goal, self.preds, self.depth, self.builder)
+            if isinstance(res, Proved):
+                break
+        return res
+
     # -- heap access ----------------------------------------------------------
 
-    def find_cell(self, state: SymState, addr: fm.SymExpr) -> Optional[PtoAtom]:
-        i = state.heap.cell_at(addr)
-        return None if i is None else state.heap.spatial[i]  # type: ignore[return-value]
-
-    def try_unfold_at(self, state: SymState, addr: fm.SymExpr, span: Span) -> list[SymState]:
-        """Expose a cell hidden in a predicate instance whose root is addr."""
-        at = state.heap.roots_at(addr)
-        if not at:
-            return []
-        atom = state.heap.spatial[at[0]]
-        cases = unfold(state.heap, atom, self.preds, self.fresh, prune=True)  # type: ignore[arg-type]
-        out = []
-        for i, case in enumerate(cases):
-            child = self.note(state, "unfold", f"{fm.pretty(atom.to_formula())} case {i + 1}")
-            st = state.fork(child)
-            st.heap = case
-            out.append(st)
-        return out
-
-    def resolve_cell(
-        self, state: SymState, addr: fm.SymExpr, span: Span
+    def access(
+        self,
+        state: SymState,
+        addr: fm.SymExpr,
+        span: Span,
+        nil: str,
+        missing: str,
+        outside: Optional[str] = None,
+        kind: str = INVALID_ACCESS,
     ) -> Optional[PtoAtom]:
-        """Find the cell at addr, unfolding a predicate rooted there if needed."""
-        cell = self.find_cell(state, addr)
-        if cell is None:
-            forked = self.try_unfold_at(state, addr, span)
-            if len(forked) == 1:
-                state.heap = forked[0].heap
-                cell = self.find_cell(state, addr)
-        return cell
+        """The cell at ``addr``, after unfolding a predicate instance rooted
+        there if that has exactly one case.
 
-    def read_cell(self, state: SymState, addr: fm.SymExpr, span: Span, what: str) -> fm.SymExpr:
-        if state.heap.pure.equal(addr, fm.Nil()):
-            self.fault(state, INVALID_ACCESS, span, f"{what} dereferences nil")
-        cell = self.resolve_cell(state, addr, span)
-        if cell is not None:
-            return cell.val
-        if state.partial_heap:
-            self.taint_state(state, f"{what} reads memory not covered by the loop invariant")
-            return self.fresh_sym("u")
-        message = f"{what} reads unallocated location {fm.pretty_expr(addr)}"
-        if self._provably_absent(state, addr):
-            self.fault(state, INVALID_ACCESS, span, message)
+        A nil address faults with the text ``nil``.  A miss returns None: it
+        faults with ``missing`` (``{}`` stands for the address) if the address
+        is provably absent, and otherwise taints the path with it.  In a loop
+        body, whose heap is only the invariant's part, a miss never faults,
+        and it taints with ``outside`` when that is given.
+        """
+        heap = state.heap
+        if heap.pure.equal(addr, fm.Nil()):
+            self.fault(state, kind, span, nil)
+        i = heap.cell_at(addr)
+        roots = heap.roots_at(addr) if i is None else []
+        if roots:
+            atom = heap.spatial[roots[0]]
+            cases = unfold(heap, atom, self.preds, self.fresh, prune=True)  # type: ignore[arg-type]
+            for n in range(len(cases)):
+                # the cases of a split stay in the proof, but only a single
+                # case replaces the heap
+                self.note(state, "unfold", f"{fm.pretty(atom.to_formula())} case {n + 1}")
+            if len(cases) == 1:
+                state.heap = heap = cases[0]
+                i = heap.cell_at(addr)
+        if i is not None:
+            return heap.spatial[i]  # type: ignore[return-value]
+        if state.partial_heap and outside is not None:
+            self.taint_state(state, outside)
+            return None
+        message = missing.format(fm.pretty_expr(addr))
+        if not state.partial_heap and self._provably_absent(state, addr):
+            self.fault(state, kind, span, message)
         self.taint_state(state, f"{message} (address not decidable)")
-        return self.fresh_sym("u")
+        return None
 
     def _provably_absent(self, state: SymState, addr: fm.SymExpr) -> bool:
         pure = state.heap.sep_pure()
@@ -296,20 +314,6 @@ class _Engine:
             if not pure.distinct(addr, atom.loc):
                 return False
         return True
-
-    def write_cell(self, state: SymState, addr: fm.SymExpr, value: fm.SymExpr, span: Span) -> None:
-        if state.heap.pure.equal(addr, fm.Nil()):
-            self.fault(state, INVALID_ACCESS, span, "write dereferences nil")
-        cell = self.resolve_cell(state, addr, span)
-        if cell is None:
-            message = f"write to unallocated location {fm.pretty_expr(addr)}"
-            if not state.partial_heap and self._provably_absent(state, addr):
-                self.fault(state, INVALID_ACCESS, span, message)
-            self.taint_state(state, f"{message} (address not decidable)")
-            raise _PathFault()
-        old = cell.val
-        state.heap = state.heap.replace_atom(cell, PtoAtom(cell.loc, value))
-        self.leak_check(state, [old], span)
 
     # -- reachability and leaks ------------------------------------------------
 
@@ -372,36 +376,32 @@ class _Engine:
         if state.partial_heap:
             return
         heap = state.heap
-        candidates = []
-        for v in old_values:
-            vs = [x for _, x in v.fields] if isinstance(v, fm.Record) else [v]
-            for x in vs:
-                if heap.cell_at(x) is not None or any(
-                    isinstance(a, PredAtom) and a.args and heap.pure.equal(a.args[0], x)
-                    for a in heap.spatial
-                ):
-                    candidates.append(x)
-        if not candidates:
+        held = [
+            i
+            for v in old_values
+            for x in _components(v)
+            for i in sorted(heap.cells_at(x) + heap.roots_at(x))
+        ]
+        if not held:
             return
         if reached is None:
             reached = self._reachable_atoms(state)
-        for x in candidates:
-            for i in sorted(heap.cells_at(x) + heap.roots_at(x)):
-                atom = heap.spatial[i]
-                if i in reached or atom in state.reported:
-                    continue
-                node = self.note(state, "leak-check", fm.pretty(atom.to_formula()), FAILED)
-                self.diag(
-                    state,
-                    MEMORY_LEAK,
-                    span,
-                    f"last reference to chunk {fm.pretty(atom.to_formula())} was overwritten",
-                    node,
-                )
-                state.reported = state.reported | {atom}
-                # follow-on losses (a lost record may root further chunks)
-                if isinstance(atom, PtoAtom):
-                    self.leak_check(state, [atom.val], span, reached)
+        for i in held:
+            atom = heap.spatial[i]
+            if i in reached or atom in state.reported:
+                continue
+            node = self.note(state, "leak-check", fm.pretty(atom.to_formula()), FAILED)
+            self.diag(
+                state,
+                MEMORY_LEAK,
+                span,
+                f"last reference to chunk {fm.pretty(atom.to_formula())} was overwritten",
+                node,
+            )
+            state.reported = state.reported | {atom}
+            # follow-on losses (a lost record may root further chunks)
+            if isinstance(atom, PtoAtom):
+                self.leak_check(state, [atom.val], span, reached)
 
     # -- expression evaluation --------------------------------------------------
 
@@ -420,7 +420,15 @@ class _Engine:
             return self.field_read(e, state, span)
         if f == "mem":
             addr = self.eval_address(e.args[0], state, span)
-            return self.read_cell(state, addr, span, "heap read")
+            cell = self.access(
+                state,
+                addr,
+                span,
+                "heap read dereferences nil",
+                "heap read reads unallocated location {}",
+                "heap read reads memory not covered by the loop invariant",
+            )
+            return self.fresh_sym("u") if cell is None else cell.val
         if f in ("add", "sub", "mul"):
             l = self.eval(e.args[0], state, span)
             r = self.eval(e.args[1], state, span)
@@ -452,21 +460,16 @@ class _Engine:
         if objname not in state.store:
             self.fault(state, INVALID_ACCESS, span, f"read of undeclared variable '{objname}'")
         obj = state.store[objname]
-        if state.heap.pure.equal(obj, fm.Nil()):
-            self.fault(
-                state, INVALID_ACCESS, span, f"field read '{objname}.{fieldname}' dereferences nil"
-            )
-        cell = self.resolve_cell(state, obj, span)
+        what = f"field read '{objname}.{fieldname}'"
+        cell = self.access(
+            state,
+            obj,
+            span,
+            f"{what} dereferences nil",
+            f"{what} on unallocated object",
+            f"{what} outside the loop invariant",
+        )
         if cell is None:
-            message = f"field read '{objname}.{fieldname}' on unallocated object"
-            if state.partial_heap:
-                self.taint_state(
-                    state, f"field read '{objname}.{fieldname}' outside the loop invariant"
-                )
-                return self.fresh_sym("u")
-            if self._provably_absent(state, obj):
-                self.fault(state, INVALID_ACCESS, span, message)
-            self.taint_state(state, f"{message} (address not decidable)")
             return self.fresh_sym("u")
         val = cell.val
         if isinstance(val, fm.Record):
@@ -486,17 +489,15 @@ class _Engine:
         fieldname = e.args[1].name  # type: ignore[union-attr]
         if objname not in state.store:
             self.fault(state, INVALID_ACCESS, span, f"write to undeclared variable '{objname}'")
-        obj = state.store[objname]
-        if state.heap.pure.equal(obj, fm.Nil()):
-            self.fault(
-                state, INVALID_ACCESS, span, f"field write '{objname}.{fieldname}' dereferences nil"
-            )
-        cell = self.resolve_cell(state, obj, span)
+        what = f"field write '{objname}.{fieldname}'"
+        cell = self.access(
+            state,
+            state.store[objname],
+            span,
+            f"{what} dereferences nil",
+            f"{what} on unallocated object",
+        )
         if cell is None:
-            message = f"field write '{objname}.{fieldname}' on unallocated object"
-            if not state.partial_heap and self._provably_absent(state, obj):
-                self.fault(state, INVALID_ACCESS, span, message)
-            self.taint_state(state, f"{message} (address not decidable)")
             raise _PathFault()
         old = cell.val
         if isinstance(old, fm.Record):
@@ -532,61 +533,47 @@ class _Engine:
         ghosts = (fm.free_vars(contract.pre) | fm.free_vars(contract.post)) - set(contract.params)
         for g in sorted(ghosts):
             sigma[g] = self.fresh_sym("g")
-        pre_inst = fm.substitute(contract.pre, sigma)
-        try:
-            pre_heaps = formula_to_symheaps(pre_inst, self.fresh, skolemize=False)
-        except UnsupportedFormulaError as ex:
-            self.taint_state(state, f"call to {name}: {ex.message}")
+        what = f"call to {name}"
+        pre_heaps = self.heaps_of(state, fm.substitute(contract.pre, sigma), False, what)
+        if pre_heaps is None:
             return self.fresh_sym("r")
-        last_failure = None
-        for pre_heap in pre_heaps:
-            res = infer_frame(state.heap, pre_heap, self.preds, self.depth, self.builder)
-            if isinstance(res, Proved):
-                node = self.builder.node(
-                    "frame", f"call {name}: frame {res.frame.pretty()}", OK, [res.tree]
-                )
-                state.node.children.append(node)
-                post_inst = fm.substitute(contract.post, {**sigma, **res.binding})
-                try:
-                    post_heaps = formula_to_symheaps(post_inst, self.fresh, skolemize=True)
-                except UnsupportedFormulaError as ex:
-                    self.taint_state(state, f"call to {name}: {ex.message}")
-                    return self.fresh_sym("r")
-                post_heap = post_heaps[0]
-                if len(post_heaps) > 1:
-                    self.taint_state(
-                        state,
-                        f"call to {name}: disjunctive postcondition narrowed to its first case",
-                    )
-                consumed = Counter(state.heap.spatial) - Counter(res.frame.spatial)
-                frame = res.frame.released(consumed.elements())
-                state.heap = SymHeap(
-                    frame.pure.extend(post_heap.pure),
-                    frame.spatial + post_heap.spatial,
-                    frozenset(),
-                )
-                return self.fresh_sym("r")
-            last_failure = res
+        res = self.prove_any(state.heap, pre_heaps)
+        if not isinstance(res, Proved):
+            node = self.builder.node(
+                "frame", f"call {name}: precondition not satisfied", FAILED, [res.tree]
+            )
+            state.node.children.append(node)
+            residue = _residue(res) or "pure conditions"
+            self.diag(
+                state,
+                CONTRACT_VIOLATION,
+                span,
+                f"call to {name}: unmatched precondition part: {residue}",
+                node,
+            )
+            raise _PathFault()
         node = self.builder.node(
-            "frame",
-            f"call {name}: precondition not satisfied",
-            FAILED,
-            [last_failure.tree] if last_failure is not None else [],
+            "frame", f"call {name}: frame {res.frame.pretty()}", OK, [res.tree]
         )
         state.node.children.append(node)
-        residue = (
-            ", ".join(fm.pretty(a.to_formula()) for a in last_failure.residue_consequent)
-            if isinstance(last_failure, Failed)
-            else ""
+        post_inst = fm.substitute(contract.post, {**sigma, **res.binding})
+        post_heaps = self.heaps_of(state, post_inst, True, what)
+        if post_heaps is None:
+            return self.fresh_sym("r")
+        post_heap = post_heaps[0]
+        if len(post_heaps) > 1:
+            self.taint_state(
+                state,
+                f"call to {name}: disjunctive postcondition narrowed to its first case",
+            )
+        consumed = Counter(state.heap.spatial) - Counter(res.frame.spatial)
+        frame = res.frame.released(consumed.elements())
+        state.heap = SymHeap(
+            frame.pure.extend(post_heap.pure),
+            frame.spatial + post_heap.spatial,
+            frozenset(),
         )
-        self.diag(
-            state,
-            CONTRACT_VIOLATION,
-            span,
-            f"call to {name}: unmatched precondition part: {residue or 'pure conditions'}",
-            node,
-        )
-        raise _PathFault()
+        return self.fresh_sym("r")
 
     # -- conditions ---------------------------------------------------------------
 
@@ -648,7 +635,6 @@ class _Engine:
 
     def exec_stmt(self, s: Term, state: SymState) -> list[SymState]:
         span = self.span_of(s)
-        state.path.append(span)
         try:
             if isinstance(s, TList):
                 return self.exec_block(list(s.items), state)
@@ -691,7 +677,13 @@ class _Engine:
             return [state]
         if lhs.functor == "mem":
             addr = self.eval_address(lhs.args[0], state, span)
-            self.write_cell(state, addr, value, span)
+            cell = self.access(
+                state, addr, span, "write dereferences nil", "write to unallocated location {}"
+            )
+            if cell is None:
+                raise _PathFault()
+            state.heap = state.heap.replace_atom(cell, PtoAtom(cell.loc, value))
+            self.leak_check(state, [cell.val], span)
             return [state]
         raise AssertionError(f"bad assignment target {lhs!r}")
 
@@ -719,14 +711,15 @@ class _Engine:
         self.note(state, "stmt", emit_text(s))
         target = s.args[0]
         value = self.eval(target, state, span)
-        if state.heap.pure.equal(value, fm.Nil()):
-            self.fault(state, INVALID_FREE, span, "delete of nil")
-        cell = self.resolve_cell(state, value, span)
+        cell = self.access(
+            state,
+            value,
+            span,
+            "delete of nil",
+            "delete of unallocated location {}",
+            kind=INVALID_FREE,
+        )
         if cell is None:
-            message = f"delete of unallocated location {fm.pretty_expr(value)}"
-            if not state.partial_heap and self._provably_absent(state, value):
-                self.fault(state, INVALID_FREE, span, message)
-            self.taint_state(state, f"{message} (address not decidable)")
             return []
         state.heap = state.heap.without(cell).released([cell])
         self.leak_check(state, [cell.val], span)
@@ -734,20 +727,15 @@ class _Engine:
 
     def exec_assert(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         goal = term_to_formula(s.args[0], self.class_fields)
-        inst = self.instantiate_formula(goal, state)
-        try:
-            goals = formula_to_symheaps(inst, self.fresh, skolemize=False)
-        except UnsupportedFormulaError as ex:
-            self.taint_state(state, f"assert: {ex.message}")
+        goals = self.heaps_of(state, self.instantiate_formula(goal, state), False, "assert")
+        if goals is None:
             return [state]
-        for goal_heap in goals:
-            res = prove(state.heap, goal_heap, self.preds, self.depth, self.builder)
-            if isinstance(res, Proved):
-                node = self.builder.node("assert", fm.pretty(goal), OK, [res.tree])
-                state.node.children.append(node)
-                return [state]
-        node = self.builder.node("assert", fm.pretty(goal), FAILED, [res.tree])
+        res = self.prove_any(state.heap, goals)
+        proved = isinstance(res, Proved)
+        node = self.builder.node("assert", fm.pretty(goal), OK if proved else FAILED, [res.tree])
         state.node.children.append(node)
+        if proved:
+            return [state]
         self.diag(state, CONTRACT_VIOLATION, span, f"assertion not established: {fm.pretty(goal)}", node)
         return []
 
@@ -781,20 +769,13 @@ class _Engine:
         body = list(s.args[2].items)  # type: ignore[union-attr]
 
         # entry: current state must provide the invariant footprint
-        inv_entry = self.instantiate_formula(inv_formula, state)
-        try:
-            inv_heaps = formula_to_symheaps(inv_entry, self.fresh, skolemize=False)
-        except UnsupportedFormulaError as ex:
-            self.taint_state(state, f"loop invariant: {ex.message}")
+        what = "loop invariant"
+        inv_heaps = self.heaps_of(state, self.instantiate_formula(inv_formula, state), False, what)
+        if inv_heaps is None:
             return [state]
-        entry = None
-        for ih in inv_heaps:
-            res = infer_frame(state.heap, ih, self.preds, self.depth, self.builder)
-            if isinstance(res, Proved):
-                entry = res
-                break
-        if entry is None:
-            node = self.builder.node("invariant", "entry check failed", FAILED, [res.tree])
+        entry = self.prove_any(state.heap, inv_heaps)
+        if not isinstance(entry, Proved):
+            node = self.builder.node("invariant", "entry check failed", FAILED, [entry.tree])
             state.node.children.append(node)
             self.diag(
                 state,
@@ -819,12 +800,9 @@ class _Engine:
         body_state = state.fork()
         havoc(body_state)
         inv_assumed = self.instantiate_formula(inv_formula, body_state)
-        try:
-            assumed = formula_to_symheaps(inv_assumed, self.fresh, skolemize=True)
-        except UnsupportedFormulaError as ex:
-            self.taint_state(state, f"loop invariant: {ex.message}")
+        assumed = self.heaps_of(state, inv_assumed, True, what)
+        if assumed is None:
             return [state]
-        preserved_failures = 0
         for ah in assumed:
             bs = body_state.fork()
             bs.heap = ah
@@ -836,37 +814,28 @@ class _Engine:
             for st in self.assume_cases(bs, cases, "loop"):
                 for terminal in self.exec_block(body, st):
                     inv_back = self.instantiate_formula(inv_formula, terminal)
-                    try:
-                        goals = formula_to_symheaps(inv_back, self.fresh, skolemize=False)
-                    except UnsupportedFormulaError as ex:
-                        self.taint_state(terminal, f"loop invariant: {ex.message}")
+                    goals = self.heaps_of(terminal, inv_back, False, what)
+                    if goals is None:
                         continue
-                    ok = False
-                    for gh in goals:
-                        pres = prove(terminal.heap, gh, self.preds, self.depth, self.builder)
-                        if isinstance(pres, Proved):
-                            leftovers = pres.frame.spatial
-                            if leftovers:
-                                node = self.builder.node(
-                                    "invariant", "preserved with leftover chunks", FAILED, [pres.tree]
-                                )
-                                terminal.node.children.append(node)
-                                for a in leftovers:
-                                    self.diag(
-                                        terminal,
-                                        MEMORY_LEAK,
-                                        span,
-                                        f"loop body allocates {fm.pretty(a.to_formula())} "
-                                        "not claimed by the invariant",
-                                        node,
-                                    )
-                            else:
-                                node = self.builder.node("invariant", "preserved", OK, [pres.tree])
-                                terminal.node.children.append(node)
-                            ok = True
-                            break
-                    if not ok:
-                        preserved_failures += 1
+                    pres = self.prove_any(terminal.heap, goals)
+                    if isinstance(pres, Proved) and pres.frame.spatial:
+                        node = self.builder.node(
+                            "invariant", "preserved with leftover chunks", FAILED, [pres.tree]
+                        )
+                        terminal.node.children.append(node)
+                        for a in pres.frame.spatial:
+                            self.diag(
+                                terminal,
+                                MEMORY_LEAK,
+                                span,
+                                f"loop body allocates {fm.pretty(a.to_formula())} "
+                                "not claimed by the invariant",
+                                node,
+                            )
+                    elif isinstance(pres, Proved):
+                        node = self.builder.node("invariant", "preserved", OK, [pres.tree])
+                        terminal.node.children.append(node)
+                    else:
                         node = self.builder.node("invariant", "preservation failed", FAILED, [pres.tree])
                         terminal.node.children.append(node)
                         self.diag(
@@ -882,11 +851,8 @@ class _Engine:
         # after the loop: invariant * frame, condition negated
         after = state.fork()
         havoc(after)
-        inv_after = self.instantiate_formula(inv_formula, after)
-        try:
-            after_heaps = formula_to_symheaps(inv_after, self.fresh, skolemize=True)
-        except UnsupportedFormulaError as ex:
-            self.taint_state(state, f"loop invariant: {ex.message}")
+        after_heaps = self.heaps_of(state, self.instantiate_formula(inv_formula, after), True, what)
+        if after_heaps is None:
             return [state]
         out: list[SymState] = []
         for ah in after_heaps:
@@ -957,44 +923,31 @@ class _Engine:
                 continue
             node = self.builder.node("assume", f"precondition {ih.pretty()}", OK)
             root.children.append(node)
-            st = SymState(dict(store), ih, [], [set(params)], node)
+            st = SymState(dict(store), ih, [set(params)], node)
             terminals.extend(self.exec_block(list(body), st))
         self.stats.branches = max(0, len(terminals) - 1)
 
         for st in terminals:
             post_inst = fm.substitute(post, {**st.store, **gmap})
-            try:
-                goals = formula_to_symheaps(post_inst, self.fresh, skolemize=False)
-            except UnsupportedFormulaError as ex:
-                self.taint_state(st, f"postcondition outside the supported fragment: {ex.message}")
+            what = "postcondition outside the supported fragment"
+            goals = self.heaps_of(st, post_inst, False, what)
+            if goals is None:
                 continue
-            proved = None
-            last = None
-            for gh in goals:
-                res = prove(st.heap, gh, self.preds, self.depth, self.builder)
-                last = res
-                if isinstance(res, Proved):
-                    proved = res
-                    break
-            if proved is None:
-                node = self.builder.node("postcondition", fm.pretty(post), FAILED, [last.tree])
+            res = self.prove_any(st.heap, goals)
+            if not isinstance(res, Proved):
+                node = self.builder.node("postcondition", fm.pretty(post), FAILED, [res.tree])
                 st.node.children.append(node)
-                residue = (
-                    ", ".join(fm.pretty(a.to_formula()) for a in last.residue_consequent)
-                    if isinstance(last, Failed)
-                    else ""
-                )
                 self.diag(
                     st,
                     CONTRACT_VIOLATION,
                     self.span_of(self.fn),
-                    f"postcondition not established; unmatched: {residue or fm.pretty(post)}",
+                    f"postcondition not established; unmatched: {_residue(res) or fm.pretty(post)}",
                     node,
                 )
             else:
-                node = self.builder.node("postcondition", fm.pretty(post), OK, [proved.tree])
+                node = self.builder.node("postcondition", fm.pretty(post), OK, [res.tree])
                 st.node.children.append(node)
-                for a in proved.frame.spatial:
+                for a in res.frame.spatial:
                     if a in st.reported:
                         continue
                     leak_node = self.builder.node("leak-check", fm.pretty(a.to_formula()), FAILED)
@@ -1030,6 +983,10 @@ class _Engine:
             self.stats,
             self.taints[0] if self.taints else "",
         )
+
+
+def _residue(res: Failed) -> str:
+    return ", ".join(fm.pretty(a.to_formula()) for a in res.residue_consequent)
 
 
 def _components(v: fm.SymExpr) -> list[fm.SymExpr]:

@@ -1,6 +1,7 @@
-"""Golden outputs: ``verify --format structured`` on every corpus file and
-``entail`` on the query file must stay byte-identical to the recorded files
-in ``tests/data/expected/``.
+"""Golden outputs: ``verify --format structured`` on every corpus file,
+``entail`` on the query file and the ``--emit-proof`` JSON proof tree of
+every corpus function must stay byte-identical to the recorded files in
+``tests/data/expected/``.
 
 The CLI runs from the repository root with repo-relative paths, so the
 ``"file"`` field of each diagnostic is the same on every machine.  After a
@@ -13,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -46,6 +48,15 @@ def render(name: str) -> tuple[int, str]:
     return _run("verify", path, "--format", "structured")
 
 
+def render_proofs(name: str) -> dict[str, str]:
+    """The ``.pt.json`` proof trees that ``verify --emit-proof`` writes for a
+    corpus file, keyed by the golden file name ``<file>.<function>.pt.json``."""
+    with tempfile.TemporaryDirectory() as outdir:
+        _run("verify", f"tests/data/{name}", "--emit-proof", outdir)
+        trees = sorted(Path(outdir).glob("*.pt.json"))
+        return {f"{name}.{p.name}": p.read_text(encoding="utf-8") for p in trees}
+
+
 def _exit_codes() -> dict[str, int]:
     return json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -57,10 +68,20 @@ def test_output_matches_golden(name):
     assert code == _exit_codes()[name]
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_proof_trees_match_golden(name):
+    trees = render_proofs(name)
+    assert trees
+    for golden, text in trees.items():
+        assert text == (EXPECTED / golden).read_text(encoding="utf-8"), golden
+
+
 def test_every_golden_file_has_an_input():
     recorded = {p.name[: -len(".out")] for p in EXPECTED.glob("*.out")}
     assert recorded == set(CORPUS + [QUERIES])
     assert set(_exit_codes()) == recorded
+    trees = {golden for name in CORPUS for golden in render_proofs(name)}
+    assert {p.name for p in EXPECTED.glob("*.pt.json")} == trees
 
 
 def _regenerate() -> None:
@@ -69,6 +90,11 @@ def _regenerate() -> None:
     for name in CORPUS + [QUERIES]:
         codes[name], out = render(name)
         (EXPECTED / f"{name}.out").write_text(out, encoding="utf-8")
+    for old in EXPECTED.glob("*.pt.json"):
+        old.unlink()
+    for name in CORPUS:
+        for golden, text in render_proofs(name).items():
+            (EXPECTED / golden).write_text(text, encoding="utf-8")
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
     (EXPECTED / "exit_codes.json").write_text(text, encoding="utf-8")
 

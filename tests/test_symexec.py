@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from conftest import data_text
 
 from heapcheck import formula as fm
@@ -458,7 +459,7 @@ def _scan_reachable(heap: SymHeap, roots: list) -> set[int]:
 def _index_reachable(heap: SymHeap, roots: list) -> set[int]:
     engine = _Engine(None, {}, fm.builtin_preds(), {}, 4)  # type: ignore[arg-type]
     store = {f"r{i}": v for i, v in enumerate(roots)}
-    state = SymState(store, heap, [], [set()], ProofBuilder().node("test", ""))
+    state = SymState(store=store, heap=heap, scopes=[set()], node=ProofBuilder().node("test", ""))
     return engine._reachable_atoms(state)
 
 
@@ -610,3 +611,102 @@ def test_binder_and_lookup_work_grows_linearly_on_walks(monkeypatch):
         work[n] = dict(counts)
     for name in ("substitute", "free_vars", "equal"):
         assert work[128][name] <= 2.5 * work[64][name], (name, work)
+
+
+# Every heap access kind against every way of resolving its address: the
+# verdict, the diagnostics, the taint reason and the rule count.
+ACCESS = {
+    "read": "v = [p];",
+    "write": "[p] = 1;",
+    "field_read": "v = p.next;",
+    "field_write": "p.next = 1;",
+    "delete": "delete(p);",
+}
+ADDRESS = {
+    "nil": "p == null",
+    "absent": "emp",
+    "undecidable": "exists v. q->v",
+    "invariant": "emp",  # the access runs in a loop body under `emp`
+    "unfold_one": "list(p, null) * p != null",
+    "unfold_many": "list(p, null)",
+}
+_UNFOLDED = "chunk $p1->object(node, $e5, $e4) is still allocated at return and not claimed by the postcondition"
+_TAIL = "chunk list($e4, nil) is still allocated at return and not claimed by the postcondition"
+_TAIL_LOST = "last reference to chunk list($e4, nil) was overwritten"
+ACCESS_TABLE = [
+    ("read", "nil", REFUTED, [(INVALID_ACCESS, "heap read dereferences nil")], "", 1),
+    ("read", "absent", REFUTED, [(INVALID_ACCESS, "heap read reads unallocated location $p1")], "", 1),
+    ("read", "undecidable", INCONCLUSIVE, [], "heap read reads unallocated location $p1 (address not decidable)", 2),
+    ("read", "invariant", INCONCLUSIVE, [], "heap read reads memory not covered by the loop invariant", 4),
+    ("read", "unfold_one", REFUTED, [(MEMORY_LEAK, _UNFOLDED), (MEMORY_LEAK, _TAIL)], "", 3),
+    ("read", "unfold_many", INCONCLUSIVE, [], "heap read reads unallocated location $p1 (address not decidable)", 4),
+    ("write", "nil", REFUTED, [(INVALID_ACCESS, "write dereferences nil")], "", 1),
+    ("write", "absent", REFUTED, [(INVALID_ACCESS, "write to unallocated location $p1")], "", 1),
+    ("write", "undecidable", INCONCLUSIVE, [], "write to unallocated location $p1 (address not decidable)", 1),
+    ("write", "invariant", INCONCLUSIVE, [], "write to unallocated location $p1 (address not decidable)", 3),
+    ("write", "unfold_one", REFUTED, [
+        (MEMORY_LEAK, _TAIL_LOST),
+        (MEMORY_LEAK, "chunk $p1->1 is still allocated at return and not claimed by the postcondition"),
+    ], "", 4),
+    ("write", "unfold_many", INCONCLUSIVE, [], "write to unallocated location $p1 (address not decidable)", 3),
+    ("field_read", "nil", REFUTED, [(INVALID_ACCESS, "field read 'p.next' dereferences nil")], "", 1),
+    ("field_read", "absent", REFUTED, [(INVALID_ACCESS, "field read 'p.next' on unallocated object")], "", 1),
+    ("field_read", "undecidable", INCONCLUSIVE, [],
+     "field read 'p.next' on unallocated object (address not decidable)", 2),
+    ("field_read", "invariant", INCONCLUSIVE, [], "field read 'p.next' outside the loop invariant", 4),
+    ("field_read", "unfold_one", REFUTED, [(MEMORY_LEAK, _UNFOLDED), (MEMORY_LEAK, _TAIL)], "", 3),
+    ("field_read", "unfold_many", INCONCLUSIVE, [],
+     "field read 'p.next' on unallocated object (address not decidable)", 4),
+    ("field_write", "nil", REFUTED, [(INVALID_ACCESS, "field write 'p.next' dereferences nil")], "", 1),
+    ("field_write", "absent", REFUTED, [(INVALID_ACCESS, "field write 'p.next' on unallocated object")], "", 1),
+    ("field_write", "undecidable", INCONCLUSIVE, [],
+     "field write 'p.next' on unallocated object (address not decidable)", 1),
+    ("field_write", "invariant", INCONCLUSIVE, [],
+     "field write 'p.next' on unallocated object (address not decidable)", 3),
+    ("field_write", "unfold_one", REFUTED, [
+        (MEMORY_LEAK, _TAIL_LOST),
+        (MEMORY_LEAK, "chunk $p1->object(node, $e5, 1) is still allocated at return and not claimed by the postcondition"),
+    ], "", 4),
+    ("field_write", "unfold_many", INCONCLUSIVE, [],
+     "field write 'p.next' on unallocated object (address not decidable)", 3),
+    ("delete", "nil", REFUTED, [(INVALID_FREE, "delete of nil")], "", 1),
+    ("delete", "absent", REFUTED, [(INVALID_FREE, "delete of unallocated location $p1")], "", 1),
+    ("delete", "undecidable", INCONCLUSIVE, [], "delete of unallocated location $p1 (address not decidable)", 1),
+    ("delete", "invariant", INCONCLUSIVE, [], "delete of unallocated location $p1 (address not decidable)", 3),
+    ("delete", "unfold_one", REFUTED, [(MEMORY_LEAK, _TAIL_LOST)], "", 4),
+    ("delete", "unfold_many", INCONCLUSIVE, [], "delete of unallocated location $p1 (address not decidable)", 3),
+]
+
+
+@pytest.mark.parametrize("kind,address,status,diagnostics,reason,rules", ACCESS_TABLE)
+def test_access_path_table(kind, address, status, diagnostics, reason, rules):
+    stmt = ACCESS[kind]
+    if address == "invariant":
+        stmt = f"while (n > 0) @ emp @ {{ {stmt} n = n - 1; }}"
+    v = only_verdict(f"int f(int p, int q, int n) @ {ADDRESS[address]} @ {{ {stmt} }} @ true @")
+    assert v.status == status
+    assert [(d.kind, d.message) for d in v.diagnostics] == diagnostics
+    assert v.inconclusive_reason == reason
+    assert v.stats.rule_applications == rules
+
+
+def test_access_path_table_covers_every_kind_and_address():
+    assert {(k, a) for k, a, *_ in ACCESS_TABLE} == {(k, a) for k in ACCESS for a in ADDRESS}
+
+
+def test_leak_through_nested_record_overwrite():
+    # the lost value reaches q's cell two record levels down
+    src = """
+int f(int p)
+@ exists q. p->object(_, f: object(_, g: object(_, h: q))) * q->1 @
+{
+  v = p.f;
+  p.f = 0;
+  v = 0;
+} @ exists w. p->w @
+"""
+    v = only_verdict(src)
+    assert [(d.kind, d.message) for d in v.diagnostics] == [
+        (MEMORY_LEAK, "last reference to chunk $e2->1 was overwritten")
+    ]
+    assert v.diagnostics[0].span.line == 7
