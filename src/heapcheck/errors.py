@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open source region, 1-based lines and columns.
 
     Spans never participate in structural equality of AST nodes; they exist

@@ -655,16 +655,18 @@ def check_pred_table(defs: Iterable[PredDef]) -> dict[str, PredDef]:
 
 
 def check_arities(f: Formula, table: dict[str, PredDef], context: str) -> None:
-    if isinstance(f, PredApp):
-        d = table.get(f.name)
-        if d is not None and len(d.params) != len(f.args):
-            raise AssertionSyntaxError(
-                f"predicate '{f.name}' used with {len(f.args)} arguments in '{context}' "
-                f"but defined with {len(d.params)}"
-            )
-        return
-    if isinstance(f, (Star, And, Or)):
-        check_arities(f.left, table, context)
-        check_arities(f.right, table, context)
-    elif isinstance(f, Exists):
-        check_arities(f.body, table, context)
+    work = [f]
+    while work:  # left to right, without recursing down long chains
+        f = work.pop()
+        if isinstance(f, PredApp):
+            d = table.get(f.name)
+            if d is not None and len(d.params) != len(f.args):
+                raise AssertionSyntaxError(
+                    f"predicate '{f.name}' used with {len(f.args)} arguments in '{context}' "
+                    f"but defined with {len(d.params)}"
+                )
+        elif isinstance(f, (Star, And, Or)):
+            work.append(f.right)
+            work.append(f.left)
+        elif isinstance(f, Exists):
+            work.append(f.body)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import LexError, Span
 
@@ -11,13 +12,8 @@ RESERVED = {
     "null", "nil", "exists", "emp", "true", "false", "object",
 }
 
-# longest first so that maximal munch works by scan order
-_MULTI = ("==", "!=", "<=", ">=", "&&", "||", "->", ":=")
-_SINGLE = "{}()[];,.=<>+-*:@"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "annot", a reserved word, or a punctuation literal
     text: str
     span: Span
@@ -27,6 +23,34 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r})"
 
 
+# One alternative per token class, tried in order at each position; 'bad'
+# takes any character the others refuse, so every position matches.  '$'
+# starts internally generated symbols (chain links, skolems); accepting it
+# keeps pretty-printed output re-parseable.  A digit run is exactly what int()
+# reads (\d is str.isdecimal).  A word may go on with any \w character
+# (str.isalnum), but must start with a letter: 'uword' catches the non-ASCII
+# starts, and one that is no letter, such as '²', is an illegal character.
+_TOKEN = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+      |(?P<word>[A-Za-z_$][\w$?]*)
+      |(?P<op>==|!=|<=|>=|&&|\|\||->|:=|[{}()\[\];,.=<>+\-*:])
+      |(?P<int>\d+)
+      |(?P<annot>@[^@]*@)
+      |(?P<atomq>'(?:\\.|[^'\\])*')
+      |(?P<uword>[^\W\d_][\w$?]*)
+      |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+# the hot paths build records with tuple.__new__, under half the cost of a class call
+_new = tuple.__new__
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_UNTERMINATED = {
+    "/": "unterminated comment",
+    "@": "unterminated '@' annotation",
+    "'": "unterminated quoted atom",
+}
+
+
 def tokenize(text: str, base_line: int = 1, base_col: int = 1) -> list[Token]:
     """Lex source text; ``@ ... @`` segments become single raw 'annot' tokens.
 
@@ -34,98 +58,48 @@ def tokenize(text: str, base_line: int = 1, base_col: int = 1) -> list[Token]:
     from an annotation can be re-lexed with its original coordinates.
     """
     toks: list[Token] = []
-    i = 0
-    line, col = base_line, base_col
-    n = len(text)
-
-    def here(width: int = 1) -> Span:
-        return Span(line, col, line, col + width)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line, line_start = base_line, -base_col  # the column of offset i is i - line_start
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        if group == "skip":
+            word = m.group()
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n")
             continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and text[i : i + 2] == "/*":
-            start = here()
-            advance(2)
-            while i < n and text[i : i + 2] != "*/":
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated comment", start)
-            advance(2)
-            continue
-        if ch == "@":
-            start_line, start_col = line, col
-            advance(1)
-            seg_line, seg_col = line, col
-            j = text.find("@", i)
-            if j < 0:
-                raise LexError("unterminated '@' annotation", Span(start_line, start_col, line, col))
-            raw = text[i:j]
-            advance(len(raw) + 1)
-            toks.append(
-                Token("annot", raw, Span(seg_line, seg_col, line, col), 0)
-            )
-            continue
-        if ch == "'":
-            # quoted atom (term files): '...' with \' and \\ escapes
-            start = here()
-            j = i + 1
-            buf = []
-            while j < n and text[j] != "'":
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated quoted atom", start)
-            advance(j + 1 - i)
-            toks.append(Token("atomq", "".join(buf), start))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[i:j]
-            toks.append(Token("int", lit, here(len(lit)), int(lit)))
-            advance(len(lit))
-            continue
-        if ch.isalpha() or ch in "_$":
-            # '$' starts internally generated symbols (chain links, skolems);
-            # accepting it keeps pretty-printed output re-parseable
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$?"):
-                j += 1
-            word = text[i:j]
+        start, end = m.span()
+        word = text[start:end]
+        first_line, col = line, start - line_start
+        if "\n" in word:  # an annotation or a quoted atom
+            line += word.count("\n")
+            line_start = start + word.rindex("\n")
+        value = 0
+        if group == "word" or group == "uword" and word[0].isalpha():
             kind = word if word in RESERVED else "ident"
-            toks.append(Token(kind, word, here(len(word))))
-            advance(len(word))
+        elif group == "op":
+            kind = word
+        elif group == "int":
+            kind = "int"
+            try:
+                value = int(word)
+            except ValueError:  # more digits than int() converts
+                span = Span(line, col, line, col + len(word))
+                raise LexError("integer literal too long", span) from None
+        elif group == "annot":
+            # the span starts after the opening '@' and ends after the closing one
+            span = Span(first_line, col + 1, line, end - line_start)
+            toks.append(Token("annot", word[1:-1], span))
             continue
-        two = text[i : i + 2]
-        if two in _MULTI:
-            toks.append(Token(two, two, here(2)))
-            advance(2)
+        elif group == "atomq":
+            # the span marks the opening quote only
+            span = Span(first_line, col, first_line, col + 1)
+            toks.append(Token("atomq", _ESCAPE.sub(r"\1", word[1:-1]), span))
             continue
-        if ch in _SINGLE:
-            toks.append(Token(ch, ch, here(1)))
-            advance(1)
-            continue
-        raise LexError(f"illegal character {ch!r}", here())
+        else:
+            ch = word[0]
+            if ch in "@'" or ch == "/" and text.startswith("/*", start):
+                raise LexError(_UNTERMINATED[ch], Span(line, col, line, col + 1))
+            raise LexError(f"illegal character {ch!r}", Span(line, col, line, col + 1))
+        span = _new(Span, (line, col, line, col + end - start))
+        toks.append(_new(Token, (kind, word, span, value)))
     return toks

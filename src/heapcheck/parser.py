@@ -20,23 +20,24 @@ _EOF = Token("eof", "<eof>", Span())
 
 class _Cursor:
     def __init__(self, toks: list[Token]):
-        self.toks = toks
+        # no token is consumed past the first sentinel, and a peek looks at
+        # most two further, so every lookahead is an index that exists
+        self.toks = toks + [_EOF] * 3
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else _EOF
+        return self.toks[self.pos + ahead]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.pos].kind in kinds
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def expect(self, *kinds: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind in kinds:
             self.pos += 1
             return t
@@ -291,7 +292,7 @@ class _ProgramParser:
         classes: list[ast.ClassDecl] = []
         functions: list[ast.MethodDecl] = []
         preds: list[ast.PredDecl] = []
-        while not self.cur.at("eof") and self.cur.pos < len(self.cur.toks):
+        while not self.cur.at("eof"):
             if self.cur.at("class"):
                 classes.append(self._class_decl(classes))
             elif self.cur.at("pred"):

@@ -76,31 +76,62 @@ _INFIX = {"or": ("||", _P_OR), "and": ("&&", _P_AND), "star": ("*", _P_STAR), "p
 
 
 def emit_text(t: Term, level: int = 0) -> str:
-    """Render a term in the canonical concrete syntax (deterministic)."""
-    if isinstance(t, Atom):
-        if _BARE_ATOM.match(t.name):
-            return t.name
-        escaped = t.name.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, TList):
-        return "[" + ", ".join(emit_text(x) for x in t.items) + "]"
-    if isinstance(t, Compound):
-        if t.functor in _INFIX and len(t.args) == 2:
-            opsym, prec = _INFIX[t.functor]
-            sep = opsym if t.functor == "pto" else f" {opsym} "
-            # '->' does not associate, so a nested pto needs parens either side
-            right_level = prec if t.functor == "pto" else prec - 1
-            text = f"{emit_text(t.args[0], prec)}{sep}{emit_text(t.args[1], right_level)}"
-            return f"({text})" if level >= prec else text
-        if t.functor == "oa" and len(t.args) == 2:
-            return f"oa({emit_text(t.args[0])}.{emit_text(t.args[1])})"
-        if t.functor == ":" and len(t.args) == 2:
-            return f"{emit_text(t.args[0])}: {emit_text(t.args[1])}"
-        head = emit_text(Atom(t.functor)) if not _BARE_ATOM.match(t.functor) else t.functor
-        return f"{head}(" + ", ".join(emit_text(a) for a in t.args) + ")"
-    raise TypeError(f"unknown term {t!r}")
+    """Render a term in the canonical concrete syntax (deterministic).
+
+    The right operand of an infix operator and the last argument of a
+    compound or list continue the loop instead of recursing, so a long
+    ``*`` chain or ``exists`` nest costs no stack depth.
+    """
+    if isinstance(t, Atom) and _BARE_ATOM.match(t.name):
+        return t.name  # most calls render one name
+    out: list[str] = []
+    closers: list[str] = []
+    while True:
+        if isinstance(t, Atom):
+            if _BARE_ATOM.match(t.name):
+                out.append(t.name)
+            else:
+                out.append("'" + t.name.replace("\\", "\\\\").replace("'", "\\'") + "'")
+            break
+        if isinstance(t, Int):
+            out.append(str(t.value))
+            break
+        if isinstance(t, TList):
+            opener, items, closer = "[", t.items, "]"
+        elif isinstance(t, Compound):
+            f, args = t.functor, t.args
+            if f in _INFIX and len(args) == 2:
+                opsym, prec = _INFIX[f]
+                if level >= prec:
+                    out.append("(")
+                    closers.append(")")
+                out.append(emit_text(args[0], prec))
+                out.append(opsym if f == "pto" else f" {opsym} ")
+                # '->' does not associate, so a nested pto needs parens either side
+                t, level = args[1], prec if f == "pto" else prec - 1
+                continue
+            if f == "oa" and len(args) == 2:
+                out.append(f"oa({emit_text(args[0])}.{emit_text(args[1])})")
+                break
+            if f == ":" and len(args) == 2:
+                out.append(emit_text(args[0]) + ": ")
+                t, level = args[1], 0
+                continue
+            head = f if _BARE_ATOM.match(f) else emit_text(Atom(f))
+            opener, items, closer = head + "(", args, ")"
+        else:
+            raise TypeError(f"unknown term {t!r}")
+        out.append(opener)
+        if not items:
+            out.append(closer)
+            break
+        for x in items[:-1]:
+            out.append(emit_text(x))
+            out.append(", ")
+        closers.append(closer)
+        t, level = items[-1], 0
+    out.extend(reversed(closers))
+    return "".join(out)
 
 
 def emit_term_file(t: Term) -> str:
@@ -113,127 +144,115 @@ def emit_term_file(t: Term) -> str:
 # --------------------------------------------------------------------------
 
 
+# infix operator token -> (binding power, functor); all of them fold right
+_OPERATORS = {"||": (1, "or"), "&&": (2, "and"), "*": (3, "star"), "->": (4, "pto")}
+_NAME_KINDS = frozenset(RESERVED | {"ident", "atomq"})
+_PTO = _OPERATORS["->"]
+_END = (0, "")  # what follows a term binds weaker than any operator
+
+
 class _TermParser:
+    """Operator-precedence parser (Pratt, POPL 1973): one loop reads operands
+    and infix operators, so an infix chain costs no stack depth and each
+    nested argument list, list or parenthesis one frame."""
+
     def __init__(self, toks: list[Token]):
-        self.toks = toks
+        # the sentinel makes every lookahead an index that exists
+        self.toks = toks + [Token("eof", "<eof>", toks[-1].span)]
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        if i < len(self.toks):
-            return self.toks[i]
-        return Token("eof", "<eof>", self.toks[-1].span if self.toks else NO_SPAN)
-
-    def next(self) -> Token:
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
+    def expect(self, kind: str) -> None:
+        t = self.toks[self.pos]
         if t.kind != kind:
             raise TermSyntaxError(f"expected {kind!r}, found {t.text!r}", t.span)
         self.pos += 1
-        return t
 
     def parse(self) -> Term:
-        t = self._infix(_P_OR)
-        if self.peek().kind == ".":
-            self.next()
-        trailing = self.peek()
+        t = self.term()
+        if self.toks[self.pos].kind == ".":
+            self.pos += 1
+        trailing = self.toks[self.pos]
         if trailing.kind != "eof":
             raise TermSyntaxError(f"unexpected {trailing.text!r} after term", trailing.span)
         return t
 
-    def _infix(self, prec: int) -> Term:
-        if prec > _P_PTO:
-            return self._base()
-        opsym, functor = {
-            _P_OR: ("||", "or"),
-            _P_AND: ("&&", "and"),
-            _P_STAR: ("*", "star"),
-            _P_PTO: ("->", "pto"),
-        }[prec]
-        parts = [self._infix(prec + 1)]
-        while self.peek().kind == opsym:
-            self.next()
-            parts.append(self._infix(prec + 1))
-        if prec == _P_PTO and len(parts) > 2:
-            raise TermSyntaxError("'->' does not chain", self.peek().span)
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = comp(functor, p, out)
-        return out
+    def term(self) -> Term:
+        toks = self.toks
+        operands: list[Term] = []
+        pending: list[tuple[int, str]] = []  # operators not yet applied, weakest first
+        chained = False
+        while True:
+            t = toks[self.pos]
+            kind = t.kind
+            self.pos += 1
+            if kind == "int":
+                operands.append(Int(t.value))
+            elif kind == "-" and toks[self.pos].kind == "int":
+                operands.append(Int(-toks[self.pos].value))
+                self.pos += 1
+            elif kind == "(":
+                operands.append(self.term())
+                self.expect(")")
+            elif kind == "[":
+                items: list[Term] = []
+                if toks[self.pos].kind != "]":
+                    items.append(self.term())
+                    while toks[self.pos].kind == ",":
+                        self.pos += 1
+                        items.append(self.term())
+                self.expect("]")
+                operands.append(TList(tuple(items)))
+            elif kind not in _NAME_KINDS or not t.text:  # '' names no atom
+                raise TermSyntaxError(f"expected term, found {t.text!r}", t.span)
+            elif toks[self.pos].kind != "(":
+                operands.append(Atom(t.text))
+            elif t.text == "oa":
+                self.pos += 1
+                left = self._name()
+                self.expect(".")
+                right = self._name()
+                self.expect(")")
+                operands.append(Compound("oa", (left, right)))
+            else:
+                self.pos += 1
+                args: list[Term] = []
+                if toks[self.pos].kind != ")":
+                    while True:
+                        # record components may be written "name: value"
+                        a = toks[self.pos]
+                        named = a.kind in _NAME_KINDS and a.kind != "atomq"
+                        if named and toks[self.pos + 1].kind == ":":
+                            self.pos += 2
+                            args.append(Compound(":", (Atom(a.text), self.term())))
+                        else:
+                            args.append(self.term())
+                        if toks[self.pos].kind != ",":
+                            break
+                        self.pos += 1
+                self.expect(")")
+                operands.append(Compound(t.text, tuple(args)))
 
-    def _name_token(self) -> Optional[str]:
-        t = self.peek()
-        if t.kind == "ident" or t.kind in RESERVED:
-            return t.text
-        if t.kind == "atomq":
-            return t.text
-        return None
+            after = toks[self.pos]
+            op = _OPERATORS.get(after.kind, _END)
+            if chained or op is _PTO and pending and pending[-1] is _PTO:
+                # '->' does not chain: read the whole chain, then point past it
+                if op is not _PTO:
+                    raise TermSyntaxError("'->' does not chain", after.span)
+                chained = True
+            while pending and pending[-1][0] > op[0]:
+                right = operands.pop()
+                operands[-1] = Compound(pending.pop()[1], (operands[-1], right))
+            if op is _END:
+                return operands[0]
+            self.pos += 1
+            pending.append(op)
 
-    def _base(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Int(t.value)
-        if t.kind == "-" and self.peek(1).kind == "int":
-            self.next()
-            return Int(-self.next().value)
-        if t.kind == "(":
-            self.next()
-            inner = self._infix(_P_OR)
-            self.expect(")")
-            return inner
-        if t.kind == "[":
-            self.next()
-            items: list[Term] = []
-            if self.peek().kind != "]":
-                items.append(self._infix(_P_OR))
-                while self.peek().kind == ",":
-                    self.next()
-                    items.append(self._infix(_P_OR))
-            self.expect("]")
-            return TList(tuple(items))
-        name = self._name_token()
-        if name is None:
-            raise TermSyntaxError(f"expected term, found {t.text!r}", t.span)
-        self.next()
-        if self.peek().kind != "(":
-            return Atom(name)
-        self.next()
-        if name == "oa":
-            left = self._atom_arg()
-            self.expect(".")
-            right = self._atom_arg()
-            self.expect(")")
-            return comp("oa", left, right)
-        args: list[Term] = []
-        if self.peek().kind != ")":
-            args.append(self._arg())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self._arg())
-        self.expect(")")
-        return Compound(name, tuple(args))
-
-    def _atom_arg(self) -> Atom:
-        t = self.peek()
-        name = self._name_token()
-        if name is None:
+    def _name(self) -> Atom:
+        t = self.toks[self.pos]
+        if t.kind not in _NAME_KINDS or not t.text:
             raise TermSyntaxError(f"expected name, found {t.text!r}", t.span)
-        self.next()
-        return Atom(name)
-
-    def _arg(self) -> Term:
-        # record components may be written "name: value"
-        t = self.peek()
-        if (t.kind == "ident" or t.kind in RESERVED) and self.peek(1).kind == ":":
-            name = self.next().text
-            self.next()
-            return comp(":", Atom(name), self._infix(_P_OR))
-        return self._infix(_P_OR)
+        self.pos += 1
+        return Atom(t.text)
 
 
 def parse_term(text: str, check: bool = True) -> Term:

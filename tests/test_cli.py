@@ -198,3 +198,27 @@ def test_unfold_depth_env(tmp_path, monkeypatch):
     assert _default_depth() == 8
     monkeypatch.setenv("HEAPCHECK_UNFOLD_DEPTH", "junk")
     assert _default_depth() == 4
+
+
+def test_superscript_digit_is_a_lex_error(tmp_path):
+    f = tmp_path / "sup.oc"
+    f.write_text("int f() { x = 2²; }")
+    code, out, err = run_cli("verify", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: 1:16: illegal character '²'\n"
+
+
+def test_verify_term_on_a_long_walk_matches_verify(tmp_path):
+    from test_symexec import walk_source
+
+    from heapcheck.parser import parse_program
+    from heapcheck.termir import emit_term_file, lower_program
+
+    src = walk_source(200)
+    (tmp_path / "walk.oc").write_text(src)
+    (tmp_path / "walk.plt").write_text(emit_term_file(lower_program(parse_program(src))))
+    direct = run_cli("verify", str(tmp_path / "walk.oc"))
+    term = run_cli("verify-term", str(tmp_path / "walk.plt"))
+    assert direct[0] == term[0] == 0
+    assert term[1] == direct[1].replace("walk.oc", "walk.plt")
+    assert "walk200: Verified" in term[1]

@@ -1,7 +1,7 @@
 """Golden outputs: ``verify --format structured`` on every corpus file,
-``entail`` on the query file and the ``--emit-proof`` JSON proof tree of
-every corpus function must stay byte-identical to the recorded files in
-``tests/data/expected/``.
+``entail`` on the query file, the ``--emit-proof`` JSON proof tree of every
+corpus function and the ``emit-term`` ``.plt`` text of every corpus file must
+stay byte-identical to the recorded files in ``tests/data/expected/``.
 
 The CLI runs from the repository root with repo-relative paths, so the
 ``"file"`` field of each diagnostic is the same on every machine.  After a
@@ -57,6 +57,14 @@ def render_proofs(name: str) -> dict[str, str]:
         return {f"{name}.{p.name}": p.read_text(encoding="utf-8") for p in trees}
 
 
+def render_term(name: str) -> str:
+    """The ``.plt`` text that ``emit-term`` writes for a corpus file."""
+    with tempfile.TemporaryDirectory() as outdir:
+        out = Path(outdir) / f"{name}.plt"
+        _run("emit-term", f"tests/data/{name}", "-o", str(out))
+        return out.read_text(encoding="utf-8")
+
+
 def _exit_codes() -> dict[str, int]:
     return json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -76,12 +84,18 @@ def test_proof_trees_match_golden(name):
         assert text == (EXPECTED / golden).read_text(encoding="utf-8"), golden
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_term_files_match_golden(name):
+    assert render_term(name) == (EXPECTED / f"{name}.plt").read_text(encoding="utf-8")
+
+
 def test_every_golden_file_has_an_input():
     recorded = {p.name[: -len(".out")] for p in EXPECTED.glob("*.out")}
     assert recorded == set(CORPUS + [QUERIES])
     assert set(_exit_codes()) == recorded
     trees = {golden for name in CORPUS for golden in render_proofs(name)}
     assert {p.name for p in EXPECTED.glob("*.pt.json")} == trees
+    assert {p.name[: -len(".plt")] for p in EXPECTED.glob("*.plt")} == set(CORPUS)
 
 
 def _regenerate() -> None:
@@ -95,6 +109,7 @@ def _regenerate() -> None:
     for name in CORPUS:
         for golden, text in render_proofs(name).items():
             (EXPECTED / golden).write_text(text, encoding="utf-8")
+        (EXPECTED / f"{name}.plt").write_text(render_term(name), encoding="utf-8")
     text = json.dumps(codes, indent=2, sort_keys=True) + "\n"
     (EXPECTED / "exit_codes.json").write_text(text, encoding="utf-8")
 

@@ -85,6 +85,19 @@ def test_parse_error_has_span_inside_input():
     assert 1 <= span.col <= len(lines[span.line - 1]) + 1
 
 
+@pytest.mark.parametrize("src, message", [
+    ("class A { int", "expected 'ident' but found '<eof>'"),
+    ("class A { int x", "expected '(' but found '<eof>'"),
+    ("class A {", "expected 'ident' but found '<eof>'"),
+    ("int f(", "expected 'ident' but found '<eof>'"),
+    ("int f() { p = x.next", "expected ';' but found '<eof>'"),
+])
+def test_truncated_program_is_a_parse_error(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.message, str(e.value.span)) == (message, "?:?")
+
+
 def test_duplicate_method_rejected():
     with pytest.raises(ParseError):
         parse_program("class C { int m() {} int m() {} }")
@@ -116,6 +129,14 @@ def test_pred_declaration():
 def test_pred_arity_error():
     with pytest.raises(AssertionSyntaxError):
         parse_program("pred one(a) := a->1;\nint f() @ one(1, 2) @ {}")
+    # under a binder too, and of two bad uses the leftmost is reported
+    src = (
+        "pred one(a) := a->1;\npred two(a, b) := a->b;\n"
+        "int f() @ exists v. x->v * (one(1, 2) || two(3)) @ {}"
+    )
+    with pytest.raises(AssertionSyntaxError) as e:
+        parse_program(src)
+    assert e.value.message.startswith("predicate 'one' used with 2 arguments")
 
 
 # assertion sub-parser -------------------------------------------------------
@@ -232,3 +253,11 @@ def test_pretty_print_roundtrip_property():
         text = pretty_program(prog)
         again = parse_program(text)
         assert again == prog, text
+
+
+def test_long_walk_parses():
+    from test_symexec import walk_source
+
+    # the arity check once recursed per chain link and ran out of stack here
+    program = parse_program(walk_source(600))
+    assert [m.name for _, m in program.all_methods()] == ["walk600"]

@@ -165,3 +165,77 @@ def test_split_contracts():
     assert pre == fm.PureAtom("<", fm.Var("a"), fm.IntLit(10))
     assert len(body) == 3
     assert isinstance(post, fm.Star)
+
+
+# -- syntax errors, recorded before the term parser became one loop ----------
+
+TERM_ERROR_TABLE = [
+    ('f(', "expected term, found '<eof>'", (1, 2, 1, 3)),
+    ('f(a) g', "unexpected 'g' after term", (1, 6, 1, 7)),
+    ('f(a', "expected ')', found '<eof>'", (1, 3, 1, 4)),
+    ('[a, b', "expected ']', found '<eof>'", (1, 5, 1, 6)),
+    # the chain error points at the token after the whole chain
+    ('a -> b -> c * d', "'->' does not chain", (1, 13, 1, 14)),
+    ('a -> b -> c', "'->' does not chain", (1, 11, 1, 12)),
+    ('f(a -> b -> c, d)', "'->' does not chain", (1, 14, 1, 15)),
+    ('oa(x y)', "expected '.', found 'y'", (1, 6, 1, 7)),
+    ('oa(1.f)', "expected name, found '1'", (1, 4, 1, 5)),
+    ('a * ', "expected term, found '<eof>'", (1, 3, 1, 4)),
+    ('f(a).\n.', "unexpected '.' after term", (2, 1, 2, 2)),
+    # a lexer error keeps its position in the message only
+    ('a # b', "1:3: illegal character '#'", (0, 0, 0, 0)),
+    ('', 'empty term text', (0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("text, message, span", TERM_ERROR_TABLE)
+def test_term_syntax_error_table(text, message, span):
+    with pytest.raises(TermSyntaxError) as e:
+        tir.parse_term(text, check=False)
+    s = e.value.span
+    assert (e.value.message, (s.line, s.col, s.end_line, s.end_col)) == (message, span)
+
+
+def test_empty_quoted_atom_is_a_syntax_error():
+    for text, message in (("''", "expected term, found ''"), ("f('', a)", "expected term, found ''"),
+                          ("''(a)", "expected term, found ''"), ("oa(''.f)", "expected name, found ''")):
+        with pytest.raises(TermSyntaxError) as e:
+            tir.parse_term(text, check=False)
+        assert e.value.message == message
+
+
+def test_parser_depth_is_one_frame_per_nesting_level():
+    # the parent parser spent about six frames per level, so 300 levels failed
+    nested = "f(" * 300 + "a" + ")" * 300
+    t = tir.parse_term(nested, check=False)
+    for _ in range(300):
+        t = t.args[0]
+    assert t == tir.Atom("a")
+    # an infix chain costs no depth at all, and folds to the right
+    chain = tir.parse_term(" * ".join(["a -> 1"] * 5000) + " || b", check=False)
+    assert chain.functor == "or"
+    left = chain.args[0]
+    for _ in range(4999):
+        assert left.functor == "star" and left.args[0] == tir.comp("pto", tir.Atom("a"), tir.Int(1))
+        left = left.args[1]
+    assert left == tir.comp("pto", tir.Atom("a"), tir.Int(1))
+
+
+def test_emit_loops_down_long_chains():
+    pto = tir.comp("pto", tir.Atom("x"), tir.Int(1))
+    chain = pto
+    for _ in range(4999):
+        chain = tir.comp("star", pto, chain)
+    assert tir.emit_text(chain) == " * ".join(["x->1"] * 5000)
+    nest: tir.Term = tir.Atom("emp")
+    for _ in range(5000):
+        nest = tir.comp("exists", tir.Atom("v"), tir.TList((tir.Int(0), nest)))
+    assert tir.emit_text(nest) == "exists(v, [0, " * 5000 + "emp" + "])" * 5000
+
+
+def test_long_walk_term_text_round_trips():
+    from test_symexec import walk_source
+
+    text = tir.emit_term_file(tir.lower_program(parse_program(walk_source(256))))
+    # compare texts: dataclass equality recurses down the deep term
+    assert tir.emit_term_file(tir.parse_term(text)) == text
