@@ -10,7 +10,7 @@ Unknown pure answers always count as failure, never success.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Generator, Iterable, Optional, Union
 
 from . import formula as fm
 from .arith import ClassIndex, PureSet, YES, UNSAT, lazy
@@ -174,18 +174,9 @@ class SymHeap:
     def to_formula(self) -> fm.Formula:
         spatial = [a.to_formula() for a in self.spatial]
         pure = [fm.PureAtom(op, l, r) for op, l, r in self.pure.atoms]
-        out: Optional[fm.Formula] = None
-        if spatial:
-            out = spatial[-1]
-            for s in reversed(spatial[:-1]):
-                out = fm.Star(s, out)
-        else:
-            out = fm.Emp()
-        for p in reversed(pure):
-            out = fm.And(p, out)
-        for v in sorted(self.existentials):
-            out = fm.Exists(v, out)
-        return out
+        out = fm.join(fm.Star, spatial) if spatial else fm.Emp()
+        # the last name in sorted order is the outermost binder
+        return fm.exists(sorted(self.existentials, reverse=True), fm.join(fm.And, [*pure, out]))
 
     def pretty(self) -> str:
         return self._text
@@ -244,30 +235,28 @@ def formula_to_symheaps(
                 spatial.append(PredAtom(g.name, tuple(_rn(a) for a in g.args)))
                 return
             if isinstance(g, fm.Star):
-                walk(g.left, spatial_ok)
-                walk(g.right, spatial_ok)
+                for p in g.parts:
+                    walk(p, spatial_ok)
                 return
             if isinstance(g, fm.And):
-                left_pure = fm.is_pure_only(g.left)
-                right_pure = fm.is_pure_only(g.right)
-                if not left_pure and not right_pure:
-                    raise UnsupportedFormulaError(
-                        "conjunction of two spatial formulas is not supported"
-                    )
-                walk(g.left, spatial_ok)
-                walk(g.right, spatial_ok)
+                clash = fm.spatial_clash(g)
+                for i, p in enumerate(g.parts):
+                    if i == clash:
+                        raise UnsupportedFormulaError(
+                            "conjunction of two spatial formulas is not supported"
+                        )
+                    walk(p, spatial_ok)
                 return
             if isinstance(g, fm.Exists):
                 # a fresh name per binder, outermost first; the renaming of
                 # the binders in scope is applied at the atoms
-                binders, body = fm.exists_chain(g)
-                saved = [(v, renaming.get(v)) for v in binders]
-                for v in binders:
+                saved = [(v, renaming.get(v)) for v in g.vars]
+                for v in g.vars:
                     name = fresh.var("e")
                     if not skolemize:
                         existentials.add(name)
                     renaming[v] = fm.Var(name)
-                walk(body, spatial_ok)
+                walk(g.body, spatial_ok)
                 for v, old in reversed(saved):
                     if old is None:
                         renaming.pop(v, None)
@@ -390,10 +379,11 @@ class _Prover:
         binding: dict[str, fm.SymExpr],
         depth: int,
         nodes: list[ProofNode],
-    ) -> Union[tuple[tuple[SpatialAtom, ...], dict[str, fm.SymExpr]], str]:
+    ) -> Generator:
         """Consume all consequent atoms; returns (leftover, binding) or the
         name of the rule nearest to the failure.  ``ant_atoms`` are the atoms
-        of ``ant`` not consumed yet."""
+        of ``ant`` not consumed yet.  Each step consumes one atom and yields
+        the arguments of the step for the rest (see ``fm.run_steps``)."""
         ant_pure = ant.sep_pure()
         if not con_atoms:
             for op, l, r in con_pure:
@@ -448,7 +438,7 @@ class _Prover:
                         f"{fm.pretty(atom.to_formula())} matches {fm.pretty(cand.to_formula())}",
                     )
                 )
-                res = self.match(ant, remaining, rest, con_pure, exist, b3, depth, nodes)
+                res = yield (ant, remaining, rest, con_pure, exist, b3, depth, nodes)
                 if not isinstance(res, str):
                     return res
                 nearest = res
@@ -470,7 +460,7 @@ class _Prover:
             remaining = tuple(a for a in ant_atoms if a is not cand)
             mark = len(nodes)
             nodes.append(self.builder.node("pred-match", fm.pretty(atom.to_formula())))
-            res = self.match(ant, remaining, rest, con_pure, exist, b2, depth, nodes)
+            res = yield (ant, remaining, rest, con_pure, exist, b2, depth, nodes)
             if not isinstance(res, str):
                 return res
             nearest = res
@@ -493,9 +483,7 @@ class _Prover:
             nodes.append(
                 self.builder.node("fold", f"{fm.pretty(atom.to_formula())} via case {i + 1}")
             )
-            res = self.match(
-                ant, ant_atoms, new_con, new_pure, new_exist, binding, depth - 1, nodes
-            )
+            res = yield (ant, ant_atoms, new_con, new_pure, new_exist, binding, depth - 1, nodes)
             if not isinstance(res, str):
                 return res
             if res == "depth-exceeded":
@@ -542,7 +530,8 @@ class _Prover:
             return Proved(SymHeap.emp(), {}, node)
         nodes: list[ProofNode] = []
         con_sorted = tuple(sorted(con_spatial, key=_atom_key))
-        res = self.match(ant, ant.spatial, con_sorted, con_pure, exist, {}, depth, nodes)
+        args = (ant, ant.spatial, con_sorted, con_pure, exist, {}, depth, nodes)
+        res = fm.run_steps(self.match, args)
         if not isinstance(res, str):
             leftover, binding = res
             frame = SymHeap(ant.pure, leftover, frozenset())

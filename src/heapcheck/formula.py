@@ -1,17 +1,39 @@
 """Assertion language: spatial formulas, symbolic expressions, and their algebra.
 
-Formulas are immutable trees.  ``normalize`` flattens and sorts star/and/or
-chains into a canonical shape and alpha-renames binders so that structural
-equality coincides with canonical form; ``pretty`` prints text that reparses
-to the same normalized formula.
+Formulas are immutable trees.  ``Star``, ``And`` and ``Or`` hold two or more
+parts and ``Exists`` its binders, outermost first.  ``join`` and ``exists``
+build them so that no node has a last part of its own connective and no Exists
+sits directly under an Exists: ``a * (b * c)`` equals ``a * b * c``, while
+``(a * b) * c`` keeps its nested group.  Walkers loop over the parts.
+
+``normalize`` flattens and sorts star/and/or parts into a canonical shape and
+alpha-renames binders so that structural equality coincides with canonical
+form; ``pretty`` prints text that reparses to the same normalized formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import product
+from typing import Any, Callable, Generator, Iterable, Mapping, Sequence
 
 from .errors import AssertionSyntaxError
+
+
+def run_steps(step: Callable[..., Generator], args: tuple) -> Any:
+    """Run ``step(*args)`` as a recursion on the heap, not on the Python stack:
+    each value the generator yields is the argument tuple of a recursive call,
+    whose result is sent back; its return value is the result."""
+    stack, value = [step(*args)], None
+    while stack:
+        try:
+            stack.append(step(*stack[-1].send(value)))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
 
 # --------------------------------------------------------------------------
 # symbolic expressions
@@ -123,25 +145,22 @@ class PointsTo(Formula):
 
 @dataclass(frozen=True)
 class Star(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class Exists(Formula):
-    var: str
+    vars: tuple[str, ...]
     body: Formula
 
 
@@ -166,6 +185,26 @@ class PredDef:
     params: tuple[str, ...]
     body: Formula
     builtin: bool = False
+
+
+def join(cls: type, parts: Sequence[Formula]) -> Formula:
+    """The ``cls`` (Star, And or Or) of ``parts``: one part is returned
+    unchanged, and a last part that is a ``cls`` node is spliced in."""
+    if len(parts) == 1:
+        return parts[0]
+    last = parts[-1]
+    if isinstance(last, cls):
+        return cls((*parts[:-1], *last.parts))
+    return cls(tuple(parts))
+
+
+def exists(binders: Sequence[str], body: Formula) -> Formula:
+    """``body`` under ``binders``, outermost first; an Exists body merges in."""
+    if not binders:
+        return body
+    if isinstance(body, Exists):
+        return Exists((*binders, *body.vars), body.body)
+    return Exists(tuple(binders), body)
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +237,9 @@ def free_vars(f: Formula) -> set[str]:
     if isinstance(f, PointsTo):
         return expr_free_vars(f.loc) | expr_free_vars(f.val)
     if isinstance(f, (Star, And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
+        return set().union(*map(free_vars, f.parts))
     if isinstance(f, Exists):
-        return free_vars(f.body) - {f.var}
+        return free_vars(f.body).difference(f.vars)
     if isinstance(f, PredApp):
         out: set[str] = set()
         for a in f.args:
@@ -246,25 +285,26 @@ def substitute(f: Formula, mapping: Mapping[str, SymExpr]) -> Formula:
         return f
     if isinstance(f, PointsTo):
         return PointsTo(substitute_expr(f.loc, mapping), substitute_expr(f.val, mapping))
-    if isinstance(f, Star):
-        return Star(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, And):
-        return And(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, mapping), substitute(f.right, mapping))
+    if isinstance(f, (Star, And, Or)):
+        return type(f)(tuple(substitute(p, mapping) for p in f.parts))
     if isinstance(f, Exists):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
+        bound = set(f.vars)
+        inner = {k: e for k, e in mapping.items() if k not in bound}
         if not inner:
             return f
         clash = set()
-        for v in inner.values():
-            clash |= expr_free_vars(v)
-        if f.var in clash:
+        for e in inner.values():
+            clash |= expr_free_vars(e)
+        binders = list(f.vars)
+        if not clash.isdisjoint(binders):
+            # rename each binder that would capture; the last of equal names binds
             taken = clash | free_vars(f.body) | set(inner)
-            renamed = _fresh_name(f.var, taken)
-            body = substitute(f.body, {f.var: Var(renamed)})
-            return Exists(renamed, substitute(body, inner))
-        return Exists(f.var, substitute(f.body, inner))
+            for i, v in enumerate(binders):
+                if v in clash:
+                    binders[i] = _fresh_name(v, taken)
+                    taken.add(binders[i])
+                    inner[v] = Var(binders[i])
+        return Exists(tuple(binders), substitute(f.body, inner))
     if isinstance(f, PredApp):
         return PredApp(f.name, tuple(substitute_expr(a, mapping) for a in f.args))
     if isinstance(f, PureAtom):
@@ -320,7 +360,8 @@ def _positional_record(e: Record) -> bool:
 
 # formula precedence: or/exists (0) < and (1) < star (2) < atoms (3);
 # `level` is the minimum precedence printable without parentheses
-_F_OR, _F_AND, _F_STAR = 0, 1, 2
+_F_OR = 0
+_CONNECTIVES = {Or: (_F_OR, " || "), And: (1, " && "), Star: (2, " * ")}
 
 
 def pretty(f: Formula, level: int = 0) -> str:
@@ -333,18 +374,15 @@ def pretty(f: Formula, level: int = 0) -> str:
     if isinstance(f, PointsTo):
         # products need parens here: bare '*' reads as separating conjunction
         return f"{pretty_expr(f.loc, _MUL_LEVEL)}->{pretty_expr(f.val, _MUL_LEVEL)}"
-    if isinstance(f, Star):
-        text = f"{pretty(f.left, _F_STAR + 1)} * {pretty(f.right, _F_STAR)}"
-        return f"({text})" if level > _F_STAR else text
-    if isinstance(f, And):
-        text = f"{pretty(f.left, _F_AND + 1)} && {pretty(f.right, _F_AND)}"
-        return f"({text})" if level > _F_AND else text
-    if isinstance(f, Or):
-        text = f"{pretty(f.left, _F_OR + 1)} || {pretty(f.right, _F_OR)}"
-        return f"({text})" if level > _F_OR else text
+    if isinstance(f, (Star, And, Or)):
+        # right-associative: only the last part may share the precedence
+        mine, sep = _CONNECTIVES[type(f)]
+        texts = [pretty(p, mine + 1) for p in f.parts[:-1]]
+        texts.append(pretty(f.parts[-1], mine))
+        text = sep.join(texts)
+        return f"({text})" if level > mine else text
     if isinstance(f, Exists):
-        binders, body = exists_chain(f)
-        text = f"exists {', '.join(binders)}. {pretty(body)}"
+        text = f"exists {', '.join(f.vars)}. {pretty(f.body)}"
         return f"({text})" if level > _F_OR else text
     if isinstance(f, PredApp):
         return f"{f.name}({', '.join(pretty_expr(a) for a in f.args)})"
@@ -356,12 +394,6 @@ def pretty(f: Formula, level: int = 0) -> str:
 # --------------------------------------------------------------------------
 # normalization
 # --------------------------------------------------------------------------
-
-
-def _flatten(f: Formula, cls: type) -> list[Formula]:
-    if isinstance(f, cls):
-        return _flatten(f.left, cls) + _flatten(f.right, cls)  # type: ignore[attr-defined]
-    return [f]
 
 
 def _atom_rank(f: Formula) -> int:
@@ -380,13 +412,6 @@ def _star_key(f: Formula) -> tuple:
     if isinstance(f, PredApp):
         return (2, f.name, tuple(pretty_expr(a) for a in f.args))
     return (_atom_rank(f), pretty(f))
-
-
-def _rebuild(parts: list[Formula], cls: type) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = cls(p, out)
-    return out
 
 
 def fold_expr(e: SymExpr) -> SymExpr:
@@ -431,8 +456,8 @@ def normalize(f: Formula) -> Formula:
     """Canonical form: unit/absorption rewrites, folded constants, sorted flat
     chains, canonical binders.
 
-    Binder passes are linear in the formula: a chain of ``exists`` is checked
-    against one free-variable set of its body, and ``_canon_binders`` renames
+    Binder passes are linear in the formula: the binders of an ``exists`` are
+    checked against one free-variable set of its body, and ``_canon_binders`` renames
     every binder in one walk with one map.
     """
     return _canon_binders(_normalize1(_fold_formula(f)))
@@ -446,76 +471,45 @@ def _fold_formula(f: Formula) -> Formula:
     if isinstance(f, PredApp):
         return PredApp(f.name, tuple(fold_expr(a) for a in f.args))
     if isinstance(f, (Star, And, Or)):
-        cls = type(f)
-        return cls(_fold_formula(f.left), _fold_formula(f.right))
+        return type(f)(tuple(_fold_formula(p) for p in f.parts))
     if isinstance(f, Exists):
-        return Exists(f.var, _fold_formula(f.body))
+        return Exists(f.vars, _fold_formula(f.body))
     return f
 
 
-def exists_chain(f: Formula) -> tuple[list[str], Formula]:
-    """Binders of a run of directly nested Exists, outermost first, and the
-    body under the last of them."""
-    binders: list[str] = []
-    while isinstance(f, Exists):
-        binders.append(f.var)
-        f = f.body
-    return binders, f
-
-
-def _parts(f: Formula, cls: type) -> list[Formula]:
-    """Normalized operands of a ``cls`` chain.  An operand that normalizes to
-    a ``cls`` chain itself is spliced in, so one pass reaches the fixpoint."""
-    return [q for p in _flatten(f, cls) for q in _flatten(_normalize1(p), cls)]
+# each connective's unit, dropped from its parts, and zero, which absorbs them
+_UNIT_ZERO = {Star: (Emp, FalseF), And: (TrueF, FalseF), Or: (FalseF, TrueF)}
 
 
 def _normalize1(f: Formula) -> Formula:
     if isinstance(f, (Emp, TrueF, FalseF, PointsTo, PredApp, PureAtom)):
         return f
     if isinstance(f, Exists):
-        # one free-variable set for the whole chain: a binder is vacuous when
+        # one free-variable set for all the binders: a binder is vacuous when
         # its name is not free below it, counting only the binders kept inside
-        binders, body = exists_chain(f)
-        out = _normalize1(body)
+        out = _normalize1(f.body)
         free = free_vars(out)
-        for v in reversed(binders):
+        kept: list[str] = []
+        for v in reversed(f.vars):
             if v in free:
                 free.discard(v)
-                out = Exists(v, out)
-        return out
-    if isinstance(f, Star):
-        parts = _parts(f, Star)
-        if any(isinstance(p, FalseF) for p in parts):
-            return FalseF()
-        parts = [p for p in parts if not isinstance(p, Emp)]
+                kept.append(v)
+        return exists(kept[::-1], out)
+    if isinstance(f, (Star, And, Or)):
+        unit, zero = _UNIT_ZERO[type(f)]
+        # splice in parts that normalize to the same connective: one pass suffices
+        parts: list[Formula] = []
+        for p in f.parts:
+            q = _normalize1(p)
+            parts.extend(q.parts if type(q) is type(f) else (q,))  # type: ignore[union-attr]
+        if any(isinstance(p, zero) for p in parts):
+            return zero()
+        parts = sorted((p for p in parts if not isinstance(p, unit)), key=_star_key)
         if not parts:
-            return Emp()
-        parts.sort(key=_star_key)
-        return _rebuild(parts, Star)
-    if isinstance(f, And):
-        parts = _parts(f, And)
-        if any(isinstance(p, FalseF) for p in parts):
-            return FalseF()
-        parts = [p for p in parts if not isinstance(p, TrueF)]
-        if not parts:
-            return TrueF()
-        uniq: list[Formula] = []
-        for p in sorted(parts, key=_star_key):
-            if not uniq or uniq[-1] != p:
-                uniq.append(p)
-        return _rebuild(uniq, And)
-    if isinstance(f, Or):
-        parts = _parts(f, Or)
-        if any(isinstance(p, TrueF) for p in parts):
-            return TrueF()
-        parts = [p for p in parts if not isinstance(p, FalseF)]
-        if not parts:
-            return FalseF()
-        uniq = []
-        for p in sorted(parts, key=_star_key):
-            if not uniq or uniq[-1] != p:
-                uniq.append(p)
-        return _rebuild(uniq, Or)
+            return unit()
+        if not isinstance(f, Star):  # && and || are idempotent
+            parts = [p for i, p in enumerate(parts) if i == 0 or parts[i - 1] != p]
+        return join(type(f), parts)
     raise TypeError(f"unknown formula {f!r}")
 
 
@@ -540,29 +534,22 @@ def _canon_binders(f: Formula) -> Formula:
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Exists):
-            binders, body = exists_chain(g)
-            fresh = [next_name() for _ in binders]
-            if fresh != binders:
+            fresh = tuple(next_name() for _ in g.vars)
+            if fresh != g.vars:
                 renamed[0] = True
             # inner binders shadow outer ones of the same name
-            saved = [(v, names.get(v)) for v in binders]
-            for v, n in zip(binders, fresh):
+            saved = [(v, names.get(v)) for v in g.vars]
+            for v, n in zip(g.vars, fresh):
                 names[v] = Var(n)
-            out = walk(body)
+            out = walk(g.body)
             for v, old in reversed(saved):
                 if old is None:
                     names.pop(v, None)
                 else:
                     names[v] = old
-            for n in reversed(fresh):
-                out = Exists(n, out)
-            return out
-        if isinstance(g, Star):
-            return Star(walk(g.left), walk(g.right))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
+            return exists(fresh, out)
+        if isinstance(g, (Star, And, Or)):
+            return type(g)(tuple(walk(p) for p in g.parts))
         return substitute(g, names) if names else g
 
     out = walk(f)
@@ -590,37 +577,34 @@ def chain_points_to(loc: SymExpr, values: list[SymExpr]) -> Formula:
         nxt: SymExpr = links[i] if i < len(links) else Nil()
         atoms.append(PointsTo(cur, node_record(v, nxt)))
         cur = nxt
-    out = _rebuild(atoms, Star)
-    for link in reversed(links):
-        out = Exists(link.name, out)
-    return out
+    return exists([link.name for link in links], join(Star, atoms))
 
 
 def builtin_preds() -> dict[str, PredDef]:
     s, e, t, v = Var("s"), Var("e"), Var("t"), Var("v")
-    body = Or(
-        And(PureAtom("==", s, e), Emp()),
-        Exists(
-            "t",
-            Exists(
-                "v",
-                Star(PointsTo(s, node_record(v, t)), PredApp("list", (t, e))),
-            ),
-        ),
-    )
+    empty = join(And, [PureAtom("==", s, e), Emp()])
+    step = join(Star, [PointsTo(s, node_record(v, t)), PredApp("list", (t, e))])
+    body = join(Or, [empty, exists(["t", "v"], step)])
     return {"list": PredDef("list", ("s", "e"), body, builtin=True)}
 
 
 def or_free(f: Formula) -> list[Formula]:
     """Distribute Or upward, yielding disjunction-free formulas."""
     if isinstance(f, Or):
-        return or_free(f.left) + or_free(f.right)
+        return [d for p in f.parts for d in or_free(p)]
     if isinstance(f, (Star, And)):
         cls = type(f)
-        return [cls(l, r) for l in or_free(f.left) for r in or_free(f.right)]
+        return [join(cls, c) for c in product(*(or_free(p) for p in f.parts))]
     if isinstance(f, Exists):
-        return [Exists(f.var, b) for b in or_free(f.body)]
+        return [exists(f.vars, b) for b in or_free(f.body)]
     return [f]
+
+
+def spatial_clash(f: And) -> int | None:
+    """Where ``f``, read right-nested, conjoins two spatial formulas: the index
+    of its first part that is not pure-only when another follows, else None."""
+    spatial = [i for i, p in enumerate(f.parts) if not is_pure_only(p)]
+    return spatial[0] if len(spatial) > 1 else None
 
 
 def is_pure_only(f: Formula) -> bool:
@@ -628,7 +612,7 @@ def is_pure_only(f: Formula) -> bool:
     if isinstance(f, (PureAtom, TrueF, FalseF)):
         return True
     if isinstance(f, (And, Or)):
-        return is_pure_only(f.left) and is_pure_only(f.right)
+        return all(is_pure_only(p) for p in f.parts)
     if isinstance(f, Exists):
         return is_pure_only(f.body)
     return False
@@ -656,7 +640,7 @@ def check_pred_table(defs: Iterable[PredDef]) -> dict[str, PredDef]:
 
 def check_arities(f: Formula, table: dict[str, PredDef], context: str) -> None:
     work = [f]
-    while work:  # left to right, without recursing down long chains
+    while work:  # left to right, without recursing into nested formulas
         f = work.pop()
         if isinstance(f, PredApp):
             d = table.get(f.name)
@@ -666,7 +650,6 @@ def check_arities(f: Formula, table: dict[str, PredDef], context: str) -> None:
                     f"but defined with {len(d.params)}"
                 )
         elif isinstance(f, (Star, And, Or)):
-            work.append(f.right)
-            work.append(f.left)
+            work.extend(reversed(f.parts))
         elif isinstance(f, Exists):
             work.append(f.body)

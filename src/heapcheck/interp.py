@@ -373,24 +373,28 @@ class _Goal:
         elif isinstance(g, fm.PredApp):
             parts.append(("pred", g.name, tuple(rn(a) for a in g.args), self.depth))
         elif isinstance(g, fm.Star):
-            for child in (g.left, g.right):
+            for child in g.parts:
                 if fm.is_pure_only(child):
                     out["absorb"] = True
                 self.extract(child, parts, out, ren)
         elif isinstance(g, fm.And):
-            if fm.is_pure_only(g.left) or fm.is_pure_only(g.right):
-                self.extract(g.left, parts, out, ren)
-                self.extract(g.right, parts, out, ren)
-            else:
-                parts.append(("nested", fm.substitute(g, ren)))
+            # from a spatial clash on, the rest of the chain is one nested check
+            clash = fm.spatial_clash(g)
+            for i, child in enumerate(g.parts):
+                if i == clash:
+                    parts.append(("nested", fm.substitute(fm.join(fm.And, g.parts[i:]), ren)))
+                    break
+                self.extract(child, parts, out, ren)
         elif isinstance(g, fm.Exists):
-            shadowed = ren.get(g.var)
-            ren[g.var] = fm.Var(self.fresh_binder())
+            shadowed = {v: ren.get(v) for v in g.vars}
+            for v in g.vars:
+                ren[v] = fm.Var(self.fresh_binder())
             self.extract(g.body, parts, out, ren)
-            if shadowed is None:
-                del ren[g.var]
-            else:
-                ren[g.var] = shadowed
+            for v, old in shadowed.items():
+                if old is None:
+                    del ren[v]
+                else:
+                    ren[v] = old
         else:
             raise TypeError(f"unknown formula {g!r}")
 

@@ -64,24 +64,21 @@ class _FormulaParser:
     def parse(self) -> fm.Formula:
         return self._or()
 
-    def _fold_right(self, kind: str, cls, sub) -> fm.Formula:
+    def _chain(self, kind: str, cls, sub) -> fm.Formula:
         parts = [sub()]
         while self.cur.at(kind):
             self.cur.next()
             parts.append(sub())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = cls(p, out)
-        return out
+        return fm.join(cls, parts)
 
     def _or(self) -> fm.Formula:
-        return self._fold_right("||", fm.Or, self._and)
+        return self._chain("||", fm.Or, self._and)
 
     def _and(self) -> fm.Formula:
-        return self._fold_right("&&", fm.And, self._star)
+        return self._chain("&&", fm.And, self._star)
 
     def _star(self) -> fm.Formula:
-        return self._fold_right("*", fm.Star, self._unit)
+        return self._chain("*", fm.Star, self._unit)
 
     def _unit(self) -> fm.Formula:
         t = self.cur.peek()
@@ -101,10 +98,7 @@ class _FormulaParser:
                 self.cur.next()
                 binders.append(self.cur.expect("ident").text)
             self.cur.expect(".")
-            body = self._or()
-            for b in reversed(binders):
-                body = fm.Exists(b, body)
-            return body
+            return fm.exists(binders, self._or())
         if t.kind == "(":
             # a parenthesized sub-formula, or a parenthesized expression that
             # starts a points-to / comparison atom; bare expressions never

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 from . import astnodes as ast
 from . import formula as fm
-from .errors import NO_SPAN, LoweringError, TermShapeError, TermSyntaxError
+from .errors import NO_SPAN, LexError, LoweringError, TermShapeError, TermSyntaxError
 from .lexer import RESERVED, Token, tokenize
 
 # --------------------------------------------------------------------------
@@ -153,8 +153,9 @@ _END = (0, "")  # what follows a term binds weaker than any operator
 
 class _TermParser:
     """Operator-precedence parser (Pratt, POPL 1973): one loop reads operands
-    and infix operators, so an infix chain costs no stack depth and each
-    nested argument list, list or parenthesis one frame."""
+    and infix operators, so an infix chain costs no stack depth, and each
+    nested argument list, list or parenthesis is one suspended step of
+    ``fm.run_steps``, not one Python frame."""
 
     def __init__(self, toks: list[Token]):
         # the sentinel makes every lookahead an index that exists
@@ -168,7 +169,7 @@ class _TermParser:
         self.pos += 1
 
     def parse(self) -> Term:
-        t = self.term()
+        t = fm.run_steps(self.term, ())
         if self.toks[self.pos].kind == ".":
             self.pos += 1
         trailing = self.toks[self.pos]
@@ -176,7 +177,8 @@ class _TermParser:
             raise TermSyntaxError(f"unexpected {trailing.text!r} after term", trailing.span)
         return t
 
-    def term(self) -> Term:
+    def term(self) -> Generator[tuple, Term, Term]:
+        """One term; a nested term is read by yielding (see ``fm.run_steps``)."""
         toks = self.toks
         operands: list[Term] = []
         pending: list[tuple[int, str]] = []  # operators not yet applied, weakest first
@@ -191,15 +193,15 @@ class _TermParser:
                 operands.append(Int(-toks[self.pos].value))
                 self.pos += 1
             elif kind == "(":
-                operands.append(self.term())
+                operands.append((yield ()))
                 self.expect(")")
             elif kind == "[":
                 items: list[Term] = []
                 if toks[self.pos].kind != "]":
-                    items.append(self.term())
+                    items.append((yield ()))
                     while toks[self.pos].kind == ",":
                         self.pos += 1
-                        items.append(self.term())
+                        items.append((yield ()))
                 self.expect("]")
                 operands.append(TList(tuple(items)))
             elif kind not in _NAME_KINDS or not t.text:  # '' names no atom
@@ -223,9 +225,9 @@ class _TermParser:
                         named = a.kind in _NAME_KINDS and a.kind != "atomq"
                         if named and toks[self.pos + 1].kind == ":":
                             self.pos += 2
-                            args.append(Compound(":", (Atom(a.text), self.term())))
+                            args.append(Compound(":", (Atom(a.text), (yield ()))))
                         else:
-                            args.append(self.term())
+                            args.append((yield ()))
                         if toks[self.pos].kind != ",":
                             break
                         self.pos += 1
@@ -263,8 +265,8 @@ def parse_term(text: str, check: bool = True) -> Term:
     """
     try:
         toks = tokenize(text)
-    except Exception as e:  # LexError carries position info already
-        raise TermSyntaxError(str(e)) from None
+    except LexError as e:
+        raise TermSyntaxError(e.message, e.span) from None
     if not toks:
         raise TermSyntaxError("empty term text")
     term = _TermParser(toks).parse()
@@ -278,6 +280,7 @@ def parse_term(text: str, check: bool = True) -> Term:
 # --------------------------------------------------------------------------
 
 _CMP_FUNCTORS = tuple(FUNCTOR_TO_CMP)
+_RIGHT_NESTED = ("star", "and", "or", "exists")
 
 
 _STMT_FUNCTORS = ("assign", "new", "delete", "funcall", "ite", "while", "assert")
@@ -485,6 +488,13 @@ def _check_cond(t: Term) -> None:
 
 
 def _check_formula(t: Term) -> None:
+    # star/and/or/exists chains continue down their right argument in this loop
+    while isinstance(t, Compound) and len(t.args) == 2 and t.functor in _RIGHT_NESTED:
+        if t.functor != "exists":
+            _check_formula(t.args[0])
+        elif not isinstance(t.args[0], Atom):
+            _fail("exists binder must be an atom")
+        t = t.args[1]
     if isinstance(t, Atom) and t.name in ("emp", "true", "false"):
         return
     if isinstance(t, Compound):
@@ -492,15 +502,6 @@ def _check_formula(t: Term) -> None:
         if f == "pto" and n == 2:
             _check_fexpr(t.args[0])
             _check_fexpr(t.args[1])
-            return
-        if f in ("star", "and", "or") and n == 2:
-            _check_formula(t.args[0])
-            _check_formula(t.args[1])
-            return
-        if f == "exists" and n == 2:
-            if not isinstance(t.args[0], Atom):
-                _fail("exists binder must be an atom")
-            _check_formula(t.args[1])
             return
         if f == "pred" and n == 2:
             if not isinstance(t.args[0], Atom):
@@ -722,7 +723,24 @@ def _lower_block(b: ast.Block, span_map: Optional[SpanMap] = None) -> list[Term]
 # --------------------------------------------------------------------------
 
 
+_CONNECTIVE_FUNCTORS = {fm.Star: "star", fm.And: "and", fm.Or: "or"}
+_FUNCTOR_CONNECTIVES = {v: k for k, v in _CONNECTIVE_FUNCTORS.items()}
+
+
 def formula_to_term(f: fm.Formula) -> Term:
+    """The term image of ``f``: right-nested binary ``star``/``and``/``or``
+    terms and one ``exists`` term per binder, built in loops."""
+    if isinstance(f, (fm.Star, fm.And, fm.Or)):
+        functor = _CONNECTIVE_FUNCTORS[type(f)]
+        out = formula_to_term(f.parts[-1])
+        for p in reversed(f.parts[:-1]):
+            out = comp(functor, formula_to_term(p), out)
+        return out
+    if isinstance(f, fm.Exists):
+        out = formula_to_term(f.body)
+        for v in reversed(f.vars):
+            out = comp("exists", Atom(v), out)
+        return out
     if isinstance(f, fm.Emp):
         return Atom("emp")
     if isinstance(f, fm.TrueF):
@@ -731,14 +749,6 @@ def formula_to_term(f: fm.Formula) -> Term:
         return Atom("false")
     if isinstance(f, fm.PointsTo):
         return comp("pto", expr_to_term(f.loc), expr_to_term(f.val))
-    if isinstance(f, fm.Star):
-        return comp("star", formula_to_term(f.left), formula_to_term(f.right))
-    if isinstance(f, fm.And):
-        return comp("and", formula_to_term(f.left), formula_to_term(f.right))
-    if isinstance(f, fm.Or):
-        return comp("or", formula_to_term(f.left), formula_to_term(f.right))
-    if isinstance(f, fm.Exists):
-        return comp("exists", Atom(f.var), formula_to_term(f.body))
     if isinstance(f, fm.PredApp):
         return comp("pred", Atom(f.name), TList(tuple(expr_to_term(a) for a in f.args)))
     if isinstance(f, fm.PureAtom):
@@ -791,14 +801,20 @@ def term_to_formula(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] 
         f, n = t.functor, len(t.args)
         if f == "pto" and n == 2:
             return fm.PointsTo(term_to_expr(t.args[0], fields), term_to_expr(t.args[1], fields))
-        if f == "star" and n == 2:
-            return fm.Star(term_to_formula(t.args[0], fields), term_to_formula(t.args[1], fields))
-        if f == "and" and n == 2:
-            return fm.And(term_to_formula(t.args[0], fields), term_to_formula(t.args[1], fields))
-        if f == "or" and n == 2:
-            return fm.Or(term_to_formula(t.args[0], fields), term_to_formula(t.args[1], fields))
-        if f == "exists" and n == 2 and isinstance(t.args[0], Atom):
-            return fm.Exists(t.args[0].name, term_to_formula(t.args[1], fields))
+        if f in _RIGHT_NESTED and n == 2:
+            links: list[Compound] = []
+            while isinstance(t, Compound) and t.functor == f and len(t.args) == 2:
+                links.append(t)
+                t = t.args[1]
+            if f != "exists":
+                parts = [term_to_formula(link.args[0], fields) for link in links]
+                parts.append(term_to_formula(t, fields))
+                return fm.join(_FUNCTOR_CONNECTIVES[f], parts)
+            for link in links:
+                if not isinstance(link.args[0], Atom):
+                    raise TermShapeError(f"formula expected, found {emit_text(link)}")
+            binders = [link.args[0].name for link in links]  # type: ignore[union-attr]
+            return fm.exists(binders, term_to_formula(t, fields))
         if f == "pred" and n == 2 and isinstance(t.args[0], Atom) and isinstance(t.args[1], TList):
             args = tuple(term_to_expr(a, fields) for a in t.args[1].items)
             return fm.PredApp(t.args[0].name, args)

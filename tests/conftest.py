@@ -59,19 +59,20 @@ def rand_formula(rng: random.Random, depth: int = 3) -> fm.Formula:
             ]
         )
     if roll < 0.55:
-        return fm.Star(rand_formula(rng, depth - 1), rand_formula(rng, depth - 1))
+        return fm.join(fm.Star, [rand_formula(rng, depth - 1), rand_formula(rng, depth - 1)])
     if roll < 0.7:
-        return fm.And(
-            fm.PureAtom(rng.choice(fm.CMP_OPS), rand_expr(rng, 0), rand_expr(rng, 0)),
-            rand_formula(rng, depth - 1),
+        return fm.join(
+            fm.And,
+            [
+                fm.PureAtom(rng.choice(fm.CMP_OPS), rand_expr(rng, 0), rand_expr(rng, 0)),
+                rand_formula(rng, depth - 1),
+            ],
         )
     if roll < 0.85:
-        return fm.Or(rand_formula(rng, depth - 1), rand_formula(rng, depth - 1))
+        return fm.join(fm.Or, [rand_formula(rng, depth - 1), rand_formula(rng, depth - 1)])
     v = rng.choice(("t", "u", "w"))
-    body = fm.Star(
-        fm.PointsTo(fm.Var(v), rand_expr(rng, 1)), rand_formula(rng, depth - 1)
-    )
-    return fm.Exists(v, body)
+    body = fm.join(fm.Star, [fm.PointsTo(fm.Var(v), rand_expr(rng, 1)), rand_formula(rng, depth - 1)])
+    return fm.exists([v], body)
 
 
 def rand_term(rng: random.Random, depth: int = 3) -> Term:
@@ -115,17 +116,9 @@ def combined_formula(con: SymHeap, frame: SymHeap) -> fm.Formula:
         fm.PureAtom(op, l, r) for op, l, r in con.pure.atoms + frame.pure.atoms
     ]
     spatial = [a.to_formula() for a in list(con.spatial) + list(frame.spatial)]
-    if spatial:
-        body: fm.Formula = spatial[-1]
-        for s in reversed(spatial[:-1]):
-            body = fm.Star(s, body)
-    else:
-        body = fm.Emp()
-    for p in reversed(pures):
-        body = fm.And(p, body)
-    for v in sorted(con.existentials | frame.existentials):
-        body = fm.Exists(v, body)
-    return body
+    body = fm.join(fm.And, [*pures, fm.join(fm.Star, spatial) if spatial else fm.Emp()])
+    # the last name in sorted order is the outermost binder
+    return fm.exists(sorted(con.existentials | frame.existentials, reverse=True), body)
 
 
 # --------------------------------------------------------------------------

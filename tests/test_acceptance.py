@@ -354,10 +354,10 @@ def test_criterion_6_star_commutativity_and_emp_unit():
         for _ in range(LAW_CASES):
             a, b = rand_formula(rng, 2), rand_formula(rng, 2)
             for st in states:
-                left = eval_assertion(fm.Star(a, b), st)
-                assert left == eval_assertion(fm.Star(b, a), st)
+                left = eval_assertion(fm.join(fm.Star, [a, b]), st)
+                assert left == eval_assertion(fm.join(fm.Star, [b, a]), st)
             st = states[1]
-            assert eval_assertion(fm.Star(fm.Emp(), a), st) == eval_assertion(a, st)
+            assert eval_assertion(fm.join(fm.Star, [fm.Emp(), a]), st) == eval_assertion(a, st)
 
 
 def test_criterion_6_frame_rule_closure():

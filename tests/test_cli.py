@@ -214,11 +214,12 @@ def test_verify_term_on_a_long_walk_matches_verify(tmp_path):
     from heapcheck.parser import parse_program
     from heapcheck.termir import emit_term_file, lower_program
 
-    src = walk_source(200)
-    (tmp_path / "walk.oc").write_text(src)
-    (tmp_path / "walk.plt").write_text(emit_term_file(lower_program(parse_program(src))))
-    direct = run_cli("verify", str(tmp_path / "walk.oc"))
-    term = run_cli("verify-term", str(tmp_path / "walk.plt"))
-    assert direct[0] == term[0] == 0
-    assert term[1] == direct[1].replace("walk.oc", "walk.plt")
-    assert "walk200: Verified" in term[1]
+    for n in (200, 1000):
+        src = walk_source(n)
+        (tmp_path / "walk.oc").write_text(src)
+        (tmp_path / "walk.plt").write_text(emit_term_file(lower_program(parse_program(src))))
+        direct = run_cli("verify", str(tmp_path / "walk.oc"))
+        term = run_cli("verify-term", str(tmp_path / "walk.plt"))
+        assert direct[0] == term[0] == 0
+        assert term[1] == direct[1].replace("walk.oc", "walk.plt")
+        assert f"walk{n}: Verified" in term[1]

@@ -17,7 +17,8 @@ from heapcheck.entail import (
     prove,
     unfold,
 )
-from heapcheck.errors import UnknownPredicateError, UnsupportedFormulaError
+from heapcheck.errors import HeapcheckError, UnknownPredicateError, UnsupportedFormulaError
+from heapcheck.interp import OracleConfig, _Goal
 from heapcheck.parser import parse_assertion
 from heapcheck.prooftree import ProofTree, to_structured
 
@@ -263,8 +264,8 @@ def test_formula_to_symheaps_binder_edge_cases():
         (parse_assertion("exists e0. exists x. e0->x"), ["$e1->$e2"], []),
         (parse_assertion("e0->1 * (exists e1. exists x. x->e1)"), ["e0->1", "$e2->$e1"], []),
         # a binder named like the first fresh name is renamed, not captured
-        (E("x", E("$e1", S(P(V("x"), V("$e1")), P(V("$e1"), V("e1"))))), ["$e1->$e2", "$e2->e1"], []),
-        (E("$e1", E("x", P(V("$e1"), V("x")))), ["$e1->$e2"], []),
+        (E(("x", "$e1"), S((P(V("x"), V("$e1")), P(V("$e1"), V("e1"))))), ["$e1->$e2", "$e2->e1"], []),
+        (E(("$e1", "x"), P(V("$e1"), V("x"))), ["$e1->$e2"], []),
         (parse_assertion("exists a, b, c, d. a->c * c->d"), ["$e1->$e3", "$e3->$e4"], []),
         (parse_assertion("x->1 * (exists a, b. a->b) * y->2"), ["x->1", "$e1->$e2", "y->2"], []),
         (parse_assertion("(exists a, b. a->b) * (exists a, b. b->a)"), ["$e1->$e2", "$e4->$e3"], []),
@@ -279,9 +280,9 @@ def test_formula_to_symheaps_binder_edge_cases():
 
 def _binder_count(f: fm.Formula) -> int:
     if isinstance(f, fm.Exists):
-        return 1 + _binder_count(f.body)
+        return len(f.vars) + _binder_count(f.body)
     if isinstance(f, (fm.Star, fm.And, fm.Or)):
-        return _binder_count(f.left) + _binder_count(f.right)
+        return sum(_binder_count(p) for p in f.parts)
     return 0
 
 
@@ -295,3 +296,166 @@ def test_consumed_cell_is_not_matched_twice():
     r = prove(heap_of("x->1 * y->x"), con("exists u. u->x * x->1"), PREDS)
     assert isinstance(r, Proved) and r.frame.spatial == ()
     assert [n.input for n in r.tree.children] == ["$?1->x matches y->x", "x->1 matches x->1"]
+
+
+# -- && chains mixing pure and spatial parts, recorded before And held a tuple
+# of parts: (text, formula_to_symheaps heaps or error, _Goal.extract parts and
+# absorb flag per disjunct).  Both read a chain as right-nested: a part that is
+# not pure-only may only be followed by pure-only parts, and the extractor
+# keeps the rest of the chain from the first offending part as one nested check.
+
+AND_CHAIN_TABLE = [
+    (
+        'x->1 && a == 1',
+        ['a==1 && x->1'],
+        [([('pto', 'x', '1'), ('pure', '==', 'a', '1')], False)],
+    ),
+    (
+        'a == 1 && x->1',
+        ['a==1 && x->1'],
+        [([('pure', '==', 'a', '1'), ('pto', 'x', '1')], False)],
+    ),
+    (
+        'x->1 && y->2',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', 'x->1 && y->2')], False)],
+    ),
+    (
+        'a == 1 && x->1 && b == 2',
+        ['a==1 && b==2 && x->1'],
+        [([('pure', '==', 'a', '1'), ('pto', 'x', '1'), ('pure', '==', 'b', '2')], False)],
+    ),
+    (
+        'a == 1 && b == 2 && x->1 * y->2',
+        ['a==1 && b==2 && x->1 * y->2'],
+        [([('pure', '==', 'a', '1'), ('pure', '==', 'b', '2'), ('pto', 'x', '1'), ('pto', 'y', '2')], False)],
+    ),
+    (
+        'x->1 * y->2 && a == 1 && b == 2',
+        ['a==1 && b==2 && x->1 * y->2'],
+        [([('pto', 'x', '1'), ('pto', 'y', '2'), ('pure', '==', 'a', '1'), ('pure', '==', 'b', '2')], False)],
+    ),
+    (
+        'x->1 && a == 1 && y->2',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', 'x->1 && a==1 && y->2')], False)],
+    ),
+    (
+        'a == 1 && x->1 && y->2',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2')], False)],
+    ),
+    (
+        'a == 1 && x->1 && y->2 && b == 2',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2 && b==2')], False)],
+    ),
+    (
+        'x->1 && y->2 && a == 1',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', 'x->1 && y->2 && a==1')], False)],
+    ),
+    (
+        '(x->1 && y->2) && a == 1',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', 'x->1 && y->2'), ('pure', '==', 'a', '1')], False)],
+    ),
+    (
+        '(a == 1 && x->1) && y->2',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', '(a==1 && x->1) && y->2')], False)],
+    ),
+    (
+        'emp && a == 1 && x->1',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('nested', 'emp && a==1 && x->1')], False)],
+    ),
+    (
+        'a == 1 && emp && true',
+        ['a==1 && emp'],
+        [([('pure', '==', 'a', '1'), ('emp',)], False)],
+    ),
+    (
+        'true && x->1 && false',
+        ['0==1 && x->1'],
+        [([('pto', 'x', '1'), ('false',)], False)],
+    ),
+    (
+        'x.f == 1 && x->1 && y->2',
+        'UnsupportedFormulaError: field references inside assertions are not supported; assert record values instead',
+        [([('pure', '==', 'x.f', '1'), ('nested', 'x->1 && y->2')], False)],
+    ),
+    (
+        'a == 1 && x->1 && y.f == 2',
+        'UnsupportedFormulaError: field references inside assertions are not supported; assert record values instead',
+        [([('pure', '==', 'a', '1'), ('pto', 'x', '1'), ('pure', '==', 'y.f', '2')], False)],
+    ),
+    (
+        'a == 1 && list(x, nil) && b == 2 && list(y, nil)',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('pure', '==', 'a', '1'), ('nested', 'list(x, nil) && b==2 && list(y, nil)')], False)],
+    ),
+    (
+        'exists v. a == v && x->v && y->v',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('pure', '==', 'a', '?b1'), ('nested', 'x->?b1 && y->?b1')], False)],
+    ),
+    (
+        'exists v. a == v && x->v && b != v',
+        ['exists e0. a==e0 && b!=e0 && x->e0'],
+        [([('pure', '==', 'a', '?b1'), ('pto', 'x', '?b1'), ('pure', '!=', 'b', '?b1')], False)],
+    ),
+    (
+        'a == 1 && x->1 * (b == 2 && y->2)',
+        ['a==1 && b==2 && x->1 * y->2'],
+        [([('pure', '==', 'a', '1'), ('pto', 'x', '1'), ('pure', '==', 'b', '2'), ('pto', 'y', '2')], False)],
+    ),
+    (
+        'x->1 && (a == 1 || y->2)',
+        'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
+        [([('pto', 'x', '1'), ('pure', '==', 'a', '1')], False), ([('nested', 'x->1 && y->2')], False)],
+    ),
+    (
+        '(exists u. u == a) && x->1 && (exists w. w != a)',
+        ['exists e0, e1. e0!=a && e1==a && x->1'],
+        [([('pure', '==', '?b1', 'a'), ('pto', 'x', '1'), ('pure', '!=', '?b2', 'a')], False)],
+    ),
+    (
+        'a == 1 && (x->1 * y->2) && b == 2',
+        ['a==1 && b==2 && x->1 * y->2'],
+        [([('pure', '==', 'a', '1'), ('pto', 'x', '1'), ('pto', 'y', '2'), ('pure', '==', 'b', '2')], False)],
+    ),
+    (
+        'x->1 * (a == 1 && b == 2) && c == 3',
+        ['a==1 && b==2 && c==3 && x->1'],
+        [([('pto', 'x', '1'), ('pure', '==', 'a', '1'), ('pure', '==', 'b', '2'), ('pure', '==', 'c', '3')], True)],
+    ),
+]
+
+
+def _shown(x):
+    if isinstance(x, fm.Formula):
+        return fm.pretty(x)
+    if isinstance(x, fm.SymExpr):
+        return fm.pretty_expr(x)
+    if isinstance(x, tuple):
+        return tuple(_shown(y) for y in x)
+    return x
+
+
+@pytest.mark.parametrize("text, heaps, extracted", AND_CHAIN_TABLE)
+def test_and_chain_decision_table(text, heaps, extracted):
+    f = parse_assertion(text)
+    try:
+        got = [h.pretty() for h in formula_to_symheaps(f, FreshNames())]
+    except HeapcheckError as e:
+        got = f"{type(e).__name__}: {e.message}"
+    assert got == heaps
+    goal = _Goal({}, PREDS, OracleConfig(), 3)
+    out = []
+    for d in fm.or_free(f):
+        parts: list = []
+        flags = {"absorb": fm.is_pure_only(d)}
+        goal.extract(d, parts, flags)
+        out.append(([_shown(p) for p in parts], flags["absorb"]))
+    assert out == extracted

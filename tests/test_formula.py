@@ -1,25 +1,29 @@
 import random
+import sys
+from contextlib import contextmanager
 
-from conftest import rand_formula
+from conftest import DATA, rand_formula
 
 from heapcheck import formula as fm
-from heapcheck.interp import ConcreteState, eval_assertion
-from heapcheck.parser import parse_assertion
+from heapcheck import termir as tir
+from heapcheck.entail import FreshNames, formula_to_symheaps
+from heapcheck.interp import ConcreteState, OracleConfig, _Goal, eval_assertion
+from heapcheck.parser import parse_assertion, parse_program, program_formulas
 
 
 def test_emp_is_star_unit():
-    f = fm.Star(fm.Emp(), fm.PointsTo(fm.Var("x"), fm.IntLit(5)))
+    f = fm.Star((fm.Emp(), fm.PointsTo(fm.Var("x"), fm.IntLit(5))))
     assert fm.normalize(f) == fm.PointsTo(fm.Var("x"), fm.IntLit(5))
 
 
 def test_star_operands_sorted_canonically():
     # canonical order fixed by the implementation; idempotence is the oracle
     f = fm.Star(
-        fm.PointsTo(fm.Var("b"), fm.Var("c")), fm.PointsTo(fm.Var("a"), fm.IntLit(5))
+        (fm.PointsTo(fm.Var("b"), fm.Var("c")), fm.PointsTo(fm.Var("a"), fm.IntLit(5)))
     )
     n = fm.normalize(f)
     assert n == fm.Star(
-        fm.PointsTo(fm.Var("a"), fm.IntLit(5)), fm.PointsTo(fm.Var("b"), fm.Var("c"))
+        (fm.PointsTo(fm.Var("a"), fm.IntLit(5)), fm.PointsTo(fm.Var("b"), fm.Var("c")))
     )
     assert fm.normalize(n) == n
 
@@ -31,10 +35,20 @@ def test_paper_postcondition_normalizes_flat():
 
 def test_normalize_true_false_units():
     h = fm.PointsTo(fm.Var("x"), fm.IntLit(1))
-    assert fm.normalize(fm.And(fm.TrueF(), h)) == h
-    assert fm.normalize(fm.Star(fm.FalseF(), h)) == fm.FalseF()
-    assert fm.normalize(fm.And(fm.FalseF(), h)) == fm.FalseF()
-    assert fm.normalize(fm.Or(fm.FalseF(), h)) == h
+    assert fm.normalize(fm.And((fm.TrueF(), h))) == h
+    assert fm.normalize(fm.Star((fm.FalseF(), h))) == fm.FalseF()
+    assert fm.normalize(fm.And((fm.FalseF(), h))) == fm.FalseF()
+    assert fm.normalize(fm.Or((fm.FalseF(), h))) == h
+
+
+def test_normalize_dedupes_and_or_parts_but_not_star():
+    for text, canonical in (
+        ("b == 1 && a == 1 && b == 1", "a==1 && b==1"),
+        ("(a == 1 && b == 2) && a == 1", "a==1 && b==2"),
+        ("x->1 || y->2 || x->1", "x->1 || y->2"),
+        ("x->1 * x->1", "x->1 * x->1"),
+    ):
+        assert fm.pretty(fm.normalize(parse_assertion(text))) == canonical
 
 
 def test_normalize_idempotent_property():
@@ -62,11 +76,12 @@ def test_substitute_simple():
 
 
 def test_substitute_capture_avoidance():
-    f = fm.Exists("x", fm.PointsTo(fm.Var("x"), fm.Var("v")))
+    f = fm.Exists(("x",), fm.PointsTo(fm.Var("x"), fm.Var("v")))
     g = fm.substitute(f, {"v": fm.Var("x")})
     assert isinstance(g, fm.Exists)
-    assert g.var != "x"
-    assert g.body == fm.PointsTo(fm.Var(g.var), fm.Var("x"))
+    (var,) = g.vars
+    assert var != "x"
+    assert g.body == fm.PointsTo(fm.Var(var), fm.Var("x"))
 
 
 def test_substitute_pred_args():
@@ -80,7 +95,7 @@ def test_free_vars_examples():
     assert fm.free_vars(fm.Emp()) == set()
     f = parse_assertion("a->5 * b->c")
     assert fm.free_vars(f) == {"a", "b", "c"}
-    assert fm.free_vars(fm.Exists("x", fm.PointsTo(fm.Var("x"), fm.Var("y")))) == {"y"}
+    assert fm.free_vars(fm.Exists(("x",), fm.PointsTo(fm.Var("x"), fm.Var("y")))) == {"y"}
 
 
 def test_substitute_free_vars_law():
@@ -165,11 +180,11 @@ BINDER_CASES = [
         "e0->1 * (exists e1, e2. e2->e1)",
     ),
     (
-        _E("x", _E("$e1", _S(_P(_V("x"), _V("$e1")), _P(_V("$e1"), _V("e1"))))),
+        _E(("x", "$e1"), _S((_P(_V("x"), _V("$e1")), _P(_V("$e1"), _V("e1"))))),
         "exists x, $e1. x->$e1 * $e1->e1",
         "exists e0, e2. e0->e2 * e2->e1",
     ),
-    (_E("$e1", _E("x", _P(_V("$e1"), _V("x")))), "exists $e1, x. $e1->x", "exists e0, e1. e0->e1"),
+    (_E(("$e1", "x"), _P(_V("$e1"), _V("x"))), "exists $e1, x. $e1->x", "exists e0, e1. e0->e1"),
     (
         parse_assertion("exists a, b, c, d. a->c * c->d"),
         "exists a, b, c, d. a->c * c->d",
@@ -226,3 +241,111 @@ def test_normalize_long_binder_chain():
     text = fm.pretty(fm.normalize(f))
     assert text.startswith("exists e0, e1, e2, ") and text.count("->") == 300
     assert "x->object(node, a0, e0)" in text and "e298->object(node, a299, nil)" in text
+
+
+# -- flat parts: long chains cost no depth, and the splice invariant holds ----
+
+
+@contextmanager
+def shallow_stack(headroom: int = 100):
+    """Lower the recursion limit to ``headroom`` frames above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+LONG_CHAINS = {
+    "star": " * ".join(f"x{i}->{i}" for i in range(5000)),
+    "and": " && ".join([f"x{i} == {i}" for i in range(4999)] + ["y->1"]),
+    "exists": "exists "
+    + ", ".join(f"v{i}" for i in range(1000))
+    + ". "
+    + " * ".join(["v0->y"] + [f"v{i}->v{i - 1}" for i in range(1, 1000)]),
+}
+
+
+def test_walkers_loop_over_long_chains():
+    table = fm.builtin_preds()
+    for name, text in LONG_CHAINS.items():
+        with shallow_stack():
+            f = parse_assertion(text)
+            fm.free_vars(f)
+            fm.substitute(f, {"y": fm.Var("v0"), "x0": fm.Nil()})
+            assert fm.or_free(f) == [f]
+            assert not fm.is_pure_only(f)
+            fm.check_arities(f, table, name)
+            n = fm.normalize(f)  # _fold_formula, _normalize1, _canon_binders
+            assert parse_assertion(fm.pretty(n)) == n, name
+            assert len(formula_to_symheaps(f, FreshNames())) == 1
+            parts: list = []
+            _Goal({}, table, OracleConfig(), 3).extract(f, parts, {"absorb": False})
+            assert len(parts) == (1000 if name == "exists" else 5000)
+            t = tir.formula_to_term(f)
+            tir.check_shape(t)
+            assert tir.term_to_formula(t) == f
+
+
+def well_formed(f: fm.Formula) -> None:
+    """No node has a last part of its own connective, and no Exists sits
+    directly under an Exists."""
+    work = [f]
+    while work:
+        g = work.pop()
+        if isinstance(g, (fm.Star, fm.And, fm.Or)):
+            assert len(g.parts) >= 2 and not isinstance(g.parts[-1], type(g)), fm.pretty(g)
+            work.extend(g.parts)
+        elif isinstance(g, fm.Exists):
+            assert g.vars and not isinstance(g.body, fm.Exists), fm.pretty(g)
+            work.append(g.body)
+
+
+SPLICE_CASES = [
+    "(a->1 * b->2) * c->3",
+    "a->1 * (b->2 * c->3)",
+    "exists x. exists y. x->y",
+    "exists x, x. x->1",
+]
+
+
+def test_parts_splice_only_the_last_part():
+    a, b, c = (fm.PointsTo(fm.Var(v), fm.IntLit(i)) for i, v in enumerate("abc", 1))
+    assert parse_assertion("(a->1 * b->2) * c->3") == fm.Star((fm.Star((a, b)), c))
+    assert fm.pretty(parse_assertion("(a->1 * b->2) * c->3")) == "(a->1 * b->2) * c->3"
+    assert parse_assertion("a->1 * (b->2 * c->3)") == fm.Star((a, b, c))
+    assert parse_assertion("a->1 * (b->2 * c->3)") == parse_assertion("a->1 * b->2 * c->3")
+    xy = fm.PointsTo(fm.Var("x"), fm.Var("y"))
+    assert parse_assertion("exists x. exists y. x->y") == fm.Exists(("x", "y"), xy)
+    x1 = fm.PointsTo(fm.Var("x"), fm.IntLit(1))
+    assert parse_assertion("exists x, x. x->1") == fm.Exists(("x", "x"), x1)
+    # only the last part prints at its connective's own precedence
+    for text in (
+        "a->1 || exists x. x->1",
+        "(exists x. x->1) || a->1",
+        "(a->1 || b->2) || c->3",
+        "a->1 && (b==2 || c==3)",
+    ):
+        assert fm.pretty(parse_assertion(text)) == text
+
+
+def test_round_trips_keep_the_splice_invariant():
+    rng = random.Random(66)
+    generated = [rand_formula(rng, 4) for _ in range(300)]
+    parsed = [parse_assertion(text) for text in SPLICE_CASES]
+    for path in sorted(DATA.glob("*.oc")):
+        parsed += program_formulas(parse_program(path.read_text(encoding="utf-8")))
+    for f in generated + parsed:
+        n = fm.normalize(f)
+        for g in (f, n):
+            well_formed(g)
+            back = tir.term_to_formula(tir.formula_to_term(g))
+            assert back == g, fm.pretty(g)
+            well_formed(back)
+            assert fm.normalize(parse_assertion(fm.pretty(g))) == n, fm.pretty(g)
+    for f in parsed:
+        assert parse_assertion(fm.pretty(f)) == f, fm.pretty(f)

@@ -116,7 +116,7 @@ def test_pure_atoms_heap_independent():
 def test_star_commutative_and_emp_unit_samples():
     rng = random.Random(41)
     from conftest import rand_formula
-    from heapcheck.formula import Star, Emp, pretty
+    from heapcheck.formula import Emp, Star, join, pretty
 
     states = [
         ConcreteState({}, {}),
@@ -126,9 +126,9 @@ def test_star_commutative_and_emp_unit_samples():
     for _ in range(120):
         a, b = rand_formula(rng, 2), rand_formula(rng, 2)
         for st in states:
-            assert eval_assertion(Star(a, b), st) == eval_assertion(Star(b, a), st), (
-                pretty(a), pretty(b))
-            assert eval_assertion(Star(Emp(), a), st) == eval_assertion(a, st), pretty(a)
+            ab, ba = join(Star, [a, b]), join(Star, [b, a])
+            assert eval_assertion(ab, st) == eval_assertion(ba, st), (pretty(a), pretty(b))
+            assert eval_assertion(join(Star, [Emp(), a]), st) == eval_assertion(a, st), pretty(a)
 
 
 def test_exists_enumerates_addresses_and_values():

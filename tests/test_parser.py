@@ -144,12 +144,7 @@ def test_pred_arity_error():
 
 def test_paper_postcondition_shape():
     f = parse_assertion("a->5 * b->c * c->object(myClass1,15)")
-    atoms = []
-    g = f
-    while isinstance(g, fm.Star):
-        atoms.append(g.left)
-        g = g.right
-    atoms.append(g)
+    atoms = list(f.parts)
     assert [type(a) for a in atoms] == [fm.PointsTo] * 3
     assert atoms[2].val == fm.Record("myClass1", (("_0", fm.IntLit(15)),))
 
@@ -170,8 +165,8 @@ def test_chain_desugars_to_linked_nodes():
 def test_star_binds_tighter_than_and_than_or():
     f = parse_assertion("emp || x->1 && y->2 * z->3")
     assert isinstance(f, fm.Or)
-    assert isinstance(f.right, fm.And)
-    assert isinstance(f.right.right, fm.Star)
+    assert isinstance(f.parts[-1], fm.And)
+    assert isinstance(f.parts[-1].parts[-1], fm.Star)
 
 
 def test_exists_extends_right():

@@ -587,6 +587,12 @@ def test_copy_64_verifies():
     assert v.status == VERIFIED and not v.diagnostics
 
 
+def test_copy_256_verifies():
+    # a 256-atom precondition: no walker or prover step may recurse per atom
+    v = only_verdict(copy_source(256))
+    assert v.status == VERIFIED and not v.diagnostics
+
+
 def test_binder_and_lookup_work_grows_linearly_on_walks(monkeypatch):
     # deterministic work counts instead of wall-clock time: each call of the
     # recursive formula functions is one node visited

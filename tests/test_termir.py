@@ -182,8 +182,8 @@ TERM_ERROR_TABLE = [
     ('oa(1.f)', "expected name, found '1'", (1, 4, 1, 5)),
     ('a * ', "expected term, found '<eof>'", (1, 3, 1, 4)),
     ('f(a).\n.', "unexpected '.' after term", (2, 1, 2, 2)),
-    # a lexer error keeps its position in the message only
-    ('a # b', "1:3: illegal character '#'", (0, 0, 0, 0)),
+    # a lexer error keeps its message and its span
+    ('a # b', "illegal character '#'", (1, 3, 1, 4)),
     ('', 'empty term text', (0, 0, 0, 0)),
 ]
 
@@ -195,6 +195,40 @@ def test_term_syntax_error_table(text, message, span):
     s = e.value.span
     assert (e.value.message, (s.line, s.col, s.end_line, s.end_col)) == (message, span)
 
+
+
+# -- formula shape errors along star/and/or/exists chains, recorded before the
+# checker and the converter read a chain in a loop: (text, error from the shape
+# check on import, error from term_to_formula on the unchecked term)
+
+FORMULA_SHAPE_TABLE = [
+    ('star(a->1, star(b->2))', 'TermShapeError: formula expected, found star(b->2)', 'TermShapeError: formula expected, found star(b->2)'),
+    ('exists(x, exists(f(y), x->1))', 'TermShapeError: exists binder must be an atom', 'TermShapeError: formula expected, found exists(f(y), x->1)'),
+    ('exists(f(y), x->1)', 'TermShapeError: exists binder must be an atom', 'TermShapeError: formula expected, found exists(f(y), x->1)'),
+    ('exists(x)', 'TermShapeError: formula expected, found exists(x)', 'TermShapeError: formula expected, found exists(x)'),
+    ('star(a->1, exists(x, and(x->1, foo)))', 'TermShapeError: formula expected, found foo', 'TermShapeError: formula expected, found foo'),
+    ('star(foo, star(bar, b->2))', 'TermShapeError: formula expected, found foo', 'TermShapeError: formula expected, found foo'),
+    ('or(a->1, or(b->2, 3))', 'TermShapeError: formula expected, found 3', 'TermShapeError: formula expected, found 3'),
+    ('exists(x, star(x->1, exists(y, pred(p, q))))', 'TermShapeError: pred: pred args must be a list', 'TermShapeError: formula expected, found pred(p, q)'),
+    ('star(a->1, star(b->2, c->3), d)', 'TermShapeError: formula expected, found star(a->1, b->2 * c->3, d)', 'TermShapeError: formula expected, found star(a->1, b->2 * c->3, d)'),
+    ('and(star(a->1, b), c->2)', 'TermShapeError: formula expected, found b', 'TermShapeError: formula expected, found b'),
+    ('exists(x, exists(y, star(x->oa(y.f), y->object(_, 1, v: 2))))', 'ok', 'TermShapeError: record mixes positional and named components'),
+    ('x->1 * exists(y, 2 * y->1)', 'TermShapeError: formula expected, found 2', 'TermShapeError: formula expected, found 2'),
+]
+
+
+def _error(fn) -> str:
+    try:
+        fn()
+    except (TermShapeError, TermSyntaxError) as e:
+        return f"{type(e).__name__}: {e.message}"
+    return "ok"
+
+
+@pytest.mark.parametrize("text, checked, converted", FORMULA_SHAPE_TABLE)
+def test_formula_shape_error_table(text, checked, converted):
+    assert _error(lambda: tir.parse_term(text)) == checked
+    assert _error(lambda: tir.term_to_formula(tir.parse_term(text, check=False))) == converted
 
 def test_empty_quoted_atom_is_a_syntax_error():
     for text, message in (("''", "expected term, found ''"), ("f('', a)", "expected term, found ''"),
