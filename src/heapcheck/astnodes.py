@@ -1,7 +1,8 @@
 """AST for the annotated OO-C dialect.
 
-Every node carries a source span that is excluded from equality, so parser
-round-trip tests compare structure only.  ``pretty_program`` renders canonical
+Statement and method nodes carry the source span that diagnostics report;
+spans are excluded from equality, so parser round-trip tests compare
+structure only.  Expressions, conditions, blocks and declarations carry none.  ``pretty_program`` renders canonical
 source that reparses to an equal tree.
 """
 
@@ -56,12 +57,11 @@ class Expr:
 @dataclass(frozen=True)
 class IntExpr(Expr):
     value: int
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NullExpr(Expr):
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
+    """The ``null`` literal."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,6 @@ class LocExpr(Expr):
     """Reading a variable or an object field."""
 
     base: LocBase
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,11 @@ class MemReadExpr(Expr):
     """Heap access ``[location]``."""
 
     loc: Location
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class NegExpr(Expr):
     operand: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class BinExpr(Expr):
     op: str  # + - *
     left: Expr
     right: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class CallExpr(Expr):
     receiver: Optional[str]  # variable name, "this", or None
     name: str
     args: tuple[Expr, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 class Cond:
@@ -111,21 +106,18 @@ class CmpCond(Cond):
     op: str  # == != < <= > >=
     left: Expr
     right: Expr
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class AndCond(Cond):
     left: Cond
     right: Cond
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class OrCond(Cond):
     left: Cond
     right: Cond
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +135,6 @@ class Lhs:
 
     target: Union[LocBase, Location]
     heap: bool
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,6 @@ class AssertStmt(Stmt):
 @dataclass(frozen=True)
 class Block:
     stmts: tuple[Stmt, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,6 @@ class ClassDecl:
     name: str
     fields: tuple[tuple[str, str], ...]
     methods: tuple[MethodDecl, ...]
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -236,7 +225,6 @@ class PredDecl:
     """Top-level ``pred name(params) := formula ;`` definition."""
 
     pred: PredDef
-    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -250,9 +238,6 @@ class SourceProgram:
         for c in self.classes:
             out.extend((c.name, m) for m in c.methods)
         return out
-
-    def class_fields(self) -> dict[str, tuple[str, ...]]:
-        return {c.name: tuple(n for n, _ in c.fields) for c in self.classes}
 
 
 # --------------------------------------------------------------------------

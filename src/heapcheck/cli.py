@@ -43,13 +43,23 @@ def _default_depth() -> int:
         return 4
 
 
-def _load_program_term(path: Path) -> tuple[Term, dict]:
+def _unfold_depth(text: str) -> int:
+    """An ``--unfold-depth`` value: an integer of at least 1, the floor that
+    ``HEAPCHECK_UNFOLD_DEPTH`` is clamped to."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {depth}")
+    return depth
+
+
+def _load_program_term(path: Path) -> Term:
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".plt":
-        return parse_term(text), {}
-    span_map: dict = {}
-    program = parse_program(text)
-    return lower_program(program, span_map), span_map
+        return parse_term(text)
+    return lower_program(parse_program(text))
 
 
 def _print_verdicts(
@@ -128,8 +138,7 @@ def _emit_proofs(verdicts: list[Verdict], outdir: Path) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    term, span_map = _load_program_term(path)
-    verdicts = verify_program_term(term, depth=args.unfold_depth, span_map=span_map)
+    verdicts = verify_program_term(_load_program_term(path), depth=args.unfold_depth)
     if args.emit_proof:
         _emit_proofs(verdicts, Path(args.emit_proof))
     return _print_verdicts(verdicts, str(path), args.format == "structured")
@@ -147,8 +156,7 @@ def _cmd_emit_term(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    term, _ = _load_program_term(path)
-    functions = term_functions(term)
+    functions = term_functions(_load_program_term(path))
     if not functions:
         print(f"{path}: no functions to run", file=sys.stderr)
         return EXIT_ERROR
@@ -230,7 +238,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def add_depth(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--unfold-depth",
-            type=int,
+            type=_unfold_depth,
             default=_default_depth(),
             help=f"predicate unfold bound (default 4, env {DEPTH_ENV})",
         )

@@ -305,7 +305,6 @@ class Proved:
 
 @dataclass
 class Failed:
-    residue_antecedent: tuple[SpatialAtom, ...]
     residue_consequent: tuple[SpatialAtom, ...]
     nearest_rule: str
     tree: ProofNode
@@ -372,7 +371,7 @@ class _Prover:
     def match(
         self,
         ant: SymHeap,
-        ant_atoms: tuple[SpatialAtom, ...],
+        used: set[int],
         con_atoms: tuple[SpatialAtom, ...],
         con_pure: tuple[tuple[str, fm.SymExpr, fm.SymExpr], ...],
         exist: frozenset[str],
@@ -381,9 +380,10 @@ class _Prover:
         nodes: list[ProofNode],
     ) -> Generator:
         """Consume all consequent atoms; returns (leftover, binding) or the
-        name of the rule nearest to the failure.  ``ant_atoms`` are the atoms
-        of ``ant`` not consumed yet.  Each step consumes one atom and yields
-        the arguments of the step for the rest (see ``fm.run_steps``)."""
+        name of the rule nearest to the failure.  ``used`` holds the positions
+        in ``ant.spatial`` consumed so far.  Each step consumes one atom, adds
+        its position, and yields the arguments of the step for the rest (see
+        ``fm.run_steps``); backtracking removes the position again."""
         ant_pure = ant.sep_pure()
         if not con_atoms:
             for op, l, r in con_pure:
@@ -409,28 +409,28 @@ class _Prover:
                 nodes.append(
                     self.builder.node("pure-check", fm.pretty(fm.PureAtom(op, ls, rs)), OK)
                 )
-            return ant_atoms, binding
+            return tuple(a for i, a in enumerate(ant.spatial) if i not in used), binding
         atom, rest = con_atoms[0], con_atoms[1:]
         if isinstance(atom, PtoAtom):
             nearest = "points-to"
             loc = fm.substitute_expr(atom.loc, binding)
             if isinstance(loc, fm.Record) or (isinstance(loc, fm.Var) and loc.name in exist):
-                candidates = [a for a in ant_atoms if isinstance(a, PtoAtom)]
+                positions = [i for i, a in enumerate(ant.spatial) if isinstance(a, PtoAtom)]
             else:
                 # a bound location unifies with exactly the cells in its class
-                live = {id(a) for a in ant_atoms}
-                cells = [ant.spatial[i] for i in ant.cells_at(loc)]
-                candidates = [
-                    a for a in cells if id(a) in live and not isinstance(a.loc, fm.Record)  # type: ignore[union-attr]
+                positions = [
+                    i for i in ant.cells_at(loc) if not isinstance(ant.spatial[i].loc, fm.Record)  # type: ignore[union-attr]
                 ]
-            for cand in candidates:
+            for i in positions:
+                if i in used:
+                    continue
+                cand = ant.spatial[i]
                 b2 = self.unify(atom.loc, cand.loc, binding, exist, ant_pure)
                 if b2 is None:
                     continue
                 b3 = self.unify(atom.val, cand.val, b2, exist, ant_pure)
                 if b3 is None:
                     continue
-                remaining = tuple(a for a in ant_atoms if a is not cand)
                 mark = len(nodes)
                 nodes.append(
                     self.builder.node(
@@ -438,17 +438,19 @@ class _Prover:
                         f"{fm.pretty(atom.to_formula())} matches {fm.pretty(cand.to_formula())}",
                     )
                 )
-                res = yield (ant, remaining, rest, con_pure, exist, b3, depth, nodes)
+                used.add(i)
+                res = yield (ant, used, rest, con_pure, exist, b3, depth, nodes)
                 if not isinstance(res, str):
                     return res
+                used.discard(i)
                 nearest = res
                 del nodes[mark:]
             # fall through to antecedent unfolding handled by caller
             return nearest
         assert isinstance(atom, PredAtom)
         nearest = "pred-match"
-        for cand in ant_atoms:
-            if not isinstance(cand, PredAtom) or cand.name != atom.name:
+        for i, cand in enumerate(ant.spatial):
+            if i in used or not isinstance(cand, PredAtom) or cand.name != atom.name:
                 continue
             b2: Optional[dict[str, fm.SymExpr]] = binding
             for pa, ca in zip(atom.args, cand.args):
@@ -457,12 +459,13 @@ class _Prover:
                     break
             if b2 is None:
                 continue
-            remaining = tuple(a for a in ant_atoms if a is not cand)
             mark = len(nodes)
             nodes.append(self.builder.node("pred-match", fm.pretty(atom.to_formula())))
-            res = yield (ant, remaining, rest, con_pure, exist, b2, depth, nodes)
+            used.add(i)
+            res = yield (ant, used, rest, con_pure, exist, b2, depth, nodes)
             if not isinstance(res, str):
                 return res
+            used.discard(i)
             nearest = res
             del nodes[mark:]
         if depth <= 0:
@@ -483,7 +486,7 @@ class _Prover:
             nodes.append(
                 self.builder.node("fold", f"{fm.pretty(atom.to_formula())} via case {i + 1}")
             )
-            res = yield (ant, ant_atoms, new_con, new_pure, new_exist, binding, depth - 1, nodes)
+            res = yield (ant, used, new_con, new_pure, new_exist, binding, depth - 1, nodes)
             if not isinstance(res, str):
                 return res
             if res == "depth-exceeded":
@@ -530,7 +533,7 @@ class _Prover:
             return Proved(SymHeap.emp(), {}, node)
         nodes: list[ProofNode] = []
         con_sorted = tuple(sorted(con_spatial, key=_atom_key))
-        args = (ant, ant.spatial, con_sorted, con_pure, exist, {}, depth, nodes)
+        args = (ant, set(), con_sorted, con_pure, exist, {}, depth, nodes)
         res = fm.run_steps(self.match, args)
         if not isinstance(res, str):
             leftover, binding = res
@@ -579,7 +582,7 @@ class _Prover:
                 nearest = "frame-mismatch-across-cases"
             nodes = case_results
         root = self.builder.node("entail", f"{ant.pretty()} |- {con_text}", FAILED, nodes)
-        return Failed(ant.spatial, con_sorted, nearest, root)
+        return Failed(con_sorted, nearest, root)
 
 
 def prove(

@@ -8,21 +8,14 @@ from typing import NamedTuple
 class Span(NamedTuple):
     """Half-open source region, 1-based lines and columns.
 
-    Spans never participate in structural equality of AST nodes; they exist
-    for diagnostics only.
+    Spans never participate in structural equality of AST nodes or terms;
+    they exist for diagnostics only.
     """
 
     line: int = 0
     col: int = 0
     end_line: int = 0
     end_col: int = 0
-
-    def merge(self, other: "Span") -> "Span":
-        if other.line == 0:
-            return self
-        if self.line == 0:
-            return other
-        return Span(self.line, self.col, other.end_line, other.end_col)
 
     def __str__(self) -> str:
         if self.line == 0:

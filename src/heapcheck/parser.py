@@ -331,7 +331,7 @@ class _ProgramParser:
                     )
                 methods.append(m)
         self.cur.expect("}")
-        return ast.ClassDecl(name, tuple(fields), tuple(methods), span=start.span)
+        return ast.ClassDecl(name, tuple(fields), tuple(methods))
 
     def _pred_decl(self, seen: list[ast.PredDecl]) -> ast.PredDecl:
         start = self.cur.expect("pred")
@@ -349,7 +349,7 @@ class _ProgramParser:
         self.cur.expect(":=")
         body = self._inline_formula()
         self.cur.expect(";")
-        return ast.PredDecl(fm.PredDef(name, tuple(params), body), span=start.span)
+        return ast.PredDecl(fm.PredDef(name, tuple(params), body))
 
     def _inline_formula(self) -> fm.Formula:
         try:
@@ -392,12 +392,12 @@ class _ProgramParser:
         return (pname, ptype)
 
     def _block(self) -> ast.Block:
-        start = self.cur.expect("{")
+        self.cur.expect("{")
         stmts: list[ast.Stmt] = []
         while not self.cur.at("}"):
             stmts.append(self._stmt())
         self.cur.expect("}")
-        return ast.Block(tuple(stmts), span=start.span)
+        return ast.Block(tuple(stmts))
 
     def _stmt(self) -> ast.Stmt:
         t = self.cur.peek()
@@ -471,10 +471,10 @@ class _ProgramParser:
                 self.cur.next()
                 loc = self._location()
                 self.cur.expect("]")
-                lhs = ast.Lhs(loc, heap=True, span=t.span)
+                lhs = ast.Lhs(loc, heap=True)
             elif t.kind in ("ident", "this"):
                 base = self._location1()
-                lhs = ast.Lhs(base, heap=False, span=t.span)
+                lhs = ast.Lhs(base, heap=False)
             else:
                 return None
         except ParseError:
@@ -511,15 +511,15 @@ class _ProgramParser:
     def _cond(self) -> ast.Cond:
         left = self._cond_and()
         while self.cur.at("||"):
-            t = self.cur.next()
-            left = ast.OrCond(left, self._cond_and(), span=t.span)
+            self.cur.next()
+            left = ast.OrCond(left, self._cond_and())
         return left
 
     def _cond_and(self) -> ast.Cond:
         left = self._cond_atom()
         while self.cur.at("&&"):
-            t = self.cur.next()
-            left = ast.AndCond(left, self._cond_atom(), span=t.span)
+            self.cur.next()
+            left = ast.AndCond(left, self._cond_atom())
         return left
 
     def _cond_atom(self) -> ast.Cond:
@@ -536,7 +536,7 @@ class _ProgramParser:
         left = self._expr()
         op = self.cur.expect(*_REL_OPS)
         right = self._expr()
-        return ast.CmpCond(op.kind, left, right, span=op.span)
+        return ast.CmpCond(op.kind, left, right)
 
     # expressions
 
@@ -544,30 +544,30 @@ class _ProgramParser:
         left = self._exp_term()
         while self.cur.at("+", "-"):
             t = self.cur.next()
-            left = ast.BinExpr(t.kind, left, self._exp_term(), span=t.span)
+            left = ast.BinExpr(t.kind, left, self._exp_term())
         return left
 
     def _exp_term(self) -> ast.Expr:
         left = self._exp_unary()
         while self.cur.at("*"):
-            t = self.cur.next()
-            left = ast.BinExpr("*", left, self._exp_unary(), span=t.span)
+            self.cur.next()
+            left = ast.BinExpr("*", left, self._exp_unary())
         return left
 
     def _exp_unary(self) -> ast.Expr:
         if self.cur.at("-"):
-            t = self.cur.next()
-            return ast.NegExpr(self._exp_unary(), span=t.span)
+            self.cur.next()
+            return ast.NegExpr(self._exp_unary())
         return self._exp_primary()
 
     def _exp_primary(self) -> ast.Expr:
         t = self.cur.peek()
         if t.kind == "int":
             self.cur.next()
-            return ast.IntExpr(t.value, span=t.span)
+            return ast.IntExpr(t.value)
         if t.kind in ("null", "nil"):
             self.cur.next()
-            return ast.NullExpr(span=t.span)
+            return ast.NullExpr()
         if t.kind == "(":
             self.cur.next()
             e = self._expr()
@@ -577,28 +577,28 @@ class _ProgramParser:
             self.cur.next()
             loc = self._location()
             self.cur.expect("]")
-            return ast.MemReadExpr(loc, span=t.span)
+            return ast.MemReadExpr(loc)
         if t.kind == "this":
             self.cur.next()
             self.cur.expect(".")
             member = self.cur.expect("ident").text
             if self.cur.at("("):
                 args = self._call_args()
-                return ast.CallExpr("this", member, args, span=t.span)
-            return ast.LocExpr(ast.FieldBase("this", member), span=t.span)
+                return ast.CallExpr("this", member, args)
+            return ast.LocExpr(ast.FieldBase("this", member))
         if t.kind == "ident":
             name = self.cur.next().text
             if self.cur.at("("):
                 args = self._call_args()
-                return ast.CallExpr(None, name, args, span=t.span)
+                return ast.CallExpr(None, name, args)
             if self.cur.at(".") and self.cur.peek(1).kind == "ident":
                 self.cur.next()
                 member = self.cur.next().text
                 if self.cur.at("("):
                     args = self._call_args()
-                    return ast.CallExpr(name, member, args, span=t.span)
-                return ast.LocExpr(ast.FieldBase(name, member), span=t.span)
-            return ast.LocExpr(ast.VarBase(name), span=t.span)
+                    return ast.CallExpr(name, member, args)
+                return ast.LocExpr(ast.FieldBase(name, member))
+            return ast.LocExpr(ast.VarBase(name))
         raise ParseError(f"expected expression, found {t.text!r}", t.span)
 
     def _call_args(self) -> tuple[ast.Expr, ...]:

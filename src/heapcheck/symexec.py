@@ -34,7 +34,6 @@ from .termir import (
     Compound,
     FUNCTOR_TO_CMP,
     Int,
-    SpanMap,
     Term,
     TList,
     emit_text,
@@ -168,14 +167,12 @@ class _Engine:
         preds: dict[str, fm.PredDef],
         class_fields: dict[str, tuple[str, ...]],
         depth: int,
-        span_map: Optional[SpanMap] = None,
     ):
         self.fn = fn
         self.contracts = contracts
         self.preds = preds
         self.class_fields = class_fields
         self.depth = depth
-        self.span_map = span_map or {}
         self.fresh = FreshNames()
         self.builder = ProofBuilder()
         self.diagnostics: list[Diagnostic] = []
@@ -183,9 +180,6 @@ class _Engine:
         self.stats = Stats()
 
     # -- small helpers -------------------------------------------------------
-
-    def span_of(self, t: Term) -> Span:
-        return self.span_map.get(id(t), NO_SPAN)  # type: ignore[return-value]
 
     def counterexample(self, state: SymState) -> str:
         res = state.heap.sep_pure().check_sat()
@@ -634,7 +628,7 @@ class _Engine:
     # -- statements ------------------------------------------------------------------
 
     def exec_stmt(self, s: Term, state: SymState) -> list[SymState]:
-        span = self.span_of(s)
+        span = s.span  # type: ignore[attr-defined]
         try:
             if isinstance(s, TList):
                 return self.exec_block(list(s.items), state)
@@ -880,7 +874,7 @@ class _Engine:
             if not states:
                 break
         out = []
-        last_span = self.span_of(stmts[-1]) if stmts else NO_SPAN
+        last_span = stmts[-1].span if stmts else NO_SPAN  # type: ignore[attr-defined]
         for st in states:
             dying = st.scopes.pop()
             for name in sorted(dying):
@@ -940,7 +934,7 @@ class _Engine:
                 self.diag(
                     st,
                     CONTRACT_VIOLATION,
-                    self.span_of(self.fn),
+                    self.fn.span,
                     f"postcondition not established; unmatched: {_residue(res) or fm.pretty(post)}",
                     node,
                 )
@@ -955,7 +949,7 @@ class _Engine:
                     self.diag(
                         st,
                         MEMORY_LEAK,
-                        self.span_of(self.fn),
+                        self.fn.span,
                         f"chunk {fm.pretty(a.to_formula())} is still allocated at return "
                         "and not claimed by the postcondition",
                         leak_node,
@@ -1028,20 +1022,17 @@ def verify_function(
     preds: dict[str, fm.PredDef],
     class_fields: Optional[dict[str, tuple[str, ...]]] = None,
     depth: int = 4,
-    span_map: Optional[SpanMap] = None,
 ) -> Verdict:
-    engine = _Engine(fn, contracts, preds, class_fields or {}, depth, span_map)
+    engine = _Engine(fn, contracts, preds, class_fields or {}, depth)
     return engine.verify()
 
 
-def verify_program_term(
-    program: Term, depth: int = 4, span_map: Optional[SpanMap] = None
-) -> list[Verdict]:
+def verify_program_term(program: Term, depth: int = 4) -> list[Verdict]:
     """Verify every function in a checked program term, in source order."""
     preds = fm.check_pred_table(term_predicates(program))
     contracts = contract_table(program)
     fields = term_class_fields(program)
     out = []
     for fn in term_functions(program):
-        out.append(verify_function(fn, contracts, preds, fields, depth, span_map))
+        out.append(verify_function(fn, contracts, preds, fields, depth))
     return out

@@ -9,12 +9,12 @@ match the annotation surface syntax; everything else is functional notation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from . import astnodes as ast
 from . import formula as fm
-from .errors import NO_SPAN, LexError, LoweringError, TermShapeError, TermSyntaxError
+from .errors import NO_SPAN, LexError, LoweringError, Span, TermShapeError, TermSyntaxError
 from .lexer import RESERVED, Token, tokenize
 
 # --------------------------------------------------------------------------
@@ -44,6 +44,9 @@ class Int(Term):
 class Compound(Term):
     functor: str
     args: tuple[Term, ...]
+    # statement terms carry the span of their source statement for
+    # diagnostics; like AST spans it takes no part in equality or text
+    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.functor:
@@ -53,10 +56,11 @@ class Compound(Term):
 @dataclass(frozen=True)
 class TList(Term):
     items: tuple[Term, ...]
+    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-def comp(functor: str, *args: Term) -> Compound:
-    return Compound(functor, tuple(args))
+def comp(functor: str, *args: Term, span: Span = NO_SPAN) -> Compound:
+    return Compound(functor, args, span)
 
 
 # comparison operator <-> functor table; '<' prints as 'le' (kept verbatim
@@ -547,14 +551,11 @@ def _check_fexpr(t: Term) -> None:
 # --------------------------------------------------------------------------
 
 
-SpanMap = dict[int, "object"]  # id(term) -> Span, kept alive by the term tree
-
-
-def lower_program(p: ast.SourceProgram, span_map: Optional[SpanMap] = None) -> Term:
+def lower_program(p: ast.SourceProgram) -> Term:
     """Lower a parsed program; a lone bare function lowers to its own term.
 
-    When span_map is given, every produced statement term is keyed by object
-    identity to its source span for later diagnostics.
+    Every statement term carries the span of the source statement it came
+    from, for diagnostics; contract asserts and function terms carry none.
     """
     items: list[Term] = []
     for d in p.predicates:
@@ -568,30 +569,28 @@ def lower_program(p: ast.SourceProgram, span_map: Optional[SpanMap] = None) -> T
         )
     for c in p.classes:
         fields = TList(tuple(comp("field", Atom(n), Atom(t)) for n, t in c.fields))
-        methods = TList(
-            tuple(_lower_function(m, span_map, this_class=c.name) for m in c.methods)
-        )
+        methods = TList(tuple(_lower_function(m, this_class=c.name) for m in c.methods))
         items.append(comp("class", Atom(c.name), fields, methods))
     for fn in p.functions:
-        items.append(_lower_function(fn, span_map))
+        items.append(_lower_function(fn))
     if len(items) == 1 and len(p.functions) == 1:
         return items[0]
     return comp("program", TList(tuple(items)))
 
 
-def _lower_function(
-    m: ast.MethodDecl, span_map: Optional[SpanMap] = None, this_class: Optional[str] = None
-) -> Term:
-    body: list[Term] = []
-    if m.precondition != fm.TrueF():
-        body.append(comp("assert", formula_to_term(m.precondition)))
-    for s in m.body.stmts:
-        body.extend(lower_stmt(s, span_map))
-    if m.postcondition != fm.TrueF():
-        post = comp("assert", formula_to_term(m.postcondition))
-        if span_map is not None:
-            span_map[id(post)] = m.span
-        body.append(post)
+def _is_assert(t: Term) -> bool:
+    return isinstance(t, Compound) and t.functor == "assert"
+
+
+def _lower_function(m: ast.MethodDecl, this_class: Optional[str] = None) -> Term:
+    body = _lower_block(m.body)
+    # ``split_contracts`` reads a leading and a trailing assert as the
+    # contracts, so a true contract is written out when a body assert
+    # would otherwise stand in its place
+    if m.postcondition != fm.TrueF() or (body and _is_assert(body[-1])):
+        body.append(comp("assert", formula_to_term(m.postcondition)))
+    if m.precondition != fm.TrueF() or (body and _is_assert(body[0])):
+        body.insert(0, comp("assert", formula_to_term(m.precondition)))
     params = [comp("param", Atom(n), Atom(t)) for n, t in m.params]
     if this_class is not None:
         params.insert(0, comp("param", Atom("this"), Atom(this_class)))
@@ -632,16 +631,16 @@ def lower_expr(e: ast.Expr) -> Term:
         return comp(functor, lower_expr(e.left), lower_expr(e.right))
     if isinstance(e, ast.CallExpr):
         return _lower_call(e)
-    raise LoweringError(f"expression has no term image: {e!r}", getattr(e, "span", NO_SPAN))
+    raise LoweringError(f"expression has no term image: {e!r}")
 
 
-def _lower_call(e: ast.CallExpr) -> Term:
+def _lower_call(e: ast.CallExpr, span: Span = NO_SPAN) -> Term:
     args = [lower_expr(a) for a in e.args]
     if e.receiver is not None:
         args.insert(0, Atom(e.receiver))  # receiver becomes the implicit first actual
     if args:
-        return comp("funcall", Atom(e.name), TList(tuple(args)))
-    return comp("funcall", Atom(e.name))
+        return comp("funcall", Atom(e.name), TList(tuple(args)), span=span)
+    return comp("funcall", Atom(e.name), span=span)
 
 
 def lower_cond(c: ast.Cond) -> Term:
@@ -654,15 +653,9 @@ def lower_cond(c: ast.Cond) -> Term:
     raise LoweringError(f"condition has no term image: {c!r}")
 
 
-def lower_stmt(s: ast.Stmt, span_map: Optional[SpanMap] = None) -> list[Term]:
-    out = _lower_stmt(s, span_map)
-    if span_map is not None:
-        for t in out:
-            span_map.setdefault(id(t), s.span)
-    return out
-
-
-def _lower_stmt(s: ast.Stmt, span_map: Optional[SpanMap]) -> list[Term]:
+def _lower_stmt(s: ast.Stmt) -> list[Term]:
+    """The statement terms of ``s``, each carrying the span of ``s``."""
+    span = s.span
     if isinstance(s, ast.AssignStmt):
         out: list[Term] = []
         targets = list(s.targets)
@@ -674,48 +667,40 @@ def _lower_stmt(s: ast.Stmt, span_map: Optional[SpanMap]) -> list[Term]:
                 lhs_term: Term = comp("mem", _lower_location(lhs.target))  # type: ignore[arg-type]
             else:
                 lhs_term = _lower_base(lhs.target)  # type: ignore[arg-type]
-            out.append(comp("assign", lhs_term, value))
+            out.append(comp("assign", lhs_term, value, span=span))
             value = lhs_term
         return out
     if isinstance(s, ast.NewStmt):
-        return [comp("new", _lower_base(s.target))]
+        return [comp("new", _lower_base(s.target), span=span)]
     if isinstance(s, ast.DeleteStmt):
-        return [comp("delete", _lower_base(s.target))]
+        return [comp("delete", _lower_base(s.target), span=span)]
     if isinstance(s, ast.CallStmt):
-        return [_lower_call(s.call)]
+        return [_lower_call(s.call, span)]
     if isinstance(s, ast.AssertStmt):
-        return [comp("assert", formula_to_term(s.formula))]
+        return [comp("assert", formula_to_term(s.formula), span=span)]
     if isinstance(s, ast.BlockStmt):
-        return [TList(tuple(_lower_block(s.block, span_map)))]
+        return [TList(tuple(_lower_block(s.block)), span)]
     if isinstance(s, ast.IfStmt):
-        then_block = TList(tuple(_lower_block(s.then_block, span_map)))
+        then_block = TList(tuple(_lower_block(s.then_block)))
         if s.else_block is None:
-            return [comp("ite", lower_cond(s.cond), then_block)]
-        return [
-            comp(
-                "ite",
-                lower_cond(s.cond),
-                then_block,
-                TList(tuple(_lower_block(s.else_block, span_map))),
-            )
-        ]
+            return [comp("ite", lower_cond(s.cond), then_block, span=span)]
+        else_block = TList(tuple(_lower_block(s.else_block)))
+        return [comp("ite", lower_cond(s.cond), then_block, else_block, span=span)]
     if isinstance(s, ast.WhileStmt):
         return [
             comp(
                 "while",
                 lower_cond(s.cond),
                 comp("assert", formula_to_term(s.invariant)),
-                TList(tuple(_lower_block(s.body, span_map))),
+                TList(tuple(_lower_block(s.body))),
+                span=span,
             )
         ]
-    raise LoweringError(f"statement has no term image: {s!r}", getattr(s, "span", NO_SPAN))
+    raise LoweringError(f"statement has no term image: {s!r}", span)
 
 
-def _lower_block(b: ast.Block, span_map: Optional[SpanMap] = None) -> list[Term]:
-    out: list[Term] = []
-    for s in b.stmts:
-        out.extend(lower_stmt(s, span_map))
-    return out
+def _lower_block(b: ast.Block) -> list[Term]:
+    return [t for s in b.stmts for t in _lower_stmt(s)]
 
 
 # --------------------------------------------------------------------------
@@ -949,10 +934,10 @@ def split_contracts(
     body = list(fn.args[3].items)  # type: ignore[union-attr]
     pre: fm.Formula = fm.TrueF()
     post: fm.Formula = fm.TrueF()
-    if body and isinstance(body[0], Compound) and body[0].functor == "assert":
-        pre = term_to_formula(body[0].args[0], class_fields)
+    if body and _is_assert(body[0]):
+        pre = term_to_formula(body[0].args[0], class_fields)  # type: ignore[union-attr]
         body = body[1:]
-    if body and isinstance(body[-1], Compound) and body[-1].functor == "assert":
-        post = term_to_formula(body[-1].args[0], class_fields)
+    if body and _is_assert(body[-1]):
+        post = term_to_formula(body[-1].args[0], class_fields)  # type: ignore[union-attr]
         body = body[:-1]
     return pre, body, post

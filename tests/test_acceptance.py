@@ -66,9 +66,7 @@ def report(criterion: str, detail: str = ""):
 
 
 def verify_file(name: str, depth: int = 4):
-    span_map: dict = {}
-    term = lower_program(parse_program(data_text(name)), span_map)
-    return verify_program_term(term, depth=depth, span_map=span_map)
+    return verify_program_term(lower_program(parse_program(data_text(name))), depth=depth)
 
 
 # -- criterion 1: paper corpus detection --------------------------------------

@@ -200,6 +200,17 @@ def test_unfold_depth_env(tmp_path, monkeypatch):
     assert _default_depth() == 4
 
 
+def test_unfold_depth_below_one_is_a_usage_error(tmp_path):
+    f = tmp_path / "walk.oc"
+    f.write_text("void f(node x) @ x->1,2,3 @ { y = x.next; } @ list(x, nil) @")
+    for bad in ("0", "-1", "two"):
+        code, out, err = run_cli("verify", str(f), "--unfold-depth", bad)
+        assert (code, out) == (2, ""), bad
+        assert "argument --unfold-depth" in err
+    code, out, _ = run_cli("verify", str(f), "--unfold-depth", "4")
+    assert code == 0 and "f: Verified" in out
+
+
 def test_superscript_digit_is_a_lex_error(tmp_path):
     f = tmp_path / "sup.oc"
     f.write_text("int f() { x = 2²; }")

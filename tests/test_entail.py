@@ -459,3 +459,17 @@ def test_and_chain_decision_table(text, heaps, extracted):
         goal.extract(d, parts, flags)
         out.append(([_shown(p) for p in parts], flags["absorb"]))
     assert out == extracted
+
+
+def test_pred_match_consumes_each_instance_once():
+    r = prove(heap_of("list(x, nil)"), con("list(x, nil) * list(x, nil)"), PREDS)
+    assert isinstance(r, Failed)
+
+
+def test_pred_match_frees_an_instance_on_backtracking():
+    # list(?e, nil) first takes list(x, nil), which list(x, nil) then lacks;
+    # the retry gives ?e list(y, nil) and must find list(x, nil) free again
+    r = prove(heap_of("list(x, nil) * list(y, nil)"), con("exists e. list(e, nil) * list(x, nil)"), PREDS)
+    assert isinstance(r, Proved)
+    assert r.frame.spatial == () and list(r.binding.values()) == [fm.Var("y")]
+    assert [n.rule for n in r.tree.children] == ["pred-match", "pred-match"]

@@ -48,9 +48,8 @@ def test_quote_escaping():
 
 
 def test_example1_tree_contains_failed_leak_check():
-    span_map: dict = {}
-    term = lower_program(parse_program(data_text("ex1.oc")), span_map)
-    verdict = verify_program_term(term, span_map=span_map)[0]
+    term = lower_program(parse_program(data_text("ex1.oc")))
+    verdict = verify_program_term(term)[0]
     nodes = list(verdict.proof.root.walk())
     assert any(n.rule == "leak-check" and n.outcome == FAILED for n in nodes)
     dot = to_dot(verdict.proof)

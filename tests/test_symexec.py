@@ -25,9 +25,7 @@ from heapcheck.termir import lower_program
 
 
 def verify_source(src: str, depth: int = 4):
-    span_map: dict = {}
-    term = lower_program(parse_program(src), span_map)
-    return verify_program_term(term, depth=depth, span_map=span_map)
+    return verify_program_term(lower_program(parse_program(src)), depth=depth)
 
 
 def only_verdict(src: str, depth: int = 4):
@@ -716,3 +714,23 @@ int f(int p)
         (MEMORY_LEAK, "last reference to chunk $e2->1 was overwritten")
     ]
     assert v.diagnostics[0].span.line == 7
+
+
+def test_leading_body_assert_is_checked_not_assumed():
+    from heapcheck.interp import Fault, run_concrete
+    from heapcheck.termir import term_functions
+
+    src = "void f(node x) {\n  @ x->5 @;\n  delete(x);\n}\n"
+    v = only_verdict(src)
+    assert v.status == REFUTED
+    assert [(d.kind, d.span.line, d.message) for d in v.diagnostics] == [
+        (CONTRACT_VIOLATION, 2, "assertion not established: x->5")
+    ]
+    fn = term_functions(lower_program(parse_program(src)))[0]
+    assert isinstance(run_concrete(fn), Fault)
+
+
+def test_trailing_body_assert_is_not_a_postcondition():
+    v = only_verdict("void f() {\n  new(x);\n  @ exists v. x->v @;\n}\n")
+    assert v.status == REFUTED
+    assert [(d.kind, d.span.line) for d in v.diagnostics] == [(UNREACHABLE_MEMORY, 3)]

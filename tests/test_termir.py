@@ -3,10 +3,11 @@ import re
 
 import pytest
 
-from conftest import data_text, rand_term
+from conftest import DATA, data_text, rand_term
 
 from heapcheck import termir as tir
-from heapcheck.errors import TermShapeError, TermSyntaxError
+from heapcheck import astnodes as ast
+from heapcheck.errors import NO_SPAN, Span, TermShapeError, TermSyntaxError
 from heapcheck.parser import parse_program
 from heapcheck.astnodes import pretty_program
 
@@ -273,3 +274,105 @@ def test_long_walk_term_text_round_trips():
     text = tir.emit_term_file(tir.lower_program(parse_program(walk_source(256))))
     # compare texts: dataclass equality recurses down the deep term
     assert tir.emit_term_file(tir.parse_term(text)) == text
+
+
+# -- spans on statement terms --------------------------------------------------
+
+SPAN_SOURCE = """\
+int f(node x) @ x->1 @ {
+  a = b = 6;
+  if (a == 6) {
+    while (b > 0) @ true @ {
+      b = b - 1;
+      { c = b; }
+    }
+  } else {
+    g();
+  }
+  @ x->1 @;
+}
+@ x->1 @
+class C { int m() { new(y); delete(y); } }
+"""
+
+
+def _ast_spans(stmts) -> list:
+    """Expected spans of the lowered statement terms, in lowering order."""
+    out = []
+    for s in stmts:
+        out.extend([s.span] * (len(s.targets) if isinstance(s, ast.AssignStmt) else 1))
+        if isinstance(s, ast.BlockStmt):
+            out += _ast_spans(s.block.stmts)
+        elif isinstance(s, ast.IfStmt):
+            out += _ast_spans(s.then_block.stmts)
+            if s.else_block is not None:
+                out += _ast_spans(s.else_block.stmts)
+        elif isinstance(s, ast.WhileStmt):
+            out += _ast_spans(s.body.stmts)
+    return out
+
+
+def _term_spans(items) -> list:
+    out = []
+    for t in items:
+        out.append(t.span)
+        if isinstance(t, tir.TList):
+            out += _term_spans(t.items)
+        elif t.functor == "ite":
+            for block in t.args[1:]:
+                out += _term_spans(block.items)
+        elif t.functor == "while":
+            out += _term_spans(t.args[2].items)
+    return out
+
+
+def test_statement_terms_carry_their_source_spans():
+    sources = [data_text(p.name) for p in sorted(DATA.glob("*.oc"))] + [SPAN_SOURCE]
+    checked = 0
+    for text in sources:
+        program = parse_program(text)
+        fns = tir.term_functions(tir.lower_program(program))
+        methods = [m for _, m in program.all_methods()]
+        # all_methods lists free functions first, term_functions lists them last
+        methods = methods[len(program.functions):] + methods[: len(program.functions)]
+        assert len(fns) == len(methods)
+        for fn, m in zip(fns, methods):
+            assert fn.span == NO_SPAN
+            _, stmts, _ = tir.split_contracts(fn)
+            contracts = [t for t in fn.args[3].items if not any(t is s for s in stmts)]
+            assert [t.span for t in contracts] == [NO_SPAN] * len(contracts)
+            expected = _ast_spans(m.body.stmts)
+            assert NO_SPAN not in expected
+            assert _term_spans(stmts) == expected, m.name
+            checked += len(expected)
+    assert checked > 60
+
+
+def test_span_source_covers_nested_blocks_and_chains():
+    program = parse_program(SPAN_SOURCE)
+    fn = tir.term_functions(tir.lower_program(program))[1]
+    _, stmts, _ = tir.split_contracts(fn)
+    assign_b, assign_a, ite, check = stmts
+    assert (assign_b.span.line, assign_a.span.line) == (2, 2)
+    assert ite.span.line == 3 and check.span.line == 11
+    loop = ite.args[1].items[0]
+    assert loop.functor == "while" and loop.span.line == 4
+    assert [t.span.line for t in loop.args[2].items] == [5, 6]
+    assert ite.args[2].items[0].span.line == 9
+
+
+def test_term_spans_take_no_part_in_equality_or_text():
+    span = Span(3, 4, 3, 9)
+    pairs = [
+        (tir.comp("new", tir.Atom("x"), span=span), tir.comp("new", tir.Atom("x"))),
+        (tir.TList((tir.Atom("x"),), span), tir.TList((tir.Atom("x"),))),
+    ]
+    for with_span, without in pairs:
+        assert with_span.span == span and without.span != span
+        assert with_span == without
+        assert hash(with_span) == hash(without)
+        assert repr(with_span) == repr(without)
+        assert tir.emit_text(with_span) == tir.emit_text(without)
+    for text in [data_text(p.name) for p in sorted(DATA.glob("*.oc"))] + [SPAN_SOURCE]:
+        term = tir.lower_program(parse_program(text))
+        assert tir.parse_term(tir.emit_term_file(term)) == term
