@@ -18,11 +18,11 @@ set, so callers look a term up instead of scanning with ``equal``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .formula import (
+    NEGATED_CMP,
     ArithExpr,
     FieldRef,
     IntLit,
@@ -32,6 +32,7 @@ from .formula import (
     SymExpr,
     Var,
 )
+from .records import Frozen, record
 
 SAT, UNSAT, UNKNOWN = "sat", "unsat", "unknown"
 YES, NO = "yes", "no"
@@ -113,7 +114,7 @@ class lazy:
     """A per-instance memo like ``functools.cached_property``, without the
     lock that Python 3.11 takes on each first access: pure sets and heaps
     are built and read by one thread, and most are read only a few times.
-    It writes the instance dict directly, so it works on frozen dataclasses."""
+    It writes the instance dict directly, so it works on frozen records."""
 
     def __init__(self, func):
         self.func = func
@@ -126,8 +127,8 @@ class lazy:
         return value
 
 
-@dataclass(frozen=True)
-class SatResult:
+@record
+class SatResult(Frozen):
     status: str
     witness: Optional[dict[str, int]] = None
 
@@ -544,8 +545,8 @@ def _cmp(op: str, a: int, b: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PureSet:
+@record
+class PureSet(Frozen):
     """A conjunction of comparison atoms.
 
     ``separated`` holds locations known to be pairwise distinct and non-nil
@@ -571,8 +572,6 @@ class PureSet:
 
     def entails(self, op: str, left: SymExpr, right: SymExpr) -> str:
         """yes / no / unknown for this set entailing the comparison atom."""
-        from .formula import NEGATED_CMP
-
         negated = self.add(NEGATED_CMP[op], left, right)
         res = negated.check_sat()
         if res.status == UNSAT:

@@ -8,24 +8,24 @@ source that reparses to an equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import NO_SPAN, Span
 from .formula import Formula, PredDef, pretty as pretty_formula
+from .records import Frozen, field, record
 
 # --------------------------------------------------------------------------
 # locations
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarBase:
+@record
+class VarBase(Frozen):
     name: str
 
 
-@dataclass(frozen=True)
-class FieldBase:
+@record
+class FieldBase(Frozen):
     obj: str  # variable name or "this"
     field: str
 
@@ -33,8 +33,8 @@ class FieldBase:
 LocBase = Union[VarBase, FieldBase]
 
 
-@dataclass(frozen=True)
-class Location:
+@record
+class Location(Frozen):
     """``<location>``: a base location with an optional literal offset.
 
     offset is None exactly when the location came from a ``<location_1>``
@@ -50,71 +50,71 @@ class Location:
 # --------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class IntExpr(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class NullExpr(Expr):
     """The ``null`` literal."""
 
 
-@dataclass(frozen=True)
+@record
 class LocExpr(Expr):
     """Reading a variable or an object field."""
 
     base: LocBase
 
 
-@dataclass(frozen=True)
+@record
 class MemReadExpr(Expr):
     """Heap access ``[location]``."""
 
     loc: Location
 
 
-@dataclass(frozen=True)
+@record
 class NegExpr(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record
 class BinExpr(Expr):
     op: str  # + - *
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class CallExpr(Expr):
     receiver: Optional[str]  # variable name, "this", or None
     name: str
     args: tuple[Expr, ...]
 
 
-class Cond:
+class Cond(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class CmpCond(Cond):
     op: str  # == != < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record
 class AndCond(Cond):
     left: Cond
     right: Cond
 
 
-@dataclass(frozen=True)
+@record
 class OrCond(Cond):
     left: Cond
     right: Cond
@@ -125,19 +125,19 @@ class OrCond(Cond):
 # --------------------------------------------------------------------------
 
 
-class Stmt:
+class Stmt(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lhs:
+@record
+class Lhs(Frozen):
     """Assignment target: a direct location_1, or a heap cell ``[location]``."""
 
     target: Union[LocBase, Location]
     heap: bool
 
 
-@dataclass(frozen=True)
+@record
 class AssignStmt(Stmt):
     """Right-associative chain ``l1 = l2 = ... = expr``."""
 
@@ -146,42 +146,42 @@ class AssignStmt(Stmt):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class NewStmt(Stmt):
     target: LocBase
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class DeleteStmt(Stmt):
     target: LocBase
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class CallStmt(Stmt):
     call: CallExpr
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class AssertStmt(Stmt):
     formula: Formula
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Block:
+@record
+class Block(Frozen):
     stmts: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record
 class BlockStmt(Stmt):
     block: Block
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class IfStmt(Stmt):
     cond: Cond
     then_block: Block
@@ -189,7 +189,7 @@ class IfStmt(Stmt):
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class WhileStmt(Stmt):
     cond: Cond
     invariant: Formula  # defaults to true when unannotated
@@ -202,8 +202,8 @@ class WhileStmt(Stmt):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+@record
+class MethodDecl(Frozen):
     name: str
     return_type: str
     params: tuple[tuple[str, str], ...]  # (name, type)
@@ -213,22 +213,22 @@ class MethodDecl:
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+@record
+class ClassDecl(Frozen):
     name: str
     fields: tuple[tuple[str, str], ...]
     methods: tuple[MethodDecl, ...]
 
 
-@dataclass(frozen=True)
-class PredDecl:
+@record
+class PredDecl(Frozen):
     """Top-level ``pred name(params) := formula ;`` definition."""
 
     pred: PredDef
 
 
-@dataclass(frozen=True)
-class SourceProgram:
+@record
+class SourceProgram(Frozen):
     classes: tuple[ClassDecl, ...]
     functions: tuple[MethodDecl, ...]  # top-level functions outside classes
     predicates: tuple[PredDecl, ...]

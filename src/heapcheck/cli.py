@@ -17,7 +17,6 @@ from typing import Optional
 from . import formula as fm
 from .entail import Failed, FreshNames, Proved, formula_to_symheaps, prove
 from .errors import HeapcheckError
-from .interp import ConcreteState, Fault, run_concrete
 from .parser import parse_program
 from .prooftree import DotOptions, to_dot, to_structured
 from .symexec import INCONCLUSIVE, REFUTED, VERIFIED, Verdict, verify_program_term
@@ -155,6 +154,10 @@ def _cmd_emit_term(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # the concrete interpreter serves only this command; importing it here
+    # keeps it out of every other command's start-up
+    from .interp import ConcreteState, Fault, run_concrete
+
     path = Path(args.file)
     functions = term_functions(_load_program_term(path))
     if not functions:

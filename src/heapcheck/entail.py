@@ -9,13 +9,13 @@ Unknown pure answers always count as failure, never success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Union
 
 from . import formula as fm
 from .arith import ClassIndex, PureSet, YES, UNSAT, lazy
 from .errors import UnknownPredicateError, UnsupportedFormulaError
 from .prooftree import FAILED, OK, PRUNED, ProofBuilder, ProofNode
+from .records import Frozen, field, record
 
 DEFAULT_UNFOLD_DEPTH = 4
 
@@ -42,8 +42,8 @@ class FreshNames:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PtoAtom:
+@record
+class PtoAtom(Frozen):
     loc: fm.SymExpr
     val: fm.SymExpr
 
@@ -54,8 +54,8 @@ class PtoAtom:
         return fm.PointsTo(self.loc, self.val)
 
 
-@dataclass(frozen=True)
-class PredAtom:
+@record
+class PredAtom(Frozen):
     name: str
     args: tuple[fm.SymExpr, ...]
 
@@ -75,8 +75,8 @@ def _atom_key(a: SpatialAtom) -> tuple:
     return (1, a.name, tuple(fm.pretty_expr(x) for x in a.args))
 
 
-@dataclass(frozen=True)
-class SymHeap:
+@record
+class SymHeap(Frozen):
     """Pure constraints plus a multiset of spatial atoms.
 
     Well-separation (pairwise distinct points-to locations, none nil) is not
@@ -294,7 +294,7 @@ def formula_to_symheaps(
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Proved:
     frame: SymHeap
     binding: dict[str, fm.SymExpr]
@@ -303,7 +303,7 @@ class Proved:
     status = "proved"
 
 
-@dataclass
+@record
 class Failed:
     residue_consequent: tuple[SpatialAtom, ...]
     nearest_rule: str

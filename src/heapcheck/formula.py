@@ -13,11 +13,11 @@ form; ``pretty`` prints text that reparses to the same normalized formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Generator, Iterable, Mapping, Sequence
 
 from .errors import AssertionSyntaxError
+from .records import Frozen, record
 
 
 def run_steps(step: Callable[..., Generator], args: tuple) -> Any:
@@ -40,28 +40,28 @@ def run_steps(step: Callable[..., Generator], args: tuple) -> Any:
 # --------------------------------------------------------------------------
 
 
-class SymExpr:
+class SymExpr(Frozen):
     """Base class for expression trees appearing inside formulas."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(SymExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Var(SymExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Nil(SymExpr):
     """The null address; evaluates to 0 and is never allocated."""
 
 
-@dataclass(frozen=True)
+@record
 class FieldRef(SymExpr):
     """Unresolved object-field reference ``obj.field``."""
 
@@ -69,7 +69,7 @@ class FieldRef(SymExpr):
     field: str
 
 
-@dataclass(frozen=True)
+@record
 class OffsetOf(SymExpr):
     """Address displacement ``base + offset`` with a literal offset."""
 
@@ -77,14 +77,14 @@ class OffsetOf(SymExpr):
     offset: int
 
 
-@dataclass(frozen=True)
+@record
 class ArithExpr(SymExpr):
     op: str  # one of + - *
     left: SymExpr
     right: SymExpr
 
 
-@dataclass(frozen=True)
+@record
 class Record(SymExpr):
     """Structured cell value: optional class tag plus named components.
 
@@ -118,59 +118,59 @@ def node_record(value: SymExpr, nxt: SymExpr) -> Record:
 # --------------------------------------------------------------------------
 
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Emp(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PointsTo(Formula):
     loc: SymExpr
     val: SymExpr
 
 
-@dataclass(frozen=True)
+@record
 class Star(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     vars: tuple[str, ...]
     body: Formula
 
 
-@dataclass(frozen=True)
+@record
 class PredApp(Formula):
     name: str
     args: tuple[SymExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PureAtom(Formula):
     """Heap-independent comparison admitted inside spatial formulas."""
 
@@ -179,8 +179,8 @@ class PureAtom(Formula):
     right: SymExpr
 
 
-@dataclass(frozen=True)
-class PredDef:
+@record
+class PredDef(Frozen):
     name: str
     params: tuple[str, ...]
     body: Formula

@@ -7,11 +7,11 @@ soundness suites; it trades all performance for obvious correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import formula as fm
 from .errors import UnboundVariableError
+from .records import Frozen, field, record
 from .termir import Atom, Compound, Int, Term, TList, FUNCTOR_TO_CMP
 
 INVALID_ACCESS = "InvalidAccess"
@@ -21,8 +21,8 @@ OUT_OF_FUEL = "OutOfFuel"
 NIL = 0
 
 
-@dataclass(frozen=True)
-class CRecord:
+@record
+class CRecord(Frozen):
     """Concrete record cell value."""
 
     tag: Optional[str]
@@ -49,7 +49,7 @@ def value_equal(a: Value, b: Value) -> bool:
     return False
 
 
-@dataclass
+@record
 class Fault:
     kind: str
     message: str = ""
@@ -58,7 +58,7 @@ class Fault:
         return f"{self.kind}: {self.message}" if self.message else self.kind
 
 
-@dataclass
+@record
 class ConcreteState:
     """Store + finite heap; addresses are positive integers, nil is 0."""
 
@@ -289,8 +289,8 @@ def run_concrete(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+@record
+class OracleConfig(Frozen):
     """Scale caps keeping the exponential partition search trivially fast."""
 
     value_lo: int = -4
@@ -525,21 +525,29 @@ class _Goal:
     # -- the matcher ----------------------------------------------------------
 
     def solve(
-        self, parts: list, heap: dict[int, Value], env: dict[str, Value], absorb: bool
+        self,
+        parts: list,
+        heap: dict[int, Value],
+        env: dict[str, Value],
+        absorb: bool,
+        then: Optional[Callable[[dict[str, Value]], bool]] = None,
     ) -> bool:
+        """Whether ``parts`` hold on exactly ``heap`` (on part of it if
+        ``absorb``) under some extension of ``env`` that also satisfies
+        ``then``, the check of whatever follows."""
         # deterministic steps first
         for i, p in enumerate(parts):
             rest = parts[:i] + parts[i + 1 :]
             if p[0] == "false":
                 return False
             if p[0] == "emp":
-                return self.solve(rest, heap, env, absorb)
+                return self.solve(rest, heap, env, absorb, then)
             if p[0] == "pure":
                 l, r = self.try_eval(p[2], env), self.try_eval(p[3], env)
                 if l is not None and r is not None:
                     if not self.check_pure(p[1], l, r):
                         return False
-                    return self.solve(rest, heap, env, absorb)
+                    return self.solve(rest, heap, env, absorb, then)
             if p[0] == "pto":
                 addr = self.try_eval(p[1], env)
                 if isinstance(addr, CRecord):
@@ -550,7 +558,7 @@ class _Goal:
                     h2 = dict(heap)
                     cell = h2.pop(addr)
                     for env2 in self.match_value(p[2], cell, env, heap):
-                        if self.solve(rest, h2, env2, absorb):
+                        if self.solve(rest, h2, env2, absorb, then):
                             return True
                     return False
         # branching steps
@@ -561,7 +569,7 @@ class _Goal:
                 if depth <= 0:
                     return False
                 for sub_parts, sub_absorb in self.expand_pred(name, args, depth):
-                    if self.solve(sub_parts + rest, heap, env, absorb or sub_absorb):
+                    if self.solve(sub_parts + rest, heap, env, absorb or sub_absorb, then):
                         return True
                 return False
         for i, p in enumerate(parts):
@@ -575,25 +583,37 @@ class _Goal:
                         h2 = dict(heap)
                         cell = h2.pop(addr)
                         for env3 in self.match_value(p[2], cell, env2, heap):
-                            if self.solve(rest, h2, env3, absorb):
+                            if self.solve(rest, h2, env3, absorb, then):
                                 return True
                     return False
                 unbound = self.unbound_vars(p[1], env)
                 for v in self.domain(heap):
                     env2 = dict(env)
                     env2[unbound[0]] = v
-                    if self.solve(parts, heap, env2, absorb):
+                    if self.solve(parts, heap, env2, absorb, then):
                         return True
                 return False
             if p[0] == "nested":
+                # every conjunct holds on the same share of the heap; what one
+                # conjunct binds carries over to the next and then to the rest
+                conjuncts = []
+                for c in p[1].parts:
+                    sub: list = []
+                    flags = {"absorb": fm.is_pure_only(c)}
+                    self.extract(c, sub, flags)
+                    conjuncts.append((sub, flags["absorb"]))
                 cells = sorted(heap)
                 for mask in range(1 << len(cells)):
                     share = {c: heap[c] for j, c in enumerate(cells) if mask >> j & 1}
                     remaining = {c: v for c, v in heap.items() if c not in share}
-                    inner = _Goal({**self.store, **env}, self.preds, self.config, self.depth)
-                    if any(inner.sat_disjunct(d, share) for d in fm.or_free(p[1])) and self.solve(
-                        rest, remaining, env, absorb
-                    ):
+
+                    def chain(i: int, env2: dict[str, Value]) -> bool:
+                        if i == len(conjuncts):
+                            return self.solve(rest, remaining, env2, absorb, then)
+                        c_parts, c_absorb = conjuncts[i]
+                        return self.solve(c_parts, share, env2, c_absorb, lambda e: chain(i + 1, e))
+
+                    if chain(0, env):
                         return True
                 return False
             if p[0] == "pure":
@@ -601,10 +621,10 @@ class _Goal:
                 for v in self.domain(heap):
                     env2 = dict(env)
                     env2[unbound[0]] = v
-                    if self.solve(parts, heap, env2, absorb):
+                    if self.solve(parts, heap, env2, absorb, then):
                         return True
                 return False
-        return absorb or not heap
+        return (absorb or not heap) and (then is None or then(env))
 
 
 def eval_expr(e: fm.SymExpr, store: dict[str, Value]) -> Value:

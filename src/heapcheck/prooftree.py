@@ -5,13 +5,14 @@ execution, exportable as DOT graphs and as a JSON structure that round-trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from .records import Frozen, field, record
 
 OK, FAILED, PRUNED = "ok", "failed", "pruned"
 
 
-@dataclass
+@record
 class ProofNode:
     id: int
     rule: str
@@ -25,7 +26,7 @@ class ProofNode:
             yield from c.walk()
 
 
-@dataclass
+@record
 class ProofTree:
     root: ProofNode
 
@@ -51,8 +52,8 @@ class ProofBuilder:
         return n
 
 
-@dataclass(frozen=True)
-class DotOptions:
+@record
+class DotOptions(Frozen):
     """Rendering options: 'rule' labels nodes by rule name only, 'full' adds
     the printed input summary."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from . import formula as fm
@@ -29,6 +28,7 @@ from .entail import (
 )
 from .errors import NO_SPAN, Span, UnsupportedFormulaError
 from .prooftree import FAILED, OK, PRUNED, ProofBuilder, ProofNode, ProofTree
+from .records import Frozen, record
 from .termir import (
     Atom,
     Compound,
@@ -64,8 +64,8 @@ REFUTING_KINDS = (
 VERIFIED, REFUTED, INCONCLUSIVE = "Verified", "Refuted", "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@record
+class Diagnostic(Frozen):
     kind: str
     span: Span
     message: str
@@ -80,14 +80,14 @@ class Diagnostic:
         return out
 
 
-@dataclass
+@record
 class Stats:
     rule_applications: int = 0
     branches: int = 0
     seconds: float = 0.0
 
 
-@dataclass
+@record
 class Verdict:
     function: str
     status: str
@@ -97,7 +97,7 @@ class Verdict:
     inconclusive_reason: str = ""
 
 
-@dataclass
+@record
 class SymState:
     store: dict[str, fm.SymExpr]
     heap: SymHeap
@@ -132,8 +132,8 @@ class _PathFault(Exception):
     """Raised to abandon the current path after a fault diagnostic."""
 
 
-@dataclass(frozen=True)
-class Contract:
+@record
+class Contract(Frozen):
     name: str
     params: tuple[str, ...]
     pre: fm.Formula

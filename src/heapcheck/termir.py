@@ -9,24 +9,24 @@ match the annotation surface syntax; everything else is functional notation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from . import astnodes as ast
 from . import formula as fm
 from .errors import NO_SPAN, LexError, LoweringError, Span, TermShapeError, TermSyntaxError
 from .lexer import RESERVED, Token, tokenize
+from .records import Frozen, field, record
 
 # --------------------------------------------------------------------------
 # term trees
 # --------------------------------------------------------------------------
 
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Term):
     name: str
 
@@ -35,12 +35,12 @@ class Atom(Term):
             raise ValueError("empty atom name")
 
 
-@dataclass(frozen=True)
+@record
 class Int(Term):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Compound(Term):
     functor: str
     args: tuple[Term, ...]
@@ -53,7 +53,7 @@ class Compound(Term):
             raise ValueError("empty functor name")
 
 
-@dataclass(frozen=True)
+@record
 class TList(Term):
     items: tuple[Term, ...]
     span: Span = field(default=NO_SPAN, compare=False, repr=False)

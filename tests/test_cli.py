@@ -183,6 +183,29 @@ def test_structured_output_deterministic_across_processes():
     assert a.returncode == b.returncode == 1
 
 
+def test_cli_import_leaves_out_dataclasses_inspect_and_the_interpreter():
+    # every module `import heapcheck.cli` loads is paid on each cold start;
+    # the concrete interpreter is imported by the `run` command alone
+    code = ("import sys, heapcheck.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'heapcheck.interp') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(__file__).parent.parent)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_run_in_a_fresh_process_matches_recorded_output():
+    root = Path(__file__).parent.parent
+    expected = {
+        "ex2.oc": (0, "tests/data/ex2.oc: f: completed in 5 steps\n"
+                      "store {object1=1, object2=2} heap {2->object(_, ref: 1)}\n"),
+        "ex3.oc": (1, "tests/data/ex3.oc: f: InvalidAccess: read of unallocated address 0\n"),
+    }
+    for name, (code, out) in expected.items():
+        cmd = [sys.executable, "-m", "heapcheck.cli", "run", f"tests/data/{name}"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, cwd=root)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), name
+
+
 def test_pathological_nesting_is_an_error_not_a_crash(tmp_path):
     f = tmp_path / "deep.oc"
     f.write_text("int f() { x = " + "(" * 5000 + "1" + ")" * 5000 + "; }")

@@ -236,7 +236,7 @@ def test_normalize_binder_edge_cases():
 
 def test_normalize_long_binder_chain():
     # a 300-binder chain is deeper than the default recursion limit allows
-    # dataclass equality to compare
+    # record equality to compare
     f = fm.chain_points_to(fm.Var("x"), [fm.Var(f"a{i}") for i in range(300)])
     text = fm.pretty(fm.normalize(f))
     assert text.startswith("exists e0, e1, e2, ") and text.count("->") == 300

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from conftest import data_text
 
 from heapcheck.formula import IntLit, substitute
@@ -111,6 +112,44 @@ def test_pure_atoms_heap_independent():
     assert eval_assertion(parse_assertion("a<10"), st)
     assert eval_assertion(parse_assertion("a<10 && x->5"), st)
     assert not eval_assertion(parse_assertion("a<10 && emp"), st)
+
+
+# conjunctions of two spatial formulas: each conjunct describes the same exact
+# heap share, and what one conjunct binds holds in the next and in the rest
+SPATIAL_AND_TABLE = [
+    # one cell, x == y: both conjuncts describe it
+    ("x->5 && y->5", {"x": 1, "y": 1}, {1: 5}, True),
+    # x != y: no single share is exactly x's cell and exactly y's cell
+    ("x->5 && y->5", {"x": 1, "y": 2}, {1: 5, 2: 5}, False),
+    # x == y but a second cell is left over and nothing absorbs it
+    ("x->5 && y->5", {"x": 1, "y": 1}, {1: 5, 2: 5}, False),
+    # ... which `* true` absorbs
+    ("(x->5 && y->5) * true", {"x": 1, "y": 1}, {1: 5, 2: 5}, True),
+    # the cell holds 6, not 5
+    ("x->5 && y->5", {"x": 1, "y": 1}, {1: 6}, False),
+    # v is the one cell's value, read by both conjuncts
+    ("exists v. x->v && y->v", {"x": 1, "y": 1}, {1: 7}, True),
+    ("exists v. x->v && y->v", {"x": 1, "y": 2}, {1: 7, 2: 7}, False),
+    # a record value binds v as well as an integer does
+    ("exists v. x->v && y->v", {"x": 1, "y": 1}, {1: node(1, 0)}, True),
+    # the first conjunct binds v to 3; y's cell holds 4, so the second fails
+    ("exists v. (x->v * true) && (y->v * true)", {"x": 1, "y": 2}, {1: 3, 2: 4}, False),
+    ("exists v. (x->v * true) && (y->v * true)", {"x": 1, "y": 2}, {1: 3, 2: 3}, True),
+    # the conjunction binds v to x's value, and v->5 must then be that cell
+    ("exists v. (x->v && x->v) * v->5", {"x": 1}, {1: 3, 2: 5}, False),
+    ("exists v. (x->v && x->v) * v->5", {"x": 1}, {1: 2, 2: 5}, True),
+    # || under &&: x->6 && y->6 holds, x->6 && y->5 does not
+    ("x->6 && (y->5 || y->6)", {"x": 1, "y": 1}, {1: 6}, True),
+    ("x->5 && (y->5 || y->6)", {"x": 1, "y": 1}, {1: 6}, False),
+    # a pure conjunct between them constrains the store, not the share
+    ("x->5 && a == 1 && y->5", {"x": 1, "y": 1, "a": 1}, {1: 5}, True),
+    ("x->5 && a == 2 && y->5", {"x": 1, "y": 1, "a": 1}, {1: 5}, False),
+]
+
+
+@pytest.mark.parametrize("text, store, heap, expected", SPATIAL_AND_TABLE)
+def test_conjunction_of_spatial_formulas(text, store, heap, expected):
+    assert eval_assertion(parse_assertion(text), ConcreteState(store, heap)) is expected
 
 
 def test_star_commutative_and_emp_unit_samples():

@@ -1,0 +1,275 @@
+"""Every record class in the package: repr text, equality, hashing,
+frozenness, default factories and span fields.  The expected repr texts were
+recorded from the original dataclass-based classes."""
+
+import inspect
+
+import pytest
+
+from heapcheck import arith, astnodes as ast, entail, formula as fm, interp, prooftree, symexec, termir
+from heapcheck.errors import Span
+
+MODULES = (ast, fm, termir, arith, entail, symexec, prooftree, interp)
+
+x, y = fm.Var("x"), fm.Var("y")
+pto = fm.PointsTo(x, fm.IntLit(1))
+node = prooftree.ProofNode(0, "r", "in", "ok")
+tree = prooftree.ProofTree(node)
+heap = entail.SymHeap()
+blk = ast.Block(())
+pdef = fm.PredDef("p", ("a",), fm.Emp())
+call = ast.CallExpr(None, "g", ())
+
+# class -> (keyword arguments of a sample, one field changed in a second
+# instance, repr of the sample)
+TABLE = {
+    ast.VarBase: ({"name": "x"}, {"name": "y"}, "VarBase(name='x')"),
+    ast.FieldBase: ({"obj": "this", "field": "f"}, {"field": "g"}, "FieldBase(obj='this', field='f')"),
+    ast.Location: ({"base": ast.VarBase("x"), "offset": 1}, {"offset": None},
+                   "Location(base=VarBase(name='x'), offset=1)"),
+    ast.IntExpr: ({"value": 3}, {"value": 4}, "IntExpr(value=3)"),
+    ast.NullExpr: ({}, None, "NullExpr()"),
+    ast.LocExpr: ({"base": ast.VarBase("x")}, {"base": ast.VarBase("y")},
+                  "LocExpr(base=VarBase(name='x'))"),
+    ast.MemReadExpr: ({"loc": ast.Location(ast.VarBase("x"), 0)}, {"loc": ast.Location(ast.VarBase("x"))},
+                      "MemReadExpr(loc=Location(base=VarBase(name='x'), offset=0))"),
+    ast.NegExpr: ({"operand": ast.IntExpr(1)}, {"operand": ast.IntExpr(2)},
+                  "NegExpr(operand=IntExpr(value=1))"),
+    ast.BinExpr: ({"op": "+", "left": ast.IntExpr(1), "right": ast.NullExpr()}, {"op": "-"},
+                  "BinExpr(op='+', left=IntExpr(value=1), right=NullExpr())"),
+    ast.CallExpr: ({"receiver": "this", "name": "g", "args": (ast.IntExpr(1),)}, {"receiver": None},
+                   "CallExpr(receiver='this', name='g', args=(IntExpr(value=1),))"),
+    ast.CmpCond: ({"op": "<", "left": ast.IntExpr(1), "right": ast.IntExpr(2)}, {"op": "<="},
+                  "CmpCond(op='<', left=IntExpr(value=1), right=IntExpr(value=2))"),
+    ast.AndCond: ({"left": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)),
+                   "right": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
+                  {"right": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1))},
+                  "AndCond(left=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
+                  "right=CmpCond(op='!=', left=IntExpr(value=1), right=IntExpr(value=2)))"),
+    ast.OrCond: ({"left": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)),
+                  "right": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
+                 {"left": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
+                 "OrCond(left=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
+                 "right=CmpCond(op='!=', left=IntExpr(value=1), right=IntExpr(value=2)))"),
+    ast.Lhs: ({"target": ast.VarBase("x"), "heap": False}, {"heap": True},
+              "Lhs(target=VarBase(name='x'), heap=False)"),
+    ast.AssignStmt: ({"targets": (ast.Lhs(ast.VarBase("x"), False),), "value": ast.IntExpr(1)},
+                     {"value": ast.IntExpr(2)},
+                     "AssignStmt(targets=(Lhs(target=VarBase(name='x'), heap=False),), value=IntExpr(value=1))"),
+    ast.NewStmt: ({"target": ast.VarBase("x")}, {"target": ast.VarBase("y")},
+                  "NewStmt(target=VarBase(name='x'))"),
+    ast.DeleteStmt: ({"target": ast.VarBase("x")}, {"target": ast.FieldBase("x", "f")},
+                     "DeleteStmt(target=VarBase(name='x'))"),
+    ast.CallStmt: ({"call": call}, {"call": ast.CallExpr("x", "g", ())},
+                   "CallStmt(call=CallExpr(receiver=None, name='g', args=()))"),
+    ast.AssertStmt: ({"formula": fm.Emp()}, {"formula": fm.TrueF()}, "AssertStmt(formula=Emp())"),
+    ast.Block: ({"stmts": ()}, {"stmts": (ast.NewStmt(ast.VarBase("x")),)}, "Block(stmts=())"),
+    ast.BlockStmt: ({"block": blk}, {"block": ast.Block((ast.CallStmt(call),))},
+                    "BlockStmt(block=Block(stmts=()))"),
+    ast.IfStmt: ({"cond": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)), "then_block": blk,
+                  "else_block": None}, {"else_block": blk},
+                 "IfStmt(cond=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
+                 "then_block=Block(stmts=()), else_block=None)"),
+    ast.WhileStmt: ({"cond": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)), "invariant": fm.TrueF(),
+                     "body": blk}, {"invariant": fm.Emp()},
+                    "WhileStmt(cond=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
+                    "invariant=TrueF(), body=Block(stmts=()))"),
+    ast.MethodDecl: ({"name": "f", "return_type": "int", "params": (("x", "node"),), "precondition": fm.Emp(),
+                      "body": blk, "postcondition": fm.Emp()}, {"return_type": "void"},
+                     "MethodDecl(name='f', return_type='int', params=(('x', 'node'),), precondition=Emp(), "
+                     "body=Block(stmts=()), postcondition=Emp())"),
+    ast.ClassDecl: ({"name": "C", "fields": (("f", "int"),), "methods": ()}, {"fields": ()},
+                    "ClassDecl(name='C', fields=(('f', 'int'),), methods=())"),
+    ast.PredDecl: ({"pred": pdef}, {"pred": fm.PredDef("q", ("a",), fm.Emp())},
+                   "PredDecl(pred=PredDef(name='p', params=('a',), body=Emp(), builtin=False))"),
+    ast.SourceProgram: ({"classes": (), "functions": (), "predicates": ()},
+                        {"predicates": (ast.PredDecl(pdef),)},
+                        "SourceProgram(classes=(), functions=(), predicates=())"),
+    fm.IntLit: ({"value": 1}, {"value": -1}, "IntLit(value=1)"),
+    fm.Var: ({"name": "x"}, {"name": "y"}, "Var(name='x')"),
+    fm.Nil: ({}, None, "Nil()"),
+    fm.FieldRef: ({"obj": x, "field": "f"}, {"field": "g"}, "FieldRef(obj=Var(name='x'), field='f')"),
+    fm.OffsetOf: ({"base": x, "offset": 2}, {"offset": 3}, "OffsetOf(base=Var(name='x'), offset=2)"),
+    fm.ArithExpr: ({"op": "*", "left": x, "right": y}, {"right": x},
+                   "ArithExpr(op='*', left=Var(name='x'), right=Var(name='y'))"),
+    fm.Record: ({"tag": "node", "fields": (("value", x),)}, {"tag": None},
+                "Record(tag='node', fields=(('value', Var(name='x')),))"),
+    fm.Emp: ({}, None, "Emp()"),
+    fm.TrueF: ({}, None, "TrueF()"),
+    fm.FalseF: ({}, None, "FalseF()"),
+    fm.PointsTo: ({"loc": x, "val": fm.Nil()}, {"val": y}, "PointsTo(loc=Var(name='x'), val=Nil())"),
+    fm.Star: ({"parts": (pto, fm.Emp())}, {"parts": (fm.Emp(), pto)},
+              "Star(parts=(PointsTo(loc=Var(name='x'), val=IntLit(value=1)), Emp()))"),
+    fm.And: ({"parts": (pto, fm.TrueF())}, {"parts": (pto, fm.FalseF())},
+             "And(parts=(PointsTo(loc=Var(name='x'), val=IntLit(value=1)), TrueF()))"),
+    fm.Or: ({"parts": (fm.Emp(), pto)}, {"parts": (pto, pto)},
+            "Or(parts=(Emp(), PointsTo(loc=Var(name='x'), val=IntLit(value=1))))"),
+    fm.Exists: ({"vars": ("v",), "body": pto}, {"vars": ("w",)},
+                "Exists(vars=('v',), body=PointsTo(loc=Var(name='x'), val=IntLit(value=1)))"),
+    fm.PredApp: ({"name": "list", "args": (x, fm.Nil())}, {"name": "lseg"},
+                 "PredApp(name='list', args=(Var(name='x'), Nil()))"),
+    fm.PureAtom: ({"op": "==", "left": x, "right": y}, {"op": "!="},
+                  "PureAtom(op='==', left=Var(name='x'), right=Var(name='y'))"),
+    fm.PredDef: ({"name": "p", "params": ("a",), "body": fm.Emp()}, {"builtin": True},
+                 "PredDef(name='p', params=('a',), body=Emp(), builtin=False)"),
+    termir.Atom: ({"name": "a"}, {"name": "b"}, "Atom(name='a')"),
+    termir.Int: ({"value": 0}, {"value": 1}, "Int(value=0)"),
+    termir.Compound: ({"functor": "f", "args": (termir.Atom("a"),)}, {"functor": "g"},
+                      "Compound(functor='f', args=(Atom(name='a'),))"),
+    termir.TList: ({"items": (termir.Int(1),)}, {"items": ()}, "TList(items=(Int(value=1),))"),
+    arith.SatResult: ({"status": "sat", "witness": None}, {"status": "unsat"},
+                      "SatResult(status='sat', witness=None)"),
+    arith.PureSet: ({"atoms": (("==", x, y),)}, {"separated": (x,)},
+                    "PureSet(atoms=(('==', Var(name='x'), Var(name='y')),), separated=())"),
+    entail.PtoAtom: ({"loc": x, "val": y}, {"val": x}, "PtoAtom(loc=Var(name='x'), val=Var(name='y'))"),
+    entail.PredAtom: ({"name": "list", "args": (x,)}, {"args": (y,)},
+                      "PredAtom(name='list', args=(Var(name='x'),))"),
+    entail.SymHeap: ({"spatial": (entail.PtoAtom(x, y),)}, {"existentials": frozenset({"x"})},
+                     "SymHeap(pure=PureSet(atoms=(), separated=()), "
+                     "spatial=(PtoAtom(loc=Var(name='x'), val=Var(name='y')),), existentials=frozenset())"),
+    entail.Proved: ({"frame": heap, "binding": {"v": x}, "tree": node}, {"binding": {}},
+                    "Proved(frame=SymHeap(pure=PureSet(atoms=(), separated=()), spatial=(), "
+                    "existentials=frozenset()), binding={'v': Var(name='x')}, "
+                    "tree=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[]))"),
+    entail.Failed: ({"residue_consequent": (), "nearest_rule": "match", "tree": node},
+                    {"nearest_rule": "fold"},
+                    "Failed(residue_consequent=(), nearest_rule='match', "
+                    "tree=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[]))"),
+    symexec.Diagnostic: ({"kind": "MemoryLeak", "span": Span(1, 2, 1, 5), "message": "m"},
+                         {"span": Span(1, 3, 1, 5)},
+                         "Diagnostic(kind='MemoryLeak', span=Span(line=1, col=2, end_line=1, end_col=5), "
+                         "message='m', counterexample='', proof_ref=-1)"),
+    symexec.Stats: ({"rule_applications": 2}, {"branches": 1},
+                    "Stats(rule_applications=2, branches=0, seconds=0.0)"),
+    symexec.Verdict: ({"function": "f", "status": "Verified", "diagnostics": [], "proof": tree,
+                       "stats": symexec.Stats()}, {"inconclusive_reason": "r"},
+                      "Verdict(function='f', status='Verified', diagnostics=[], "
+                      "proof=ProofTree(root=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[])), "
+                      "stats=Stats(rule_applications=0, branches=0, seconds=0.0), inconclusive_reason='')"),
+    symexec.SymState: ({"store": {"x": x}, "heap": heap, "scopes": [set()], "node": node}, {"tainted": True},
+                       "SymState(store={'x': Var(name='x')}, heap=SymHeap(pure=PureSet(atoms=(), separated=()), "
+                       "spatial=(), existentials=frozenset()), scopes=[set()], "
+                       "node=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[]), tainted=False, "
+                       "taint_reason='', partial_heap=False, reported=frozenset())"),
+    symexec.Contract: ({"name": "f", "params": ("x",), "pre": fm.Emp(), "post": fm.TrueF()}, {"params": ()},
+                       "Contract(name='f', params=('x',), pre=Emp(), post=TrueF())"),
+    prooftree.ProofNode: ({"id": 1, "rule": "r", "input": "i", "outcome": "ok"}, {"outcome": "failed"},
+                          "ProofNode(id=1, rule='r', input='i', outcome='ok', children=[])"),
+    prooftree.ProofTree: ({"root": node}, {"root": prooftree.ProofNode(1, "r", "in", "ok")},
+                          "ProofTree(root=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[]))"),
+    prooftree.DotOptions: ({}, {"verbosity": "rule"}, "DotOptions(verbosity='full', graph_name='proof')"),
+    interp.CRecord: ({"tag": "node", "fields": (("value", 1),)}, {"tag": None},
+                     "CRecord(tag='node', fields=(('value', 1),))"),
+    interp.Fault: ({"kind": "InvalidFree"}, {"message": "m"}, "Fault(kind='InvalidFree', message='')"),
+    interp.ConcreteState: ({"store": {"x": 1}}, {"steps": 1}, "ConcreteState(store={'x': 1}, heap={}, steps=0)"),
+    interp.OracleConfig: ({"value_hi": 3}, {"max_heap_cells": 2},
+                          "OracleConfig(value_lo=-4, value_hi=3, max_heap_cells=4)"),
+}
+
+MUTABLE = {entail.Proved, entail.Failed, symexec.Stats, symexec.Verdict, symexec.SymState,
+           prooftree.ProofNode, prooftree.ProofTree, interp.Fault, interp.ConcreteState}
+
+# class -> (sample with a span, the name of its span field)
+SPANNED = (ast.AssignStmt, ast.NewStmt, ast.DeleteStmt, ast.CallStmt, ast.AssertStmt, ast.BlockStmt,
+           ast.IfStmt, ast.WhileStmt, ast.MethodDecl, termir.Compound, termir.TList)
+
+
+def _is_record(cls) -> bool:
+    return "__eq__" in vars(cls) and "__repr__" in vars(cls)
+
+
+def test_table_covers_every_record_class():
+    found = {cls for mod in MODULES for _, cls in inspect.getmembers(mod, inspect.isclass)
+             if cls.__module__ == mod.__name__ and _is_record(cls)}
+    assert found == set(TABLE)
+
+
+@pytest.mark.parametrize("cls", list(TABLE), ids=lambda c: c.__qualname__)
+def test_record_behaviour(cls):
+    kwargs, changed, text = TABLE[cls]
+    a, b = cls(**kwargs), cls(**kwargs)
+    assert repr(a) == text
+    assert a == b and not a != b
+    assert a != object() and a != tuple(kwargs.values())
+    if changed is not None:
+        c = cls(**{**kwargs, **changed})
+        assert a != c and c != a
+    name = next(iter(kwargs), "anything")
+    if cls in MUTABLE:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(b, name, getattr(a, name, None))
+    else:
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(a, name)
+        assert repr(a) == text
+
+
+@pytest.mark.parametrize("cls", SPANNED, ids=lambda c: c.__qualname__)
+def test_span_takes_no_part_in_eq_hash_or_repr(cls):
+    kwargs = TABLE[cls][0]
+    plain, spanned = cls(**kwargs), cls(**kwargs, span=Span(3, 4, 3, 9))
+    assert plain.span == Span() and spanned.span == Span(3, 4, 3, 9)
+    assert plain == spanned and hash(plain) == hash(spanned)
+    assert repr(plain) == repr(spanned) == TABLE[cls][2]
+
+
+def test_fresh_default_factories():
+    assert entail.SymHeap().pure is not entail.SymHeap().pure
+    assert entail.SymHeap().pure == entail.SymHeap().pure
+    assert prooftree.ProofNode(0, "r", "", "ok").children is not prooftree.ProofNode(0, "r", "", "ok").children
+    s, t = interp.ConcreteState(), interp.ConcreteState()
+    assert s.store is not t.store and s.heap is not t.heap
+
+
+def test_equal_fields_of_different_classes_compare_unequal():
+    a, b = fm.Emp(), fm.TrueF()
+    assert fm.Star((a, b)) != fm.And((a, b)) != fm.Or((a, b))
+    assert fm.Emp() != fm.TrueF() != fm.FalseF() and fm.Nil() != ast.NullExpr()
+    assert ast.AndCond(a, b) != ast.OrCond(a, b)
+    assert ast.NewStmt(ast.VarBase("x")) != ast.DeleteStmt(ast.VarBase("x"))
+    assert ast.VarBase("x") != fm.Var("x") != termir.Atom("x")
+    assert ast.IntExpr(1) != fm.IntLit(1) != termir.Int(1)
+    assert entail.PtoAtom(x, y) != fm.PointsTo(x, y)
+    assert fm.Record("node", ()) != interp.CRecord("node", ())
+
+
+def test_positional_and_keyword_construction_agree():
+    assert termir.Compound("f", (), Span(1, 1, 1, 2)).span == Span(1, 1, 1, 2)
+    assert fm.PredDef("p", (), fm.Emp(), True) == fm.PredDef(name="p", params=(), body=fm.Emp(), builtin=True)
+    with pytest.raises(TypeError):
+        fm.Var()
+    with pytest.raises(TypeError):
+        fm.Var("x", "y")
+    with pytest.raises(TypeError):
+        fm.Var(nme="x")
+
+
+def test_post_init_checks_names():
+    with pytest.raises(ValueError, match="empty atom name"):
+        termir.Atom("")
+    with pytest.raises(ValueError, match="empty functor name"):
+        termir.Compound("", ())
+
+
+def test_memo_writes_the_instance_dict():
+    ps = arith.PureSet((("==", x, y),))
+    assert "_solver" not in vars(ps)
+    assert ps.equal(x, y)
+    assert "_solver" in vars(ps)
+    assert ps == arith.PureSet((("==", x, y),)) and repr(ps).startswith("PureSet(atoms=")
+
+
+def test_a_field_without_default_after_one_with_a_default_is_an_error():
+    from heapcheck.records import Frozen, record
+
+    class Bad(Frozen):
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError, match="field 'b' without a default follows one with a default"):
+        record(Bad)

@@ -272,7 +272,7 @@ def test_long_walk_term_text_round_trips():
     from test_symexec import walk_source
 
     text = tir.emit_term_file(tir.lower_program(parse_program(walk_source(256))))
-    # compare texts: dataclass equality recurses down the deep term
+    # compare texts: record equality recurses down the deep term
     assert tir.emit_term_file(tir.parse_term(text)) == text
 
 
