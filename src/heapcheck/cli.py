@@ -8,7 +8,6 @@ Exit codes: 0 everything verified, 1 any refutation (or fault in ``run``),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -65,6 +64,8 @@ def _print_verdicts(
     verdicts: list[Verdict], filename: str, structured: bool, out=None
 ) -> int:
     out = out or sys.stdout
+    if structured:
+        import json  # imported here so that text output does not load it
     counts = {VERIFIED: 0, REFUTED: 0, INCONCLUSIVE: 0}
     for v in verdicts:
         counts[v.status] += 1

@@ -8,7 +8,7 @@ from typing import NamedTuple
 class Span(NamedTuple):
     """Half-open source region, 1-based lines and columns.
 
-    Spans never participate in structural equality of AST nodes or terms;
+    Spans never participate in structural equality of terms;
     they exist for diagnostics only.
     """
 
@@ -52,10 +52,6 @@ class ParseError(HeapcheckError):
 
 class AssertionSyntaxError(HeapcheckError):
     """Bad formula text inside an @ ... @ annotation."""
-
-
-class LoweringError(HeapcheckError):
-    """AST node with no term image."""
 
 
 class TermSyntaxError(HeapcheckError):

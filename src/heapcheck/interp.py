@@ -382,7 +382,8 @@ class _Goal:
             clash = fm.spatial_clash(g)
             for i, child in enumerate(g.parts):
                 if i == clash:
-                    parts.append(("nested", fm.substitute(fm.join(fm.And, g.parts[i:]), ren)))
+                    rest = fm.substitute(fm.join(fm.And, g.parts[i:]), ren)
+                    parts.append(("nested", rest, self.depth))
                     break
                 self.extract(child, parts, out, ren)
         elif isinstance(g, fm.Exists):
@@ -506,10 +507,7 @@ class _Goal:
             sub_parts: list = []
             out = {"absorb": fm.is_pure_only(disjunct)}
             self.extract(disjunct, sub_parts, out)
-            sub_parts = [
-                (q[0], q[1], q[2], depth - 1) if q[0] == "pred" else q for q in sub_parts
-            ]
-            out_list.append((sub_parts, out["absorb"]))
+            out_list.append((_at_depth(sub_parts, depth - 1), out["absorb"]))
         self._expansions[key] = out_list
         return out_list
 
@@ -601,7 +599,7 @@ class _Goal:
                     sub: list = []
                     flags = {"absorb": fm.is_pure_only(c)}
                     self.extract(c, sub, flags)
-                    conjuncts.append((sub, flags["absorb"]))
+                    conjuncts.append((_at_depth(sub, p[2]), flags["absorb"]))
                 cells = sorted(heap)
                 for mask in range(1 << len(cells)):
                     share = {c: heap[c] for j, c in enumerate(cells) if mask >> j & 1}
@@ -625,6 +623,12 @@ class _Goal:
                         return True
                 return False
         return (absorb or not heap) and (then is None or then(env))
+
+
+def _at_depth(parts: list, depth: int) -> list:
+    """``parts`` with every predicate instance and nested check given the
+    unfold depth ``depth`` (their last entry)."""
+    return [q[:-1] + (depth,) if q[0] in ("pred", "nested") else q for q in parts]
 
 
 def eval_expr(e: fm.SymExpr, store: dict[str, Value]) -> Value:

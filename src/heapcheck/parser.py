@@ -1,17 +1,29 @@
 """Recursive-descent parser for the annotated dialect and its assertion language.
 
-Entry points: ``parse_program`` for whole source files, ``parse_assertion``
-for bare formula text (annotations, entailment query files).
+Entry points: ``parse_program`` for whole source files, which it reads
+straight into term IR, and ``parse_assertion`` for bare formula text
+(annotations, entailment query files).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from . import astnodes as ast
 from . import formula as fm
 from .errors import AssertionSyntaxError, ParseError, Span
 from .lexer import Token, tokenize
+from .termir import (
+    CMP_TO_FUNCTOR,
+    Atom,
+    Compound,
+    Int,
+    SourceProgram,
+    Term,
+    TList,
+    comp,
+    formula_to_term,
+    is_assert,
+)
 
 _REL_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
@@ -278,40 +290,57 @@ def parse_assertion(
 
 
 class _ProgramParser:
+    """Builds the term IR of a source file as it reads it.
+
+    Every statement term carries the span of the source statement it came
+    from, for diagnostics; contract asserts and function terms carry none.
+    """
+
     def __init__(self, toks: list[Token]):
         self.cur = _Cursor(toks)
         self.class_fields: dict[str, tuple[str, ...]] = {}
+        # annotation formulas, for the arity check once every predicate is
+        # known: per method its pre, post and then its body formulas in order
+        self._fn_formulas: list[fm.Formula] = []
+        self._method_formulas: list[fm.Formula] = []
+        self._body_formulas: list[fm.Formula] = []
 
-    def parse(self) -> ast.SourceProgram:
-        classes: list[ast.ClassDecl] = []
-        functions: list[ast.MethodDecl] = []
-        preds: list[ast.PredDecl] = []
+    def parse(self) -> SourceProgram:
+        classes: list[Term] = []
+        functions: list[Compound] = []
+        preds: list[fm.PredDef] = []
         while not self.cur.at("eof"):
             if self.cur.at("class"):
-                classes.append(self._class_decl(classes))
+                classes.append(self._class_decl())
             elif self.cur.at("pred"):
                 preds.append(self._pred_decl(preds))
             else:
-                fn = self._method_decl()
-                if any(f.name == fn.name for f in functions):
-                    raise ParseError(f"duplicate function '{fn.name}'", fn.span)
+                start = self.cur.peek()
+                fn = self._method_decl(self._fn_formulas)
+                if any(f.args[0] == fn.args[0] for f in functions):
+                    name = fn.args[0].name  # type: ignore[union-attr]
+                    raise ParseError(f"duplicate function '{name}'", start.span)
                 functions.append(fn)
-        program = ast.SourceProgram(tuple(classes), tuple(functions), tuple(preds))
-        table = fm.check_pred_table([p.pred for p in preds])
-        for f in program_formulas(program):
+        # check_pred_table checks the predicate bodies themselves
+        table = fm.check_pred_table(preds)
+        for f in self._fn_formulas + self._method_formulas:
             fm.check_arities(f, table, "annotation")
-        return program
+        pred_terms = tuple(
+            comp("pred", Atom(d.name), TList(tuple(map(Atom, d.params))), formula_to_term(d.body))
+            for d in preds
+        )
+        return SourceProgram(pred_terms, tuple(classes), tuple(functions))
 
-    def _class_decl(self, seen: list[ast.ClassDecl]) -> ast.ClassDecl:
+    def _class_decl(self) -> Term:
         start = self.cur.expect("class")
         name = self.cur.expect("ident").text
         if name == fm.NODE_TAG:
             raise ParseError(f"'{fm.NODE_TAG}' is a reserved builtin class name", start.span)
-        if any(c.name == name for c in seen):
+        if name in self.class_fields:
             raise ParseError(f"duplicate class '{name}'", start.span)
         self.cur.expect("{")
-        fields: list[tuple[str, str]] = []
-        methods: list[ast.MethodDecl] = []
+        fields: list[Term] = []
+        methods: list[Compound] = []
         # record the (growing) field list so method annotations can resolve it
         self.class_fields[name] = ()
         while not self.cur.at("}"):
@@ -319,24 +348,26 @@ class _ProgramParser:
                 ftype = self.cur.expect("ident").text
                 fname = self.cur.expect("ident").text
                 self.cur.expect(";")
-                if any(n == fname for n, _ in fields):
+                if fname in self.class_fields[name]:
                     raise ParseError(f"duplicate field '{fname}' in class '{name}'", start.span)
-                fields.append((fname, ftype))
-                self.class_fields[name] = tuple(n for n, _ in fields)
+                fields.append(comp("field", Atom(fname), Atom(ftype)))
+                self.class_fields[name] += (fname,)
             else:
-                m = self._method_decl()
-                if any(x.name == m.name for x in methods):
+                m_start = self.cur.peek()
+                m = self._method_decl(self._method_formulas, this_class=name)
+                if any(x.args[0] == m.args[0] for x in methods):
                     raise ParseError(
-                        f"duplicate method '{m.name}' in class '{name}'", m.span
+                        f"duplicate method '{m.args[0].name}' in class '{name}'",  # type: ignore[union-attr]
+                        m_start.span,
                     )
                 methods.append(m)
         self.cur.expect("}")
-        return ast.ClassDecl(name, tuple(fields), tuple(methods))
+        return comp("class", Atom(name), TList(tuple(fields)), TList(tuple(methods)))
 
-    def _pred_decl(self, seen: list[ast.PredDecl]) -> ast.PredDecl:
+    def _pred_decl(self, seen: list[fm.PredDef]) -> fm.PredDef:
         start = self.cur.expect("pred")
         name = self.cur.expect("ident").text
-        if any(p.pred.name == name for p in seen):
+        if any(p.name == name for p in seen):
             raise ParseError(f"duplicate predicate '{name}'", start.span)
         self.cur.expect("(")
         params: list[str] = []
@@ -349,7 +380,7 @@ class _ProgramParser:
         self.cur.expect(":=")
         body = self._inline_formula()
         self.cur.expect(";")
-        return ast.PredDecl(fm.PredDef(name, tuple(params), body))
+        return fm.PredDef(name, tuple(params), body)
 
     def _inline_formula(self) -> fm.Formula:
         try:
@@ -362,119 +393,123 @@ class _ProgramParser:
     def _annotation(self, tok: Token) -> fm.Formula:
         return parse_assertion(tok.text, tok.span.line, tok.span.col, self.class_fields)
 
-    def _method_decl(self) -> ast.MethodDecl:
+    def _method_decl(self, formulas: list[fm.Formula], this_class: Optional[str] = None) -> Compound:
         rtype_tok = self.cur.expect("ident")
         name = self.cur.expect("ident").text
         self.cur.expect("(")
-        params: list[tuple[str, str]] = []
+        params: list[Compound] = []
         if not self.cur.at(")"):
             params.append(self._param())
             while self.cur.at(","):
                 self.cur.next()
                 params.append(self._param())
         self.cur.expect(")")
-        if len({n for n, _ in params}) != len(params):
+        if len({p.args[0] for p in params}) != len(params):
             raise ParseError(f"duplicate parameter name in '{name}'", rtype_tok.span)
+        if this_class is not None:
+            params.insert(0, comp("param", Atom("this"), Atom(this_class)))
         pre: fm.Formula = fm.TrueF()
         if self.cur.at("annot"):
             pre = self._annotation(self.cur.next())
+        self._body_formulas = []
         body = self._block()
         post: fm.Formula = fm.TrueF()
         if self.cur.at("annot"):
             post = self._annotation(self.cur.next())
-        return ast.MethodDecl(
-            name, rtype_tok.text, tuple(params), pre, body, post, span=rtype_tok.span
+        formulas += [pre, post, *self._body_formulas]
+        # ``split_contracts`` reads a leading and a trailing assert as the
+        # contracts, so a true contract is written out when a body assert
+        # would otherwise stand in its place
+        if post != fm.TrueF() or (body and is_assert(body[-1])):
+            body.append(comp("assert", formula_to_term(post)))
+        if pre != fm.TrueF() or (body and is_assert(body[0])):
+            body.insert(0, comp("assert", formula_to_term(pre)))
+        return comp(
+            "function", Atom(name), Atom(rtype_tok.text), TList(tuple(params)), TList(tuple(body))
         )
 
-    def _param(self) -> tuple[str, str]:
+    def _param(self) -> Compound:
         ptype = self.cur.expect("ident").text
         pname = self.cur.expect("ident").text
-        return (pname, ptype)
+        return comp("param", Atom(pname), Atom(ptype))
 
-    def _block(self) -> ast.Block:
+    def _block(self) -> list[Term]:
         self.cur.expect("{")
-        stmts: list[ast.Stmt] = []
+        stmts: list[Term] = []
         while not self.cur.at("}"):
-            stmts.append(self._stmt())
+            self._stmt(stmts)
         self.cur.expect("}")
-        return ast.Block(tuple(stmts))
+        return stmts
 
-    def _stmt(self) -> ast.Stmt:
+    def _stmt(self, out: list[Term]) -> None:
+        """Append the terms of one statement, each carrying its span."""
         t = self.cur.peek()
         if t.kind == "annot":
             self.cur.next()
             self.cur.expect(";")
-            return ast.AssertStmt(self._annotation(t), span=t.span)
-        if t.kind == "new":
+            f = self._annotation(t)
+            self._body_formulas.append(f)
+            out.append(comp("assert", formula_to_term(f), span=t.span))
+        elif t.kind in ("new", "delete"):
             self.cur.next()
             self.cur.expect("(")
             base = self._location1()
             self.cur.expect(")")
             self.cur.expect(";")
-            return ast.NewStmt(base, span=t.span)
-        if t.kind == "delete":
+            out.append(comp(t.kind, base, span=t.span))
+        elif t.kind == "if":
             self.cur.next()
-            self.cur.expect("(")
-            base = self._location1()
-            self.cur.expect(")")
-            self.cur.expect(";")
-            return ast.DeleteStmt(base, span=t.span)
-        if t.kind == "if":
-            self.cur.next()
-            cond = self._cond()
-            then_block = self._block()
-            else_block = None
+            args = [self._cond(), TList(tuple(self._block()))]
             if self.cur.at("else"):
                 self.cur.next()
-                else_block = self._block()
-            return ast.IfStmt(cond, then_block, else_block, span=t.span)
-        if t.kind == "while":
+                args.append(TList(tuple(self._block())))
+            out.append(Compound("ite", tuple(args), t.span))
+        elif t.kind == "while":
             self.cur.next()
             cond = self._cond()
             inv: fm.Formula = fm.TrueF()
             if self.cur.at("annot"):
                 inv = self._annotation(self.cur.next())
-            body = self._block()
-            return ast.WhileStmt(cond, inv, body, span=t.span)
-        if t.kind == "{":
-            return ast.BlockStmt(self._block(), span=t.span)
-        return self._assign_or_call()
+                self._body_formulas.append(inv)
+            body = TList(tuple(self._block()))
+            out.append(comp("while", cond, comp("assert", formula_to_term(inv)), body, span=t.span))
+        elif t.kind == "{":
+            out.append(TList(tuple(self._block()), t.span))
+        else:
+            self._assign_or_call(out)
 
-    def _location1(self) -> ast.LocBase:
+    def _location1(self) -> Term:
         t = self.cur.peek()
         if t.kind == "this":
             self.cur.next()
             self.cur.expect(".")
-            field = self.cur.expect("ident").text
-            return ast.FieldBase("this", field)
+            return comp("oa", Atom("this"), Atom(self.cur.expect("ident").text))
         name = self.cur.expect("ident").text
         if self.cur.at(".") and self.cur.peek(1).kind == "ident":
             self.cur.next()
-            field = self.cur.next().text
-            return ast.FieldBase(name, field)
-        return ast.VarBase(name)
+            return comp("oa", Atom(name), Atom(self.cur.next().text))
+        return Atom(name)
 
-    def _location(self) -> ast.Location:
+    def _location(self) -> Term:
         base = self._location1()
-        offset = 0
         if self.cur.at("+", "-"):
-            sign = -1 if self.cur.next().kind == "-" else 1
-            offset = sign * self.cur.expect("int").value
-        return ast.Location(base, offset)
+            negative = self.cur.next().kind == "-"
+            n = self.cur.expect("int").value
+            if n:
+                return comp("offset", base, comp("minus", Int(0), Int(n)) if negative else Int(n))
+        return comp("offset", base)
 
-    def _try_lhs(self) -> Optional[ast.Lhs]:
+    def _try_lhs(self) -> Optional[Term]:
         """Parse an assignment target if one starts here and is followed by '='."""
         save = self.cur.pos
         t = self.cur.peek()
         try:
             if t.kind == "[":
                 self.cur.next()
-                loc = self._location()
+                lhs = comp("mem", self._location())
                 self.cur.expect("]")
-                lhs = ast.Lhs(loc, heap=True)
             elif t.kind in ("ident", "this"):
-                base = self._location1()
-                lhs = ast.Lhs(base, heap=False)
+                lhs = self._location1()
             else:
                 return None
         except ParseError:
@@ -486,43 +521,43 @@ class _ProgramParser:
         self.cur.pos = save
         return None
 
-    def _assign_or_call(self) -> ast.Stmt:
+    def _assign_or_call(self, out: list[Term]) -> None:
         t = self.cur.peek()
-        first = self._try_lhs()
-        if first is None:
+        targets: list[Term] = []
+        while (lhs := self._try_lhs()) is not None:
+            targets.append(lhs)
+        if not targets:
             # must be a bare call statement
             call = self._expr()
-            if not isinstance(call, ast.CallExpr):
+            if not (isinstance(call, Compound) and call.functor == "funcall"):
                 raise ParseError(f"expected a statement, found {t.text!r}", t.span)
             self.cur.expect(";")
-            return ast.CallStmt(call, span=t.span)
-        targets = [first]
-        while True:
-            nxt = self._try_lhs()
-            if nxt is None:
-                break
-            targets.append(nxt)
+            out.append(Compound("funcall", call.args, t.span))
+            return
         value = self._expr()
         self.cur.expect(";")
-        return ast.AssignStmt(tuple(targets), value, span=t.span)
+        # rightmost target is assigned first; earlier targets then read it back
+        for lhs in reversed(targets):
+            out.append(comp("assign", lhs, value, span=t.span))
+            value = lhs
 
     # conditions
 
-    def _cond(self) -> ast.Cond:
+    def _cond(self) -> Term:
         left = self._cond_and()
         while self.cur.at("||"):
             self.cur.next()
-            left = ast.OrCond(left, self._cond_and())
+            left = comp("or", left, self._cond_and())
         return left
 
-    def _cond_and(self) -> ast.Cond:
+    def _cond_and(self) -> Term:
         left = self._cond_atom()
         while self.cur.at("&&"):
             self.cur.next()
-            left = ast.AndCond(left, self._cond_atom())
+            left = comp("and", left, self._cond_atom())
         return left
 
-    def _cond_atom(self) -> ast.Cond:
+    def _cond_atom(self) -> Term:
         t = self.cur.peek()
         if t.kind == "(":
             save = self.cur.pos
@@ -536,38 +571,38 @@ class _ProgramParser:
         left = self._expr()
         op = self.cur.expect(*_REL_OPS)
         right = self._expr()
-        return ast.CmpCond(op.kind, left, right)
+        return comp(CMP_TO_FUNCTOR[op.kind], left, right)
 
     # expressions
 
-    def _expr(self) -> ast.Expr:
+    def _expr(self) -> Term:
         left = self._exp_term()
         while self.cur.at("+", "-"):
-            t = self.cur.next()
-            left = ast.BinExpr(t.kind, left, self._exp_term())
+            functor = "add" if self.cur.next().kind == "+" else "sub"
+            left = comp(functor, left, self._exp_term())
         return left
 
-    def _exp_term(self) -> ast.Expr:
+    def _exp_term(self) -> Term:
         left = self._exp_unary()
         while self.cur.at("*"):
             self.cur.next()
-            left = ast.BinExpr("*", left, self._exp_unary())
+            left = comp("mul", left, self._exp_unary())
         return left
 
-    def _exp_unary(self) -> ast.Expr:
+    def _exp_unary(self) -> Term:
         if self.cur.at("-"):
             self.cur.next()
-            return ast.NegExpr(self._exp_unary())
+            return comp("sub", Int(0), self._exp_unary())
         return self._exp_primary()
 
-    def _exp_primary(self) -> ast.Expr:
+    def _exp_primary(self) -> Term:
         t = self.cur.peek()
         if t.kind == "int":
             self.cur.next()
-            return ast.IntExpr(t.value)
+            return Int(t.value)
         if t.kind in ("null", "nil"):
             self.cur.next()
-            return ast.NullExpr()
+            return Atom("nil")
         if t.kind == "(":
             self.cur.next()
             e = self._expr()
@@ -577,67 +612,42 @@ class _ProgramParser:
             self.cur.next()
             loc = self._location()
             self.cur.expect("]")
-            return ast.MemReadExpr(loc)
+            return comp("mem", loc)
         if t.kind == "this":
             self.cur.next()
             self.cur.expect(".")
             member = self.cur.expect("ident").text
             if self.cur.at("("):
-                args = self._call_args()
-                return ast.CallExpr("this", member, args)
-            return ast.LocExpr(ast.FieldBase("this", member))
+                return self._call(member, Atom("this"))
+            return comp("oa", Atom("this"), Atom(member))
         if t.kind == "ident":
             name = self.cur.next().text
             if self.cur.at("("):
-                args = self._call_args()
-                return ast.CallExpr(None, name, args)
+                return self._call(name, None)
             if self.cur.at(".") and self.cur.peek(1).kind == "ident":
                 self.cur.next()
                 member = self.cur.next().text
                 if self.cur.at("("):
-                    args = self._call_args()
-                    return ast.CallExpr(name, member, args)
-                return ast.LocExpr(ast.FieldBase(name, member))
-            return ast.LocExpr(ast.VarBase(name))
+                    return self._call(member, Atom(name))
+                return comp("oa", Atom(name), Atom(member))
+            return Atom(name)
         raise ParseError(f"expected expression, found {t.text!r}", t.span)
 
-    def _call_args(self) -> tuple[ast.Expr, ...]:
+    def _call(self, name: str, receiver: Optional[Term]) -> Term:
+        """A call; its receiver becomes the implicit first actual."""
         self.cur.expect("(")
-        args: list[ast.Expr] = []
+        args: list[Term] = [] if receiver is None else [receiver]
         if not self.cur.at(")"):
             args.append(self._expr())
             while self.cur.at(","):
                 self.cur.next()
                 args.append(self._expr())
         self.cur.expect(")")
-        return tuple(args)
+        if args:
+            return comp("funcall", Atom(name), TList(tuple(args)))
+        return comp("funcall", Atom(name))
 
 
-def parse_program(text: str) -> ast.SourceProgram:
-    """Tokenize and parse a whole source file."""
+def parse_program(text: str) -> SourceProgram:
+    """Tokenize and parse a whole source file into its item terms."""
     return _ProgramParser(tokenize(text)).parse()
-
-
-def program_formulas(p: ast.SourceProgram) -> list[fm.Formula]:
-    """All formulas carried by a program (contracts, invariants, asserts)."""
-    out: list[fm.Formula] = [d.pred.body for d in p.predicates]
-
-    def from_block(b: ast.Block) -> None:
-        for s in b.stmts:
-            if isinstance(s, ast.AssertStmt):
-                out.append(s.formula)
-            elif isinstance(s, ast.WhileStmt):
-                out.append(s.invariant)
-                from_block(s.body)
-            elif isinstance(s, ast.IfStmt):
-                from_block(s.then_block)
-                if s.else_block is not None:
-                    from_block(s.else_block)
-            elif isinstance(s, ast.BlockStmt):
-                from_block(s.block)
-
-    for _, m in p.all_methods():
-        out.append(m.precondition)
-        out.append(m.postcondition)
-        from_block(m.body)
-    return out

@@ -4,7 +4,6 @@ execution, exportable as DOT graphs and as a JSON structure that round-trips.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, Optional
 
 from .records import Frozen, field, record
@@ -97,6 +96,8 @@ def _node_dict(n: ProofNode) -> dict:
 
 def to_structured(tree: ProofTree) -> str:
     """Machine-readable export; ``read_structured`` is its inverse."""
+    import json  # imported here, as only the structured export uses it
+
     return json.dumps(_node_dict(tree.root), indent=1) + "\n"
 
 
@@ -111,4 +112,6 @@ def _node_from(d: dict) -> ProofNode:
 
 
 def read_structured(text: str) -> ProofTree:
+    import json
+
     return ProofTree(_node_from(json.loads(text)))

@@ -1,9 +1,10 @@
 """Logic-term intermediate representation.
 
-Programs lower to functor/argument trees that serialize to a canonical text
-form (``.plt`` files) and re-import through ``parse_term``.  Spatial formulas
-embed with infix operators (``->``, ``*``, ``&&``, ``||``) so emitted terms
-match the annotation surface syntax; everything else is functional notation.
+The parser builds programs as functor/argument trees that serialize to a
+canonical text form (``.plt`` files) and re-import through ``parse_term``.
+Spatial formulas embed with infix operators (``->``, ``*``, ``&&``, ``||``)
+so emitted terms match the annotation surface syntax; everything else is
+functional notation.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import re
 from typing import Generator, Optional
 
-from . import astnodes as ast
 from . import formula as fm
-from .errors import NO_SPAN, LexError, LoweringError, Span, TermShapeError, TermSyntaxError
+from .errors import NO_SPAN, LexError, Span, TermShapeError, TermSyntaxError
 from .lexer import RESERVED, Token, tokenize
 from .records import Frozen, field, record
 
@@ -45,7 +45,7 @@ class Compound(Term):
     functor: str
     args: tuple[Term, ...]
     # statement terms carry the span of their source statement for
-    # diagnostics; like AST spans it takes no part in equality or text
+    # diagnostics; it takes no part in equality or text
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -547,160 +547,30 @@ def _check_fexpr(t: Term) -> None:
 
 
 # --------------------------------------------------------------------------
-# lowering: AST -> Term
+# source programs
 # --------------------------------------------------------------------------
 
 
-def lower_program(p: ast.SourceProgram) -> Term:
-    """Lower a parsed program; a lone bare function lowers to its own term.
+@record
+class SourceProgram(Frozen):
+    """The item terms of a parsed source file, kept apart by kind."""
 
-    Every statement term carries the span of the source statement it came
-    from, for diagnostics; contract asserts and function terms carry none.
-    """
-    items: list[Term] = []
-    for d in p.predicates:
-        items.append(
-            comp(
-                "pred",
-                Atom(d.pred.name),
-                TList(tuple(Atom(x) for x in d.pred.params)),
-                formula_to_term(d.pred.body),
-            )
-        )
-    for c in p.classes:
-        fields = TList(tuple(comp("field", Atom(n), Atom(t)) for n, t in c.fields))
-        methods = TList(tuple(_lower_function(m, this_class=c.name) for m in c.methods))
-        items.append(comp("class", Atom(c.name), fields, methods))
-    for fn in p.functions:
-        items.append(_lower_function(fn))
-    if len(items) == 1 and len(p.functions) == 1:
+    predicates: tuple[Term, ...]
+    classes: tuple[Term, ...]
+    functions: tuple[Term, ...]  # top-level functions outside classes
+
+
+def lower_program(p: SourceProgram) -> Term:
+    """The term of a parsed program: its predicates, classes and free
+    functions in that order; a lone bare function is its own term."""
+    items = p.predicates + p.classes + p.functions
+    if len(items) == 1 and p.functions:
         return items[0]
-    return comp("program", TList(tuple(items)))
+    return comp("program", TList(items))
 
 
-def _is_assert(t: Term) -> bool:
+def is_assert(t: Term) -> bool:
     return isinstance(t, Compound) and t.functor == "assert"
-
-
-def _lower_function(m: ast.MethodDecl, this_class: Optional[str] = None) -> Term:
-    body = _lower_block(m.body)
-    # ``split_contracts`` reads a leading and a trailing assert as the
-    # contracts, so a true contract is written out when a body assert
-    # would otherwise stand in its place
-    if m.postcondition != fm.TrueF() or (body and _is_assert(body[-1])):
-        body.append(comp("assert", formula_to_term(m.postcondition)))
-    if m.precondition != fm.TrueF() or (body and _is_assert(body[0])):
-        body.insert(0, comp("assert", formula_to_term(m.precondition)))
-    params = [comp("param", Atom(n), Atom(t)) for n, t in m.params]
-    if this_class is not None:
-        params.insert(0, comp("param", Atom("this"), Atom(this_class)))
-    return comp(
-        "function", Atom(m.name), Atom(m.return_type), TList(tuple(params)), TList(tuple(body))
-    )
-
-
-def _lower_base(b: ast.LocBase) -> Term:
-    if isinstance(b, ast.VarBase):
-        return Atom(b.name)
-    return comp("oa", Atom(b.obj), Atom(b.field))
-
-
-def _lower_location(loc: ast.Location) -> Term:
-    base = _lower_base(loc.base)
-    offset = loc.offset or 0
-    if offset == 0:
-        return comp("offset", base)
-    if offset > 0:
-        return comp("offset", base, Int(offset))
-    return comp("offset", base, comp("minus", Int(0), Int(-offset)))
-
-
-def lower_expr(e: ast.Expr) -> Term:
-    if isinstance(e, ast.IntExpr):
-        return Int(e.value)
-    if isinstance(e, ast.NullExpr):
-        return Atom("nil")
-    if isinstance(e, ast.LocExpr):
-        return _lower_base(e.base)
-    if isinstance(e, ast.MemReadExpr):
-        return comp("mem", _lower_location(e.loc))
-    if isinstance(e, ast.NegExpr):
-        return comp("sub", Int(0), lower_expr(e.operand))
-    if isinstance(e, ast.BinExpr):
-        functor = {"+": "add", "-": "sub", "*": "mul"}[e.op]
-        return comp(functor, lower_expr(e.left), lower_expr(e.right))
-    if isinstance(e, ast.CallExpr):
-        return _lower_call(e)
-    raise LoweringError(f"expression has no term image: {e!r}")
-
-
-def _lower_call(e: ast.CallExpr, span: Span = NO_SPAN) -> Term:
-    args = [lower_expr(a) for a in e.args]
-    if e.receiver is not None:
-        args.insert(0, Atom(e.receiver))  # receiver becomes the implicit first actual
-    if args:
-        return comp("funcall", Atom(e.name), TList(tuple(args)), span=span)
-    return comp("funcall", Atom(e.name), span=span)
-
-
-def lower_cond(c: ast.Cond) -> Term:
-    if isinstance(c, ast.CmpCond):
-        return comp(CMP_TO_FUNCTOR[c.op], lower_expr(c.left), lower_expr(c.right))
-    if isinstance(c, ast.AndCond):
-        return comp("and", lower_cond(c.left), lower_cond(c.right))
-    if isinstance(c, ast.OrCond):
-        return comp("or", lower_cond(c.left), lower_cond(c.right))
-    raise LoweringError(f"condition has no term image: {c!r}")
-
-
-def _lower_stmt(s: ast.Stmt) -> list[Term]:
-    """The statement terms of ``s``, each carrying the span of ``s``."""
-    span = s.span
-    if isinstance(s, ast.AssignStmt):
-        out: list[Term] = []
-        targets = list(s.targets)
-        value = lower_expr(s.value)
-        # rightmost target is assigned first; earlier targets then read it back
-        for i in reversed(range(len(targets))):
-            lhs = targets[i]
-            if lhs.heap:
-                lhs_term: Term = comp("mem", _lower_location(lhs.target))  # type: ignore[arg-type]
-            else:
-                lhs_term = _lower_base(lhs.target)  # type: ignore[arg-type]
-            out.append(comp("assign", lhs_term, value, span=span))
-            value = lhs_term
-        return out
-    if isinstance(s, ast.NewStmt):
-        return [comp("new", _lower_base(s.target), span=span)]
-    if isinstance(s, ast.DeleteStmt):
-        return [comp("delete", _lower_base(s.target), span=span)]
-    if isinstance(s, ast.CallStmt):
-        return [_lower_call(s.call, span)]
-    if isinstance(s, ast.AssertStmt):
-        return [comp("assert", formula_to_term(s.formula), span=span)]
-    if isinstance(s, ast.BlockStmt):
-        return [TList(tuple(_lower_block(s.block)), span)]
-    if isinstance(s, ast.IfStmt):
-        then_block = TList(tuple(_lower_block(s.then_block)))
-        if s.else_block is None:
-            return [comp("ite", lower_cond(s.cond), then_block, span=span)]
-        else_block = TList(tuple(_lower_block(s.else_block)))
-        return [comp("ite", lower_cond(s.cond), then_block, else_block, span=span)]
-    if isinstance(s, ast.WhileStmt):
-        return [
-            comp(
-                "while",
-                lower_cond(s.cond),
-                comp("assert", formula_to_term(s.invariant)),
-                TList(tuple(_lower_block(s.body))),
-                span=span,
-            )
-        ]
-    raise LoweringError(f"statement has no term image: {s!r}", span)
-
-
-def _lower_block(b: ast.Block) -> list[Term]:
-    return [t for s in b.stmts for t in _lower_stmt(s)]
 
 
 # --------------------------------------------------------------------------
@@ -738,7 +608,7 @@ def formula_to_term(f: fm.Formula) -> Term:
         return comp("pred", Atom(f.name), TList(tuple(expr_to_term(a) for a in f.args)))
     if isinstance(f, fm.PureAtom):
         return comp(CMP_TO_FUNCTOR[f.op], expr_to_term(f.left), expr_to_term(f.right))
-    raise LoweringError(f"formula has no term image: {f!r}")
+    raise TypeError(f"unknown formula {f!r}")
 
 
 def expr_to_term(e: fm.SymExpr) -> Term:
@@ -751,7 +621,7 @@ def expr_to_term(e: fm.SymExpr) -> Term:
     if isinstance(e, fm.FieldRef):
         if isinstance(e.obj, fm.Var):
             return comp("oa", Atom(e.obj.name), Atom(e.field))
-        raise LoweringError("field reference base must be a variable")
+        raise TypeError(f"field reference base must be a variable: {e!r}")
     if isinstance(e, fm.OffsetOf):
         base = expr_to_term(e.base)
         if e.offset == 0:
@@ -769,7 +639,7 @@ def expr_to_term(e: fm.SymExpr) -> Term:
         else:
             args.extend(comp(":", Atom(n), expr_to_term(v)) for n, v in e.fields)
         return Compound("object", tuple(args))
-    raise LoweringError(f"expression has no term image: {e!r}")
+    raise TypeError(f"unknown expression {e!r}")
 
 
 def term_to_formula(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = None) -> fm.Formula:
@@ -934,10 +804,10 @@ def split_contracts(
     body = list(fn.args[3].items)  # type: ignore[union-attr]
     pre: fm.Formula = fm.TrueF()
     post: fm.Formula = fm.TrueF()
-    if body and _is_assert(body[0]):
+    if body and is_assert(body[0]):
         pre = term_to_formula(body[0].args[0], class_fields)  # type: ignore[union-attr]
         body = body[1:]
-    if body and _is_assert(body[-1]):
+    if body and is_assert(body[-1]):
         post = term_to_formula(body[-1].args[0], class_fields)  # type: ignore[union-attr]
         body = body[:-1]
     return pre, body, post

@@ -421,16 +421,15 @@ def test_criterion_6_pure_solver_vs_brute_force():
 
 def test_criterion_7_round_trips():
     rng = random.Random(71)
-    with report("7 round trips", "terms, pretty-printed programs, proof trees"):
+    with report("7 round trips", "terms, generated programs, proof trees"):
         for _ in range(1500):
             t = rand_term(rng)
             assert parse_term(emit_text(t), check=False) == t
-        from test_parser import _rand_program
-        from heapcheck.astnodes import pretty_program
+        from test_parser import rand_program
 
         for _ in range(300):
-            prog = _rand_program(rng)
-            assert parse_program(pretty_program(prog)) == prog
+            text, term = rand_program(rng)
+            assert lower_program(parse_program(text)) == term
         from test_prooftree import rand_tree
 
         for _ in range(500):

@@ -185,9 +185,10 @@ def test_structured_output_deterministic_across_processes():
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_the_interpreter():
     # every module `import heapcheck.cli` loads is paid on each cold start;
-    # the concrete interpreter is imported by the `run` command alone
-    code = ("import sys, heapcheck.cli; "
-            "print([m for m in ('dataclasses', 'inspect', 'heapcheck.interp') if m in sys.modules])")
+    # the concrete interpreter is imported by the `run` command alone, and
+    # json by structured output and proof export alone
+    absent = ("dataclasses", "inspect", "json", "heapcheck.interp", "heapcheck.astnodes")
+    code = f"import sys, heapcheck.cli; print([m for m in {absent!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=Path(__file__).parent.parent)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -302,7 +302,8 @@ def test_consumed_cell_is_not_matched_twice():
 # of parts: (text, formula_to_symheaps heaps or error, _Goal.extract parts and
 # absorb flag per disjunct).  Both read a chain as right-nested: a part that is
 # not pure-only may only be followed by pure-only parts, and the extractor
-# keeps the rest of the chain from the first offending part as one nested check.
+# keeps the rest of the chain from the first offending part as one nested check,
+# with the unfold depth its predicates get (the goal's 3 here).
 
 AND_CHAIN_TABLE = [
     (
@@ -318,7 +319,7 @@ AND_CHAIN_TABLE = [
     (
         'x->1 && y->2',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', 'x->1 && y->2')], False)],
+        [([('nested', 'x->1 && y->2', 3)], False)],
     ),
     (
         'a == 1 && x->1 && b == 2',
@@ -338,37 +339,37 @@ AND_CHAIN_TABLE = [
     (
         'x->1 && a == 1 && y->2',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', 'x->1 && a==1 && y->2')], False)],
+        [([('nested', 'x->1 && a==1 && y->2', 3)], False)],
     ),
     (
         'a == 1 && x->1 && y->2',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2')], False)],
+        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2', 3)], False)],
     ),
     (
         'a == 1 && x->1 && y->2 && b == 2',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2 && b==2')], False)],
+        [([('pure', '==', 'a', '1'), ('nested', 'x->1 && y->2 && b==2', 3)], False)],
     ),
     (
         'x->1 && y->2 && a == 1',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', 'x->1 && y->2 && a==1')], False)],
+        [([('nested', 'x->1 && y->2 && a==1', 3)], False)],
     ),
     (
         '(x->1 && y->2) && a == 1',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', 'x->1 && y->2'), ('pure', '==', 'a', '1')], False)],
+        [([('nested', 'x->1 && y->2', 3), ('pure', '==', 'a', '1')], False)],
     ),
     (
         '(a == 1 && x->1) && y->2',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', '(a==1 && x->1) && y->2')], False)],
+        [([('nested', '(a==1 && x->1) && y->2', 3)], False)],
     ),
     (
         'emp && a == 1 && x->1',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('nested', 'emp && a==1 && x->1')], False)],
+        [([('nested', 'emp && a==1 && x->1', 3)], False)],
     ),
     (
         'a == 1 && emp && true',
@@ -383,7 +384,7 @@ AND_CHAIN_TABLE = [
     (
         'x.f == 1 && x->1 && y->2',
         'UnsupportedFormulaError: field references inside assertions are not supported; assert record values instead',
-        [([('pure', '==', 'x.f', '1'), ('nested', 'x->1 && y->2')], False)],
+        [([('pure', '==', 'x.f', '1'), ('nested', 'x->1 && y->2', 3)], False)],
     ),
     (
         'a == 1 && x->1 && y.f == 2',
@@ -393,12 +394,12 @@ AND_CHAIN_TABLE = [
     (
         'a == 1 && list(x, nil) && b == 2 && list(y, nil)',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('pure', '==', 'a', '1'), ('nested', 'list(x, nil) && b==2 && list(y, nil)')], False)],
+        [([('pure', '==', 'a', '1'), ('nested', 'list(x, nil) && b==2 && list(y, nil)', 3)], False)],
     ),
     (
         'exists v. a == v && x->v && y->v',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('pure', '==', 'a', '?b1'), ('nested', 'x->?b1 && y->?b1')], False)],
+        [([('pure', '==', 'a', '?b1'), ('nested', 'x->?b1 && y->?b1', 3)], False)],
     ),
     (
         'exists v. a == v && x->v && b != v',
@@ -413,7 +414,7 @@ AND_CHAIN_TABLE = [
     (
         'x->1 && (a == 1 || y->2)',
         'UnsupportedFormulaError: conjunction of two spatial formulas is not supported',
-        [([('pto', 'x', '1'), ('pure', '==', 'a', '1')], False), ([('nested', 'x->1 && y->2')], False)],
+        [([('pto', 'x', '1'), ('pure', '==', 'a', '1')], False), ([('nested', 'x->1 && y->2', 3)], False)],
     ),
     (
         '(exists u. u == a) && x->1 && (exists w. w != a)',

@@ -8,7 +8,7 @@ from heapcheck import formula as fm
 from heapcheck import termir as tir
 from heapcheck.entail import FreshNames, formula_to_symheaps
 from heapcheck.interp import ConcreteState, OracleConfig, _Goal, eval_assertion
-from heapcheck.parser import parse_assertion, parse_program, program_formulas
+from heapcheck.parser import parse_assertion, parse_program
 
 
 def test_emp_is_star_unit():
@@ -333,12 +333,41 @@ def test_parts_splice_only_the_last_part():
         assert fm.pretty(parse_assertion(text)) == text
 
 
+def program_formulas(term: tir.Term) -> list[fm.Formula]:
+    """The formulas a program term carries: predicate bodies, each function's
+    contracts (true where absent), its statement asserts and loop invariants."""
+    fields = tir.term_class_fields(term)
+    out = [d.body for d in tir.term_predicates(term)]
+
+    def walk(stmts) -> None:
+        for t in stmts:
+            if isinstance(t, tir.TList):
+                walk(t.items)
+            elif t.functor == "assert":
+                out.append(tir.term_to_formula(t.args[0], fields))
+            elif t.functor == "while":
+                out.append(tir.term_to_formula(t.args[1].args[0], fields))
+                walk(t.args[2].items)
+            elif t.functor == "ite":
+                for block in t.args[1:]:
+                    walk(block.items)
+
+    for fn in tir.term_functions(term):
+        pre, stmts, post = tir.split_contracts(fn, fields)
+        out += [pre, post]
+        walk(stmts)
+    return out
+
+
 def test_round_trips_keep_the_splice_invariant():
     rng = random.Random(66)
     generated = [rand_formula(rng, 4) for _ in range(300)]
-    parsed = [parse_assertion(text) for text in SPLICE_CASES]
+    from_files = []
     for path in sorted(DATA.glob("*.oc")):
-        parsed += program_formulas(parse_program(path.read_text(encoding="utf-8")))
+        term = tir.lower_program(parse_program(path.read_text(encoding="utf-8")))
+        from_files += program_formulas(term)
+    assert len(from_files) == 15
+    parsed = [parse_assertion(text) for text in SPLICE_CASES] + from_files
     for f in generated + parsed:
         n = fm.normalize(f)
         for g in (f, n):

@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import data_text
 
+from heapcheck import formula as fm
 from heapcheck.formula import IntLit, substitute
 from heapcheck.interp import (
     ConcreteState,
@@ -150,6 +151,24 @@ SPATIAL_AND_TABLE = [
 @pytest.mark.parametrize("text, store, heap, expected", SPATIAL_AND_TABLE)
 def test_conjunction_of_spatial_formulas(text, store, heap, expected):
     assert eval_assertion(parse_assertion(text), ConcreteState(store, heap)) is expected
+
+
+# recursive predicates whose bodies conjoin spatial formulas: the unfold depth
+# left after an expansion carries into the conjuncts, so unfolding stops
+RECURSIVE_AND_TABLE = [
+    # no unfolding of p ever ends
+    ("p", "x->1 && p(x)", {"x": 1}, {1: 1}, False),
+    # q unfolds twice through its conjunction, then ends at x == 0
+    ("q", "(x == 0 && emp) || exists n. (x->n * q(n)) && (x->n * true)",
+     {"x": 1}, {1: 2, 2: 0}, True),
+]
+
+
+@pytest.mark.parametrize("name, body, store, heap, expected", RECURSIVE_AND_TABLE)
+def test_recursive_predicate_through_a_conjunction(name, body, store, heap, expected):
+    table = fm.check_pred_table([fm.PredDef(name, ("x",), parse_assertion(body))])
+    goal = fm.PredApp(name, (fm.Var("x"),))
+    assert eval_assertion(goal, ConcreteState(store, heap), table) is expected
 
 
 def test_star_commutative_and_emp_unit_samples():

@@ -2,77 +2,75 @@ import random
 
 import pytest
 
-from heapcheck import astnodes as ast
 from heapcheck import formula as fm
-from heapcheck.astnodes import pretty_program
 from heapcheck.errors import AssertionSyntaxError, ParseError
 from heapcheck.parser import parse_assertion, parse_program
+from heapcheck.termir import CMP_TO_FUNCTOR, Atom, Int, Term, TList, comp, lower_program
+
+A = Atom
 
 
-def first_stmt(body_src: str) -> ast.Stmt:
-    p = parse_program("int f() {\n" + body_src + "\n}")
-    return p.functions[0].body.stmts[0]
+def body_terms(body_src: str) -> tuple[Term, ...]:
+    fn = lower_program(parse_program("int f() {\n" + body_src + "\n}"))
+    return fn.args[3].items
+
+
+def first_stmt(body_src: str) -> Term:
+    return body_terms(body_src)[0]
 
 
 def test_field_assignment_example():
     s = first_stmt("object1.next=object1;")
-    assert s == ast.AssignStmt(
-        (ast.Lhs(ast.FieldBase("object1", "next"), heap=False),),
-        ast.LocExpr(ast.VarBase("object1")),
-    )
+    assert s == comp("assign", comp("oa", A("object1"), A("next")), A("object1"))
 
 
 def test_empty_class():
     p = parse_program("class C { }")
-    assert p.classes[0] == ast.ClassDecl("C", (), ())
+    assert p.classes[0] == comp("class", A("C"), TList(()), TList(()))
 
 
 def test_mem_read_with_offset_example():
     s = first_stmt("value = [object1.ref + 0];")
-    assert s == ast.AssignStmt(
-        (ast.Lhs(ast.VarBase("value"), heap=False),),
-        ast.MemReadExpr(ast.Location(ast.FieldBase("object1", "ref"), 0)),
-    )
+    assert s == comp("assign", A("value"), comp("mem", comp("offset", comp("oa", A("object1"), A("ref")))))
 
 
 def test_negative_offset():
     s = first_stmt("value = [x - 3];")
-    assert s.value == ast.MemReadExpr(ast.Location(ast.VarBase("x"), -3))
+    assert s.args[1] == comp("mem", comp("offset", A("x"), comp("minus", Int(0), Int(3))))
 
 
 @pytest.mark.parametrize("a,b,c", [("a", "b", "c"), ("p", "q", "r"), ("u1", "u2", "u3")])
 def test_multiplication_precedence(a, b, c):
     lhs = first_stmt(f"t = {a}+{b}*{c};")
     rhs = first_stmt(f"t = {a}+({b}*{c});")
-    assert lhs == rhs
+    assert lhs == rhs == comp("assign", A("t"), comp("add", A(a), comp("mul", A(b), A(c))))
 
 
 def test_chained_assignment_right_associative():
-    s = first_stmt("a = b = 6;")
-    assert isinstance(s, ast.AssignStmt)
-    assert [t.target for t in s.targets] == [ast.VarBase("a"), ast.VarBase("b")]
-    assert s.value == ast.IntExpr(6)
+    assert body_terms("a = b = 6;") == (
+        comp("assign", A("b"), Int(6)),
+        comp("assign", A("a"), A("b")),
+    )
 
 
 def test_chain_through_heap_lhs():
-    s = first_stmt("[x] = y = 5;")
-    assert s.targets[0].heap and not s.targets[1].heap
+    assert body_terms("[x] = y = 5;") == (
+        comp("assign", A("y"), Int(5)),
+        comp("assign", comp("mem", comp("offset", A("x"))), A("y")),
+    )
 
 
 def test_condition_boolean_connectives():
     s = first_stmt("if (a < b && c != d || e == 1) { a = 1; }")
-    assert isinstance(s, ast.IfStmt)
-    assert isinstance(s.cond, ast.OrCond)
-    assert isinstance(s.cond.left, ast.AndCond)
+    both = comp("and", comp("le", A("a"), A("b")), comp("ne", A("c"), A("d")))
+    cond = comp("or", both, comp("eq", A("e"), Int(1)))
+    assert s == comp("ite", cond, TList((comp("assign", A("a"), Int(1)),)))
 
 
 def test_while_with_invariant_and_default():
-    p = parse_program(
-        "int f() { while (x != null) @ x->5 @ { x = 1; } while (y > 0) { y = 0; } }"
-    )
-    w1, w2 = p.functions[0].body.stmts
-    assert w1.invariant == fm.PointsTo(fm.Var("x"), fm.IntLit(5))
-    assert w2.invariant == fm.TrueF()
+    w1, w2 = body_terms("while (x != null) @ x->5 @ { x = 1; } while (y > 0) { y = 0; }")
+    assert w1.args[1] == comp("assert", comp("pto", A("x"), Int(5)))
+    assert w2.args[1] == comp("assert", A("true"))
 
 
 def test_parse_error_has_span_inside_input():
@@ -115,15 +113,18 @@ def test_duplicate_param_rejected():
 
 def test_this_receiver_and_calls():
     p = parse_program("class C { int m() { this.helper(1); obj.run(); go(); } }")
-    calls = [s.call for s in p.classes[0].methods[0].body.stmts]
-    assert [c.receiver for c in calls] == ["this", "obj", None]
+    calls = p.classes[0].args[2].items[0].args[3].items
+    assert calls == (
+        comp("funcall", A("helper"), TList((A("this"), Int(1)))),
+        comp("funcall", A("run"), TList((A("obj"),))),
+        comp("funcall", A("go")),
+    )
 
 
 def test_pred_declaration():
     p = parse_program("pred pair(a, b) := a->1 * b->2;")
-    d = p.predicates[0].pred
-    assert d.params == ("a", "b")
-    assert isinstance(d.body, fm.Star)
+    body = comp("star", comp("pto", A("a"), Int(1)), comp("pto", A("b"), Int(2)))
+    assert p.predicates == (comp("pred", A("pair"), TList((A("a"), A("b"))), body),)
 
 
 def test_pred_arity_error():
@@ -137,6 +138,25 @@ def test_pred_arity_error():
     with pytest.raises(AssertionSyntaxError) as e:
         parse_program(src)
     assert e.value.message.startswith("predicate 'one' used with 2 arguments")
+
+
+ARITY_PREDS = "pred one(a) := a->1;\npred two(a, b) := a->b;\n"
+
+
+# Annotations are checked once every predicate is known: free functions, then
+# class methods, and per method its pre, its post, then its body in order.
+@pytest.mark.parametrize("src, first", [
+    ("class C { int m() @ one(1, 2) @ {} }\nint f() @ two(3) @ {}", "two"),
+    ("int f() { @ one(1, 2) @; } @ two(3) @", "two"),
+    ("int f() @ one(1, 2) @ {} @ two(3) @", "one"),
+    ("int f() { while (x > 0) @ two(3) @ { @ one(1, 2) @; } }", "two"),
+    ("int f() { if (x > 0) { @ two(3) @; } else { @ one(1, 2) @; } }", "two"),
+    ("int f() { while (x > 0) @ one(1, 2) @ { } }", "one"),
+])
+def test_arity_errors_are_reported_in_program_order(src, first):
+    with pytest.raises(AssertionSyntaxError) as e:
+        parse_program(ARITY_PREDS + src)
+    assert e.value.message.startswith(f"predicate '{first}' used with")
 
 
 # assertion sub-parser -------------------------------------------------------
@@ -186,68 +206,121 @@ def test_multiplication_needs_parens_in_assertions():
     assert f == fm.PointsTo(fm.Var("x"), fm.ArithExpr("*", fm.IntLit(2), fm.IntLit(3)))
 
 
-# grammar-driven round trip ---------------------------------------------------
+# generated programs --------------------------------------------------------
+
+_ARITH = {"+": "add", "-": "sub", "*": "mul"}
+_ATOM = 4  # binding strength of a literal, name, read or negation
 
 
-def _rand_program(rng: random.Random) -> ast.SourceProgram:
-    def expr(depth=2) -> ast.Expr:
+def rand_program(rng: random.Random) -> tuple[str, Term]:
+    """A random program over the statement and expression grammar: its
+    source text and the term ``lower_program(parse_program(text))`` must
+    equal.  A class may come before, between or after the functions in the
+    text; the term lists classes first, and a lone function is its own term."""
+
+    def expr(depth=2) -> tuple[int, str, Term]:
+        """(binding strength, text, term); text is parenthesized by the caller."""
         r = rng.random()
         if depth <= 0 or r < 0.4:
-            return rng.choice(
-                [ast.IntExpr(rng.randint(0, 9)), ast.LocExpr(ast.VarBase(rng.choice("abxy")))]
-            )
+            if rng.random() < 0.5:
+                n = rng.randint(0, 9)
+                return _ATOM, str(n), Int(n)
+            v = rng.choice("abxy")
+            return _ATOM, v, A(v)
         if r < 0.55:
-            return ast.BinExpr(rng.choice("+-*"), expr(depth - 1), expr(depth - 1))
+            op = rng.choice("+-*")
+            mine = 2 if op == "*" else 1
+            left, right = expr(depth - 1), expr(depth - 1)
+            text = f"{wrap(left, mine - 1)} {op} {wrap(right, mine)}"
+            return mine, text, comp(_ARITH[op], left[2], right[2])
         if r < 0.65:
-            return ast.NegExpr(expr(depth - 1))
+            operand = expr(depth - 1)
+            return _ATOM, "-" + wrap(operand, 3), comp("sub", Int(0), operand[2])
         if r < 0.8:
-            return ast.MemReadExpr(ast.Location(ast.VarBase(rng.choice("xy")), rng.randint(-2, 2)))
-        return ast.LocExpr(ast.FieldBase(rng.choice(["o", "this"]), rng.choice("fg")))
+            v, k = rng.choice("xy"), rng.randint(-2, 2)
+            if k > 0:
+                loc = comp("offset", A(v), Int(k))
+            elif k < 0:
+                loc = comp("offset", A(v), comp("minus", Int(0), Int(-k)))
+            else:
+                loc = comp("offset", A(v))
+            return _ATOM, f"[{v} {'-' if k < 0 else '+'} {abs(k)}]", comp("mem", loc)
+        o, f = rng.choice(["o", "this"]), rng.choice("fg")
+        return _ATOM, f"{o}.{f}", comp("oa", A(o), A(f))
 
-    def cond() -> ast.Cond:
-        c: ast.Cond = ast.CmpCond(rng.choice(fm.CMP_OPS), expr(1), expr(1))
+    def wrap(e: tuple[int, str, Term], level: int) -> str:
+        return f"({e[1]})" if e[0] <= level else e[1]
+
+    def cmp() -> tuple[str, Term]:
+        op = rng.choice(fm.CMP_OPS)
+        (_, ltext, left), (_, rtext, right) = expr(1), expr(1)
+        return f"{ltext} {op} {rtext}", comp(CMP_TO_FUNCTOR[op], left, right)
+
+    def cond() -> tuple[str, Term]:
+        text, term = cmp()
         if rng.random() < 0.3:
-            c = ast.AndCond(c, ast.CmpCond(rng.choice(fm.CMP_OPS), expr(1), expr(1)))
+            more = cmp()
+            text, term = f"{text} && {more[0]}", comp("and", term, more[1])
         if rng.random() < 0.2:
-            c = ast.OrCond(c, ast.CmpCond(rng.choice(fm.CMP_OPS), expr(1), expr(1)))
-        return c
+            more = cmp()
+            text, term = f"{text} || {more[0]}", comp("or", term, more[1])
+        return text, term
 
-    def stmt(depth=2) -> ast.Stmt:
+    def stmt(depth=2) -> tuple[str, Term]:
         r = rng.random()
         if depth <= 0 or r < 0.45:
-            return ast.AssignStmt((ast.Lhs(ast.VarBase(rng.choice("abxy")), heap=False),), expr())
-        if r < 0.55:
-            return ast.NewStmt(ast.VarBase(rng.choice("xy")))
+            v = rng.choice("abxy")
+            _, text, term = expr()
+            return f"{v} = {text};", comp("assign", A(v), term)
         if r < 0.62:
-            return ast.DeleteStmt(ast.VarBase(rng.choice("xy")))
+            kind = "new" if r < 0.55 else "delete"
+            v = rng.choice("xy")
+            return f"{kind}({v});", comp(kind, A(v))
         if r < 0.72:
-            return ast.IfStmt(cond(), block(depth - 1), block(depth - 1) if rng.random() < 0.5 else None)
+            (ctext, cterm), (ttext, tterm) = cond(), block(depth - 1)
+            if rng.random() < 0.5:
+                etext, eterm = block(depth - 1)
+                return f"if ({ctext}) {ttext} else {etext}", comp("ite", cterm, tterm, eterm)
+            return f"if ({ctext}) {ttext}", comp("ite", cterm, tterm)
         if r < 0.8:
-            return ast.WhileStmt(cond(), fm.TrueF(), block(depth - 1))
+            (ctext, cterm), (btext, bterm) = cond(), block(depth - 1)
+            return f"while ({ctext}) @ true @ {btext}", comp("while", cterm, comp("assert", A("true")), bterm)
         if r < 0.9:
-            return ast.CallStmt(ast.CallExpr(None, "helper", (expr(1),)))
-        return ast.BlockStmt(block(depth - 1))
+            _, text, term = expr(1)
+            return f"helper({text});", comp("funcall", A("helper"), TList((term,)))
+        return block(depth - 1)
 
-    def block(depth=2) -> ast.Block:
-        return ast.Block(tuple(stmt(depth) for _ in range(rng.randint(0, 3))))
+    def block(depth=2) -> tuple[str, TList]:
+        stmts = [stmt(depth) for _ in range(rng.randint(0, 3))]
+        text = "{\n" + "".join(f"{t}\n" for t, _ in stmts) + "}"
+        return text, TList(tuple(term for _, term in stmts))
 
-    fns = tuple(
-        ast.MethodDecl(f"f{i}", "int", (("a", "int"),), fm.TrueF(), block(), fm.TrueF())
-        for i in range(rng.randint(1, 2))
-    )
-    classes = tuple(
-        ast.ClassDecl(f"K{i}", (("val", "int"),), ()) for i in range(rng.randint(0, 1))
-    )
-    return ast.SourceProgram(classes, fns, ())
+    functions = []
+    for i in range(rng.randint(1, 2)):
+        text, body = block()
+        functions.append((
+            f"int f{i}(int a) @ true @ {text} @ true @",
+            comp("function", A(f"f{i}"), A("int"), TList((comp("param", A("a"), A("int")),)), body),
+        ))
+    classes = [
+        (f"class K{i} {{ int val; }}", comp("class", A(f"K{i}"), TList((comp("field", A("val"), A("int")),)), TList(())))
+        for i in range(rng.randint(0, 1))
+    ]
+    items = classes + functions
+    # the class goes anywhere among the functions, which keep their order
+    sources = [text for text, _ in functions]
+    for text, _ in classes:
+        sources.insert(rng.randint(0, len(sources)), text)
+    if len(items) == 1:
+        return sources[0], items[0][1]
+    return "\n".join(sources) + "\n", comp("program", TList(tuple(term for _, term in items)))
 
 
-def test_pretty_print_roundtrip_property():
+def test_generated_programs_parse_to_their_terms():
     rng = random.Random(7)
     for _ in range(200):
-        prog = _rand_program(rng)
-        text = pretty_program(prog)
-        again = parse_program(text)
-        assert again == prog, text
+        text, term = rand_program(rng)
+        assert lower_program(parse_program(text)) == term, text
 
 
 def test_long_walk_parses():
@@ -255,4 +328,5 @@ def test_long_walk_parses():
 
     # the arity check once recursed per chain link and ran out of stack here
     program = parse_program(walk_source(600))
-    assert [m.name for _, m in program.all_methods()] == ["walk600"]
+    assert (program.predicates, program.classes) == ((), ())
+    assert [fn.args[0] for fn in program.functions] == [A("walk600")]

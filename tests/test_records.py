@@ -6,85 +6,20 @@ import inspect
 
 import pytest
 
-from heapcheck import arith, astnodes as ast, entail, formula as fm, interp, prooftree, symexec, termir
+from heapcheck import arith, entail, formula as fm, interp, prooftree, symexec, termir
 from heapcheck.errors import Span
 
-MODULES = (ast, fm, termir, arith, entail, symexec, prooftree, interp)
+MODULES = (fm, termir, arith, entail, symexec, prooftree, interp)
 
 x, y = fm.Var("x"), fm.Var("y")
 pto = fm.PointsTo(x, fm.IntLit(1))
 node = prooftree.ProofNode(0, "r", "in", "ok")
 tree = prooftree.ProofTree(node)
 heap = entail.SymHeap()
-blk = ast.Block(())
-pdef = fm.PredDef("p", ("a",), fm.Emp())
-call = ast.CallExpr(None, "g", ())
 
 # class -> (keyword arguments of a sample, one field changed in a second
 # instance, repr of the sample)
 TABLE = {
-    ast.VarBase: ({"name": "x"}, {"name": "y"}, "VarBase(name='x')"),
-    ast.FieldBase: ({"obj": "this", "field": "f"}, {"field": "g"}, "FieldBase(obj='this', field='f')"),
-    ast.Location: ({"base": ast.VarBase("x"), "offset": 1}, {"offset": None},
-                   "Location(base=VarBase(name='x'), offset=1)"),
-    ast.IntExpr: ({"value": 3}, {"value": 4}, "IntExpr(value=3)"),
-    ast.NullExpr: ({}, None, "NullExpr()"),
-    ast.LocExpr: ({"base": ast.VarBase("x")}, {"base": ast.VarBase("y")},
-                  "LocExpr(base=VarBase(name='x'))"),
-    ast.MemReadExpr: ({"loc": ast.Location(ast.VarBase("x"), 0)}, {"loc": ast.Location(ast.VarBase("x"))},
-                      "MemReadExpr(loc=Location(base=VarBase(name='x'), offset=0))"),
-    ast.NegExpr: ({"operand": ast.IntExpr(1)}, {"operand": ast.IntExpr(2)},
-                  "NegExpr(operand=IntExpr(value=1))"),
-    ast.BinExpr: ({"op": "+", "left": ast.IntExpr(1), "right": ast.NullExpr()}, {"op": "-"},
-                  "BinExpr(op='+', left=IntExpr(value=1), right=NullExpr())"),
-    ast.CallExpr: ({"receiver": "this", "name": "g", "args": (ast.IntExpr(1),)}, {"receiver": None},
-                   "CallExpr(receiver='this', name='g', args=(IntExpr(value=1),))"),
-    ast.CmpCond: ({"op": "<", "left": ast.IntExpr(1), "right": ast.IntExpr(2)}, {"op": "<="},
-                  "CmpCond(op='<', left=IntExpr(value=1), right=IntExpr(value=2))"),
-    ast.AndCond: ({"left": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)),
-                   "right": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
-                  {"right": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1))},
-                  "AndCond(left=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
-                  "right=CmpCond(op='!=', left=IntExpr(value=1), right=IntExpr(value=2)))"),
-    ast.OrCond: ({"left": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)),
-                  "right": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
-                 {"left": ast.CmpCond("!=", ast.IntExpr(1), ast.IntExpr(2))},
-                 "OrCond(left=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
-                 "right=CmpCond(op='!=', left=IntExpr(value=1), right=IntExpr(value=2)))"),
-    ast.Lhs: ({"target": ast.VarBase("x"), "heap": False}, {"heap": True},
-              "Lhs(target=VarBase(name='x'), heap=False)"),
-    ast.AssignStmt: ({"targets": (ast.Lhs(ast.VarBase("x"), False),), "value": ast.IntExpr(1)},
-                     {"value": ast.IntExpr(2)},
-                     "AssignStmt(targets=(Lhs(target=VarBase(name='x'), heap=False),), value=IntExpr(value=1))"),
-    ast.NewStmt: ({"target": ast.VarBase("x")}, {"target": ast.VarBase("y")},
-                  "NewStmt(target=VarBase(name='x'))"),
-    ast.DeleteStmt: ({"target": ast.VarBase("x")}, {"target": ast.FieldBase("x", "f")},
-                     "DeleteStmt(target=VarBase(name='x'))"),
-    ast.CallStmt: ({"call": call}, {"call": ast.CallExpr("x", "g", ())},
-                   "CallStmt(call=CallExpr(receiver=None, name='g', args=()))"),
-    ast.AssertStmt: ({"formula": fm.Emp()}, {"formula": fm.TrueF()}, "AssertStmt(formula=Emp())"),
-    ast.Block: ({"stmts": ()}, {"stmts": (ast.NewStmt(ast.VarBase("x")),)}, "Block(stmts=())"),
-    ast.BlockStmt: ({"block": blk}, {"block": ast.Block((ast.CallStmt(call),))},
-                    "BlockStmt(block=Block(stmts=()))"),
-    ast.IfStmt: ({"cond": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)), "then_block": blk,
-                  "else_block": None}, {"else_block": blk},
-                 "IfStmt(cond=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
-                 "then_block=Block(stmts=()), else_block=None)"),
-    ast.WhileStmt: ({"cond": ast.CmpCond("==", ast.IntExpr(1), ast.IntExpr(1)), "invariant": fm.TrueF(),
-                     "body": blk}, {"invariant": fm.Emp()},
-                    "WhileStmt(cond=CmpCond(op='==', left=IntExpr(value=1), right=IntExpr(value=1)), "
-                    "invariant=TrueF(), body=Block(stmts=()))"),
-    ast.MethodDecl: ({"name": "f", "return_type": "int", "params": (("x", "node"),), "precondition": fm.Emp(),
-                      "body": blk, "postcondition": fm.Emp()}, {"return_type": "void"},
-                     "MethodDecl(name='f', return_type='int', params=(('x', 'node'),), precondition=Emp(), "
-                     "body=Block(stmts=()), postcondition=Emp())"),
-    ast.ClassDecl: ({"name": "C", "fields": (("f", "int"),), "methods": ()}, {"fields": ()},
-                    "ClassDecl(name='C', fields=(('f', 'int'),), methods=())"),
-    ast.PredDecl: ({"pred": pdef}, {"pred": fm.PredDef("q", ("a",), fm.Emp())},
-                   "PredDecl(pred=PredDef(name='p', params=('a',), body=Emp(), builtin=False))"),
-    ast.SourceProgram: ({"classes": (), "functions": (), "predicates": ()},
-                        {"predicates": (ast.PredDecl(pdef),)},
-                        "SourceProgram(classes=(), functions=(), predicates=())"),
     fm.IntLit: ({"value": 1}, {"value": -1}, "IntLit(value=1)"),
     fm.Var: ({"name": "x"}, {"name": "y"}, "Var(name='x')"),
     fm.Nil: ({}, None, "Nil()"),
@@ -117,6 +52,9 @@ TABLE = {
     termir.Compound: ({"functor": "f", "args": (termir.Atom("a"),)}, {"functor": "g"},
                       "Compound(functor='f', args=(Atom(name='a'),))"),
     termir.TList: ({"items": (termir.Int(1),)}, {"items": ()}, "TList(items=(Int(value=1),))"),
+    termir.SourceProgram: ({"predicates": (), "classes": (), "functions": ()},
+                           {"functions": (termir.Atom("f"),)},
+                           "SourceProgram(predicates=(), classes=(), functions=())"),
     arith.SatResult: ({"status": "sat", "witness": None}, {"status": "unsat"},
                       "SatResult(status='sat', witness=None)"),
     arith.PureSet: ({"atoms": (("==", x, y),)}, {"separated": (x,)},
@@ -170,8 +108,7 @@ MUTABLE = {entail.Proved, entail.Failed, symexec.Stats, symexec.Verdict, symexec
            prooftree.ProofNode, prooftree.ProofTree, interp.Fault, interp.ConcreteState}
 
 # class -> (sample with a span, the name of its span field)
-SPANNED = (ast.AssignStmt, ast.NewStmt, ast.DeleteStmt, ast.CallStmt, ast.AssertStmt, ast.BlockStmt,
-           ast.IfStmt, ast.WhileStmt, ast.MethodDecl, termir.Compound, termir.TList)
+SPANNED = (termir.Compound, termir.TList)
 
 
 def _is_record(cls) -> bool:
@@ -229,11 +166,9 @@ def test_fresh_default_factories():
 def test_equal_fields_of_different_classes_compare_unequal():
     a, b = fm.Emp(), fm.TrueF()
     assert fm.Star((a, b)) != fm.And((a, b)) != fm.Or((a, b))
-    assert fm.Emp() != fm.TrueF() != fm.FalseF() and fm.Nil() != ast.NullExpr()
-    assert ast.AndCond(a, b) != ast.OrCond(a, b)
-    assert ast.NewStmt(ast.VarBase("x")) != ast.DeleteStmt(ast.VarBase("x"))
-    assert ast.VarBase("x") != fm.Var("x") != termir.Atom("x")
-    assert ast.IntExpr(1) != fm.IntLit(1) != termir.Int(1)
+    assert fm.Emp() != fm.TrueF() != fm.FalseF() and fm.Nil() != termir.Atom("nil")
+    assert fm.Var("x") != termir.Atom("x")
+    assert fm.IntLit(1) != termir.Int(1)
     assert entail.PtoAtom(x, y) != fm.PointsTo(x, y)
     assert fm.Record("node", ()) != interp.CRecord("node", ())
 

@@ -6,10 +6,8 @@ import pytest
 from conftest import DATA, data_text, rand_term
 
 from heapcheck import termir as tir
-from heapcheck import astnodes as ast
 from heapcheck.errors import NO_SPAN, Span, TermShapeError, TermSyntaxError
 from heapcheck.parser import parse_program
-from heapcheck.astnodes import pretty_program
 
 PAPER_TERM = (
     "function(f, int, [param(a,int), param(b,int)], "
@@ -93,21 +91,13 @@ def test_roundtrip_property():
         assert tir.parse_term(text, check=False) == t, text
 
 
-def test_relower_pretty_printed_ast_is_stable():
-    for name in ("paper_fn.oc", "ex1.oc", "ex2.oc", "ex4.oc", "append_destructive.oc"):
-        program = parse_program(data_text(name))
-        direct = tir.lower_program(program)
-        again = tir.lower_program(parse_program(pretty_program(program)))
-        assert direct == again, name
-
-
 def test_lowering_total_on_parse_valid_programs():
-    from test_parser import _rand_program
+    from test_parser import rand_program
 
     rng = random.Random(47)
     for _ in range(200):
-        program = _rand_program(rng)
-        term = tir.lower_program(program)  # must not raise LoweringError
+        text, _ = rand_program(rng)
+        term = tir.lower_program(parse_program(text))
         tir.check_shape(term)
         assert tir.parse_term(tir.emit_text(term)) == term
 
@@ -155,6 +145,10 @@ def test_program_wrapper_for_multiple_items():
     t = tir.lower_program(program)
     assert isinstance(t, tir.Compound) and t.functor == "program"
     assert [fn.args[0].name for fn in tir.term_functions(t)] == ["f", "g"]
+    # only a lone function is its own term; a lone class or predicate is not
+    for text in ("class K { int v; }", "pred p(a) := a->1;"):
+        t = tir.lower_program(parse_program(text))
+        assert t.functor == "program" and len(t.args[0].items) == 1, text
 
 
 def test_split_contracts():
@@ -296,22 +290,6 @@ class C { int m() { new(y); delete(y); } }
 """
 
 
-def _ast_spans(stmts) -> list:
-    """Expected spans of the lowered statement terms, in lowering order."""
-    out = []
-    for s in stmts:
-        out.extend([s.span] * (len(s.targets) if isinstance(s, ast.AssignStmt) else 1))
-        if isinstance(s, ast.BlockStmt):
-            out += _ast_spans(s.block.stmts)
-        elif isinstance(s, ast.IfStmt):
-            out += _ast_spans(s.then_block.stmts)
-            if s.else_block is not None:
-                out += _ast_spans(s.else_block.stmts)
-        elif isinstance(s, ast.WhileStmt):
-            out += _ast_spans(s.body.stmts)
-    return out
-
-
 def _term_spans(items) -> list:
     out = []
     for t in items:
@@ -326,25 +304,52 @@ def _term_spans(items) -> list:
     return out
 
 
+# (source, function) -> spans of its statement terms, each as (line, col,
+# end_line, end_col), in the order ``_term_spans`` walks them; an assignment
+# chain gives one term per target, all with the statement's span
+STATEMENT_SPANS = {
+    ("append_copy.oc", "append_copy"): [
+        (4, 3, 4, 5), (5, 3, 5, 5), (6, 3, 6, 5), (7, 3, 7, 5), (8, 3, 8, 6), (9, 3, 9, 5),
+        (10, 3, 10, 5), (11, 3, 11, 6), (12, 3, 12, 5), (13, 3, 13, 5), (14, 3, 14, 6),
+        (15, 3, 15, 5), (16, 3, 16, 5), (17, 3, 17, 6), (18, 3, 18, 5), (19, 3, 19, 5),
+        (20, 3, 20, 6), (21, 3, 21, 5), (22, 3, 22, 5), (23, 3, 23, 6), (24, 3, 24, 5),
+        (25, 3, 25, 5), (26, 3, 26, 4),
+    ],
+    ("append_destructive.oc", "append"): [
+        (4, 3, 4, 4), (5, 3, 5, 4), (6, 3, 6, 4), (7, 3, 7, 6), (8, 3, 8, 4), (9, 3, 9, 4),
+        (10, 3, 10, 4), (11, 3, 11, 4), (12, 3, 12, 5), (13, 3, 13, 4),
+    ],
+    ("ex1.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 6), (5, 3, 5, 9)],
+    ("ex2.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 4), (5, 5, 5, 8), (6, 5, 6, 12), (8, 3, 8, 9)],
+    ("ex3.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 10), (5, 3, 5, 8), (6, 3, 6, 9)],
+    ("ex4.oc", "main"): [
+        (3, 3, 3, 6), (4, 3, 4, 10), (5, 3, 5, 7), (6, 3, 6, 8), (7, 5, 7, 11), (8, 5, 8, 9),
+        (10, 3, 10, 9),
+    ],
+    ("paper_fn.oc", "f"): [(2, 3, 2, 5), (2, 9, 2, 10), (2, 14, 2, 15)],
+    ("SPAN_SOURCE", "m"): [(14, 21, 14, 24), (14, 29, 14, 35)],
+    ("SPAN_SOURCE", "f"): [
+        (2, 3, 2, 4), (2, 3, 2, 4), (3, 3, 3, 5), (4, 5, 4, 10), (5, 7, 5, 8), (6, 7, 6, 8),
+        (6, 9, 6, 10), (9, 5, 9, 6), (11, 4, 11, 11),
+    ],
+}
+
+
 def test_statement_terms_carry_their_source_spans():
-    sources = [data_text(p.name) for p in sorted(DATA.glob("*.oc"))] + [SPAN_SOURCE]
-    checked = 0
-    for text in sources:
-        program = parse_program(text)
-        fns = tir.term_functions(tir.lower_program(program))
-        methods = [m for _, m in program.all_methods()]
-        # all_methods lists free functions first, term_functions lists them last
-        methods = methods[len(program.functions):] + methods[: len(program.functions)]
-        assert len(fns) == len(methods)
-        for fn, m in zip(fns, methods):
+    sources = [(p.name, data_text(p.name)) for p in sorted(DATA.glob("*.oc"))]
+    sources.append(("SPAN_SOURCE", SPAN_SOURCE))
+    checked, seen = 0, []
+    for name, text in sources:
+        for fn in tir.term_functions(tir.lower_program(parse_program(text))):
+            key = (name, fn.args[0].name)
+            seen.append(key)
             assert fn.span == NO_SPAN
             _, stmts, _ = tir.split_contracts(fn)
             contracts = [t for t in fn.args[3].items if not any(t is s for s in stmts)]
             assert [t.span for t in contracts] == [NO_SPAN] * len(contracts)
-            expected = _ast_spans(m.body.stmts)
-            assert NO_SPAN not in expected
-            assert _term_spans(stmts) == expected, m.name
-            checked += len(expected)
+            assert _term_spans(stmts) == STATEMENT_SPANS[key], key
+            checked += len(STATEMENT_SPANS[key])
+    assert seen == list(STATEMENT_SPANS)
     assert checked > 60
 
 
@@ -359,6 +364,9 @@ def test_span_source_covers_nested_blocks_and_chains():
     assert loop.functor == "while" and loop.span.line == 4
     assert [t.span.line for t in loop.args[2].items] == [5, 6]
     assert ite.args[2].items[0].span.line == 9
+    # branch and loop-body lists and the invariant assert carry no span
+    parts = (ite.args[1], ite.args[2], loop.args[1], loop.args[2])
+    assert [t.span for t in parts] == [NO_SPAN] * 4
 
 
 def test_term_spans_take_no_part_in_equality_or_text():
