@@ -209,7 +209,7 @@ def _cmd_entail(args: argparse.Namespace) -> int:
         else:
             any_failed = True
             assert isinstance(res, Failed)
-            residue = ", ".join(fm.pretty(a.to_formula()) for a in res.residue_consequent)
+            residue = ", ".join(fm.pretty(a) for a in res.residue_consequent)
             print(f"query {i}: failed near rule '{res.nearest_rule}'"
                   + (f", unmatched: {residue}" if residue else ""))
     return EXIT_REFUTED if any_failed else EXIT_OK

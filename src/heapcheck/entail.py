@@ -42,37 +42,7 @@ class FreshNames:
 # --------------------------------------------------------------------------
 
 
-@record
-class PtoAtom(Frozen):
-    loc: fm.SymExpr
-    val: fm.SymExpr
-
-    def subst(self, mapping) -> "PtoAtom":
-        return PtoAtom(fm.substitute_expr(self.loc, mapping), fm.substitute_expr(self.val, mapping))
-
-    def to_formula(self) -> fm.Formula:
-        return fm.PointsTo(self.loc, self.val)
-
-
-@record
-class PredAtom(Frozen):
-    name: str
-    args: tuple[fm.SymExpr, ...]
-
-    def subst(self, mapping) -> "PredAtom":
-        return PredAtom(self.name, tuple(fm.substitute_expr(a, mapping) for a in self.args))
-
-    def to_formula(self) -> fm.Formula:
-        return fm.PredApp(self.name, self.args)
-
-
-SpatialAtom = Union[PtoAtom, PredAtom]
-
-
-def _atom_key(a: SpatialAtom) -> tuple:
-    if isinstance(a, PtoAtom):
-        return (0, fm.pretty_expr(a.loc), fm.pretty_expr(a.val))
-    return (1, a.name, tuple(fm.pretty_expr(x) for x in a.args))
+SpatialAtom = Union[fm.PointsTo, fm.PredApp]
 
 
 @record
@@ -91,9 +61,9 @@ class SymHeap(Frozen):
     spatial: tuple[SpatialAtom, ...] = ()
     existentials: frozenset[str] = frozenset()
 
-    @staticmethod
-    def emp() -> "SymHeap":
-        return SymHeap()
+    def star(self, other: "SymHeap") -> "SymHeap":
+        """``self * other``, under the existentials of ``self``."""
+        return SymHeap(self.pure.extend(other.pure), self.spatial + other.spatial, self.existentials)
 
     def with_atom(self, atom: SpatialAtom) -> "SymHeap":
         return SymHeap(self.pure, self.spatial + (atom,), self.existentials)
@@ -116,7 +86,7 @@ class SymHeap(Frozen):
 
     @lazy
     def _sep_pure(self) -> PureSet:
-        locs = tuple(a.loc for a in self.spatial if isinstance(a, PtoAtom))
+        locs = tuple(a.loc for a in self.spatial if isinstance(a, fm.PointsTo))
         return PureSet(self.pure.atoms, self.pure.separated + locs)
 
     # Spatial atoms by the solver class of an anchor under ``sep_pure``.  A
@@ -133,36 +103,32 @@ class SymHeap(Frozen):
 
     def roots_at(self, e: fm.SymExpr) -> list[int]:
         """Predicate instances whose first argument is ``e``."""
-        return self._roots.find(e)
+        return [i for i, k in self._args.find(e) if k == 0]
 
     def args_at(self, e: fm.SymExpr) -> list[int]:
-        """Predicate instances with ``e`` among their arguments."""
-        return self._args.find(e)
+        """Predicate instances with ``e`` among their arguments, once per
+        matching argument."""
+        return [i for i, _ in self._args.find(e)]
 
     @lazy
     def _cells(self) -> ClassIndex:
         atoms = enumerate(self.spatial)
-        return ClassIndex(self.sep_pure(), [(a.loc, i) for i, a in atoms if isinstance(a, PtoAtom)])
-
-    @lazy
-    def _roots(self) -> ClassIndex:
-        atoms = enumerate(self.spatial)
-        return ClassIndex(
-            self.sep_pure(), [(a.args[0], i) for i, a in atoms if isinstance(a, PredAtom) and a.args]
-        )
+        return ClassIndex(self.sep_pure(), [(a.loc, i) for i, a in atoms if isinstance(a, fm.PointsTo)])
 
     @lazy
     def _args(self) -> ClassIndex:
+        # tagged (atom position, argument position)
         atoms = enumerate(self.spatial)
         return ClassIndex(
-            self.sep_pure(), [(x, i) for i, a in atoms if isinstance(a, PredAtom) for x in a.args]
+            self.sep_pure(),
+            [(x, (i, k)) for i, a in atoms if isinstance(a, fm.PredApp) for k, x in enumerate(a.args)],
         )
 
     def released(self, gone: Iterable[SpatialAtom]) -> "SymHeap":
         """Keep as pure facts that the cells ``gone``, which just left the heap,
         were distinct from every points-to cell that remains."""
-        locs = [a.loc for a in self.spatial if isinstance(a, PtoAtom)]
-        facts = tuple(("!=", g.loc, loc) for g in gone if isinstance(g, PtoAtom) for loc in locs)
+        locs = [a.loc for a in self.spatial if isinstance(a, fm.PointsTo)]
+        facts = tuple(("!=", g.loc, loc) for g in gone if isinstance(g, fm.PointsTo) for loc in locs)
         if not facts:
             return self
         pure = PureSet(self.pure.atoms + facts, self.pure.separated)
@@ -172,9 +138,8 @@ class SymHeap(Frozen):
         return self.sep_pure().check_sat().status != UNSAT
 
     def to_formula(self) -> fm.Formula:
-        spatial = [a.to_formula() for a in self.spatial]
         pure = [fm.PureAtom(op, l, r) for op, l, r in self.pure.atoms]
-        out = fm.join(fm.Star, spatial) if spatial else fm.Emp()
+        out = fm.join(fm.Star, self.spatial) if self.spatial else fm.Emp()
         # the last name in sorted order is the outermost binder
         return fm.exists(sorted(self.existentials, reverse=True), fm.join(fm.And, [*pure, out]))
 
@@ -186,7 +151,7 @@ class SymHeap(Frozen):
         return fm.pretty(fm.normalize(self.to_formula()))
 
     def sorted_spatial(self) -> list[SpatialAtom]:
-        return sorted(self.spatial, key=_atom_key)
+        return sorted(self.spatial, key=fm.star_key)
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +176,7 @@ def formula_to_symheaps(
         existentials: set[str] = set()
         renaming: dict[str, fm.SymExpr] = {}
 
-        def walk(g: fm.Formula, spatial_ok: bool) -> None:
+        def walk(g: fm.Formula) -> None:
             if isinstance(g, (fm.Emp, fm.TrueF)):
                 return
             if isinstance(g, fm.FalseF):
@@ -221,22 +186,14 @@ def formula_to_symheaps(
                 pure.append((g.op, _rn(g.left), _rn(g.right)))
                 return
             if isinstance(g, fm.PointsTo):
-                if not spatial_ok:
-                    raise UnsupportedFormulaError(
-                        "spatial conjunction (&&) outside the symbolic-heap fragment"
-                    )
-                spatial.append(PtoAtom(_rn(g.loc), _rn(g.val)))
+                spatial.append(fm.PointsTo(_rn(g.loc), _rn(g.val)))
                 return
             if isinstance(g, fm.PredApp):
-                if not spatial_ok:
-                    raise UnsupportedFormulaError(
-                        "spatial conjunction (&&) outside the symbolic-heap fragment"
-                    )
-                spatial.append(PredAtom(g.name, tuple(_rn(a) for a in g.args)))
+                spatial.append(fm.PredApp(g.name, tuple(_rn(a) for a in g.args)))
                 return
             if isinstance(g, fm.Star):
                 for p in g.parts:
-                    walk(p, spatial_ok)
+                    walk(p)
                 return
             if isinstance(g, fm.And):
                 clash = fm.spatial_clash(g)
@@ -245,7 +202,7 @@ def formula_to_symheaps(
                         raise UnsupportedFormulaError(
                             "conjunction of two spatial formulas is not supported"
                         )
-                    walk(p, spatial_ok)
+                    walk(p)
                 return
             if isinstance(g, fm.Exists):
                 # a fresh name per binder, outermost first; the renaming of
@@ -256,7 +213,7 @@ def formula_to_symheaps(
                     if not skolemize:
                         existentials.add(name)
                     renaming[v] = fm.Var(name)
-                walk(g.body, spatial_ok)
+                walk(g.body)
                 for v, old in reversed(saved):
                     if old is None:
                         renaming.pop(v, None)
@@ -281,7 +238,7 @@ def formula_to_symheaps(
                 return fm.OffsetOf(_rn(e.base), e.offset)
             return e
 
-        walk(disjunct, True)
+        walk(disjunct)
         ps = PureSet()
         for op, l, r in pure:
             ps = ps.add(op, l, r)
@@ -325,13 +282,11 @@ class _Prover:
         self,
         preds: dict[str, fm.PredDef],
         builder: ProofBuilder,
-        depth: int,
     ):
         self.preds = preds
         # reserved namespace: caller-made names never start with '$?'
         self.qfresh = FreshNames("?")
         self.builder = builder
-        self.depth = depth
 
     # unification ---------------------------------------------------------
 
@@ -411,11 +366,11 @@ class _Prover:
                 )
             return tuple(a for i, a in enumerate(ant.spatial) if i not in used), binding
         atom, rest = con_atoms[0], con_atoms[1:]
-        if isinstance(atom, PtoAtom):
+        if isinstance(atom, fm.PointsTo):
             nearest = "points-to"
             loc = fm.substitute_expr(atom.loc, binding)
             if isinstance(loc, fm.Record) or (isinstance(loc, fm.Var) and loc.name in exist):
-                positions = [i for i, a in enumerate(ant.spatial) if isinstance(a, PtoAtom)]
+                positions = [i for i, a in enumerate(ant.spatial) if isinstance(a, fm.PointsTo)]
             else:
                 # a bound location unifies with exactly the cells in its class
                 positions = [
@@ -435,7 +390,7 @@ class _Prover:
                 nodes.append(
                     self.builder.node(
                         "points-to",
-                        f"{fm.pretty(atom.to_formula())} matches {fm.pretty(cand.to_formula())}",
+                        f"{fm.pretty(atom)} matches {fm.pretty(cand)}",
                     )
                 )
                 used.add(i)
@@ -447,10 +402,10 @@ class _Prover:
                 del nodes[mark:]
             # fall through to antecedent unfolding handled by caller
             return nearest
-        assert isinstance(atom, PredAtom)
+        assert isinstance(atom, fm.PredApp)
         nearest = "pred-match"
         for i, cand in enumerate(ant.spatial):
-            if i in used or not isinstance(cand, PredAtom) or cand.name != atom.name:
+            if i in used or not isinstance(cand, fm.PredApp) or cand.name != atom.name:
                 continue
             b2: Optional[dict[str, fm.SymExpr]] = binding
             for pa, ca in zip(atom.args, cand.args):
@@ -460,7 +415,7 @@ class _Prover:
             if b2 is None:
                 continue
             mark = len(nodes)
-            nodes.append(self.builder.node("pred-match", fm.pretty(atom.to_formula())))
+            nodes.append(self.builder.node("pred-match", fm.pretty(atom)))
             used.add(i)
             res = yield (ant, used, rest, con_pure, exist, b2, depth, nodes)
             if not isinstance(res, str):
@@ -471,7 +426,7 @@ class _Prover:
         if depth <= 0:
             nodes.append(
                 self.builder.node(
-                    "fold", f"depth bound hit at {fm.pretty(atom.to_formula())}", FAILED
+                    "fold", f"depth bound hit at {fm.pretty(atom)}", FAILED
                 )
             )
             return "depth-exceeded"
@@ -484,7 +439,7 @@ class _Prover:
             new_pure = con_pure + disjunct.pure.atoms
             mark = len(nodes)
             nodes.append(
-                self.builder.node("fold", f"{fm.pretty(atom.to_formula())} via case {i + 1}")
+                self.builder.node("fold", f"{fm.pretty(atom)} via case {i + 1}")
             )
             res = yield (ant, used, new_con, new_pure, new_exist, binding, depth - 1, nodes)
             if not isinstance(res, str):
@@ -499,7 +454,7 @@ class _Prover:
     def prove(self, ant: SymHeap, con: SymHeap, depth: int) -> EntailmentResult:
         for h in (ant, con):
             for a in h.spatial:
-                if isinstance(a, PredAtom):
+                if isinstance(a, fm.PredApp):
                     pred_body(self.preds, a.name, a.args)  # raises on a bad name or arity
         # rename consequent existentials into the reserved namespace so they
         # can never alias antecedent symbols
@@ -508,7 +463,7 @@ class _Prover:
             (op, fm.substitute_expr(l, rename), fm.substitute_expr(r, rename))
             for op, l, r in con.pure.atoms
         )
-        con_spatial = tuple(a.subst(rename) for a in con.spatial)
+        con_spatial = tuple(fm.substitute(a, rename) for a in con.spatial)
         exist = frozenset(v.name for v in rename.values())
         result = self._prove(ant, con_pure, con_spatial, exist, con.pretty(), depth)
         if isinstance(result, Proved):
@@ -530,9 +485,9 @@ class _Prover:
     ) -> EntailmentResult:
         if ant.sep_pure().check_sat().status == UNSAT:
             node = self.builder.node("pure-contradiction", ant.pretty())
-            return Proved(SymHeap.emp(), {}, node)
+            return Proved(SymHeap(), {}, node)
         nodes: list[ProofNode] = []
-        con_sorted = tuple(sorted(con_spatial, key=_atom_key))
+        con_sorted = tuple(sorted(con_spatial, key=fm.star_key))
         args = (ant, set(), con_sorted, con_pure, exist, {}, depth, nodes)
         res = fm.run_steps(self.match, args)
         if not isinstance(res, str):
@@ -542,7 +497,7 @@ class _Prover:
             return Proved(frame, binding, root)
         nearest = res
         # antecedent unfolding: case-split on the first predicate instance
-        preds_in_ant = [a for a in ant.spatial if isinstance(a, PredAtom)]
+        preds_in_ant = [a for a in ant.spatial if isinstance(a, fm.PredApp)]
         if preds_in_ant and depth > 0:
             inst = preds_in_ant[0]
             cases = unfold(ant, inst, self.preds, self.qfresh, prune=False)
@@ -560,7 +515,7 @@ class _Prover:
                 case_results.append(
                     self.builder.node(
                         "unfold",
-                        f"{fm.pretty(inst.to_formula())} case {i + 1}",
+                        f"{fm.pretty(inst)} case {i + 1}",
                         OK if isinstance(sub, Proved) else FAILED,
                         [sub.tree],
                     )
@@ -594,7 +549,7 @@ def prove(
 ) -> EntailmentResult:
     """Decide antecedent |- consequent * frame; sound, deterministic."""
     table = preds if preds is not None else fm.builtin_preds()
-    prover = _Prover(table, builder or ProofBuilder(), depth)
+    prover = _Prover(table, builder or ProofBuilder())
     return prover.prove(antecedent, consequent, depth)
 
 
@@ -612,7 +567,7 @@ def infer_frame(
 
 def unfold(
     h: SymHeap,
-    inst: PredAtom,
+    inst: fm.PredApp,
     preds: Optional[dict[str, fm.PredDef]] = None,
     fresh: Optional[FreshNames] = None,
     prune: bool = True,
@@ -629,11 +584,7 @@ def unfold(
     base = h.without(inst)
     out: list[SymHeap] = []
     for disjunct in formula_to_symheaps(body, fresh, skolemize=True):
-        merged = SymHeap(
-            base.pure.extend(disjunct.pure),
-            base.spatial + disjunct.spatial,
-            base.existentials,
-        )
+        merged = base.star(disjunct)
         if prune and not merged.consistent():
             continue
         out.append(merged)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Callable, Generator, Iterable, Mapping, Sequence
 
-from .errors import AssertionSyntaxError
+from .errors import NO_SPAN, AssertionSyntaxError, Span
 from .records import Frozen, record
 
 
@@ -184,7 +184,6 @@ class PredDef(Frozen):
     name: str
     params: tuple[str, ...]
     body: Formula
-    builtin: bool = False
 
 
 def join(cls: type, parts: Sequence[Formula]) -> Formula:
@@ -406,7 +405,9 @@ def _atom_rank(f: Formula) -> int:
     return 3
 
 
-def _star_key(f: Formula) -> tuple:
+def star_key(f: Formula) -> tuple:
+    """Sort key of a chain part: by kind (pure, points-to, predicate, other),
+    then by text."""
     if isinstance(f, PointsTo):
         return (1, pretty_expr(f.loc), pretty_expr(f.val))
     if isinstance(f, PredApp):
@@ -504,7 +505,7 @@ def _normalize1(f: Formula) -> Formula:
             parts.extend(q.parts if type(q) is type(f) else (q,))  # type: ignore[union-attr]
         if any(isinstance(p, zero) for p in parts):
             return zero()
-        parts = sorted((p for p in parts if not isinstance(p, unit)), key=_star_key)
+        parts = sorted((p for p in parts if not isinstance(p, unit)), key=star_key)
         if not parts:
             return unit()
         if not isinstance(f, Star):  # && and || are idempotent
@@ -585,7 +586,7 @@ def builtin_preds() -> dict[str, PredDef]:
     empty = join(And, [PureAtom("==", s, e), Emp()])
     step = join(Star, [PointsTo(s, node_record(v, t)), PredApp("list", (t, e))])
     body = join(Or, [empty, exists(["t", "v"], step)])
-    return {"list": PredDef("list", ("s", "e"), body, builtin=True)}
+    return {"list": PredDef("list", ("s", "e"), body)}
 
 
 def or_free(f: Formula) -> list[Formula]:
@@ -638,7 +639,11 @@ def check_pred_table(defs: Iterable[PredDef]) -> dict[str, PredDef]:
     return table
 
 
-def check_arities(f: Formula, table: dict[str, PredDef], context: str) -> None:
+def check_arities(
+    f: Formula, table: dict[str, PredDef], context: str, span: Span = NO_SPAN
+) -> None:
+    """Raise, at ``span``, on a predicate instance in ``f`` whose argument
+    count differs from its definition."""
     work = [f]
     while work:  # left to right, without recursing into nested formulas
         f = work.pop()
@@ -647,7 +652,8 @@ def check_arities(f: Formula, table: dict[str, PredDef], context: str) -> None:
             if d is not None and len(d.params) != len(f.args):
                 raise AssertionSyntaxError(
                     f"predicate '{f.name}' used with {len(f.args)} arguments in '{context}' "
-                    f"but defined with {len(d.params)}"
+                    f"but defined with {len(d.params)}",
+                    span,
                 )
         elif isinstance(f, (Star, And, Or)):
             work.extend(reversed(f.parts))

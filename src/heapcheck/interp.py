@@ -295,7 +295,6 @@ class OracleConfig(Frozen):
 
     value_lo: int = -4
     value_hi: int = 4
-    max_heap_cells: int = 4
 
 
 def eval_assertion(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import formula as fm
-from .errors import AssertionSyntaxError, ParseError, Span
+from .errors import NO_SPAN, AssertionSyntaxError, ParseError, Span
 from .lexer import Token, tokenize
 from .termir import (
     CMP_TO_FUNCTOR,
@@ -299,11 +299,12 @@ class _ProgramParser:
     def __init__(self, toks: list[Token]):
         self.cur = _Cursor(toks)
         self.class_fields: dict[str, tuple[str, ...]] = {}
-        # annotation formulas, for the arity check once every predicate is
-        # known: per method its pre, post and then its body formulas in order
-        self._fn_formulas: list[fm.Formula] = []
-        self._method_formulas: list[fm.Formula] = []
-        self._body_formulas: list[fm.Formula] = []
+        # annotation formulas and their spans, for the arity check once every
+        # predicate is known: per method its pre, post and then its body
+        # formulas in order
+        self._fn_formulas: list[tuple[fm.Formula, Span]] = []
+        self._method_formulas: list[tuple[fm.Formula, Span]] = []
+        self._body_formulas: list[tuple[fm.Formula, Span]] = []
 
     def parse(self) -> SourceProgram:
         classes: list[Term] = []
@@ -323,8 +324,8 @@ class _ProgramParser:
                 functions.append(fn)
         # check_pred_table checks the predicate bodies themselves
         table = fm.check_pred_table(preds)
-        for f in self._fn_formulas + self._method_formulas:
-            fm.check_arities(f, table, "annotation")
+        for f, span in self._fn_formulas + self._method_formulas:
+            fm.check_arities(f, table, "annotation", span)
         pred_terms = tuple(
             comp("pred", Atom(d.name), TList(tuple(map(Atom, d.params))), formula_to_term(d.body))
             for d in preds
@@ -346,10 +347,11 @@ class _ProgramParser:
         while not self.cur.at("}"):
             if self.cur.peek(2).kind == ";":
                 ftype = self.cur.expect("ident").text
-                fname = self.cur.expect("ident").text
+                fname_tok = self.cur.expect("ident")
+                fname = fname_tok.text
                 self.cur.expect(";")
                 if fname in self.class_fields[name]:
-                    raise ParseError(f"duplicate field '{fname}' in class '{name}'", start.span)
+                    raise ParseError(f"duplicate field '{fname}' in class '{name}'", fname_tok.span)
                 fields.append(comp("field", Atom(fname), Atom(ftype)))
                 self.class_fields[name] += (fname,)
             else:
@@ -393,7 +395,9 @@ class _ProgramParser:
     def _annotation(self, tok: Token) -> fm.Formula:
         return parse_assertion(tok.text, tok.span.line, tok.span.col, self.class_fields)
 
-    def _method_decl(self, formulas: list[fm.Formula], this_class: Optional[str] = None) -> Compound:
+    def _method_decl(
+        self, formulas: list[tuple[fm.Formula, Span]], this_class: Optional[str] = None
+    ) -> Compound:
         rtype_tok = self.cur.expect("ident")
         name = self.cur.expect("ident").text
         self.cur.expect("(")
@@ -408,15 +412,11 @@ class _ProgramParser:
             raise ParseError(f"duplicate parameter name in '{name}'", rtype_tok.span)
         if this_class is not None:
             params.insert(0, comp("param", Atom("this"), Atom(this_class)))
-        pre: fm.Formula = fm.TrueF()
-        if self.cur.at("annot"):
-            pre = self._annotation(self.cur.next())
+        pre, pre_span = self._contract()
         self._body_formulas = []
         body = self._block()
-        post: fm.Formula = fm.TrueF()
-        if self.cur.at("annot"):
-            post = self._annotation(self.cur.next())
-        formulas += [pre, post, *self._body_formulas]
+        post, post_span = self._contract()
+        formulas += [(pre, pre_span), (post, post_span), *self._body_formulas]
         # ``split_contracts`` reads a leading and a trailing assert as the
         # contracts, so a true contract is written out when a body assert
         # would otherwise stand in its place
@@ -427,6 +427,13 @@ class _ProgramParser:
         return comp(
             "function", Atom(name), Atom(rtype_tok.text), TList(tuple(params)), TList(tuple(body))
         )
+
+    def _contract(self) -> tuple[fm.Formula, Span]:
+        """An optional contract annotation and its span; ``true`` when absent."""
+        if not self.cur.at("annot"):
+            return fm.TrueF(), NO_SPAN
+        tok = self.cur.next()
+        return self._annotation(tok), tok.span
 
     def _param(self) -> Compound:
         ptype = self.cur.expect("ident").text
@@ -448,7 +455,7 @@ class _ProgramParser:
             self.cur.next()
             self.cur.expect(";")
             f = self._annotation(t)
-            self._body_formulas.append(f)
+            self._body_formulas.append((f, t.span))
             out.append(comp("assert", formula_to_term(f), span=t.span))
         elif t.kind in ("new", "delete"):
             self.cur.next()
@@ -469,8 +476,9 @@ class _ProgramParser:
             cond = self._cond()
             inv: fm.Formula = fm.TrueF()
             if self.cur.at("annot"):
-                inv = self._annotation(self.cur.next())
-                self._body_formulas.append(inv)
+                tok = self.cur.next()
+                inv = self._annotation(tok)
+                self._body_formulas.append((inv, tok.span))
             body = TList(tuple(self._block()))
             out.append(comp("while", cond, comp("assert", formula_to_term(inv)), body, span=t.span))
         elif t.kind == "{":

@@ -18,9 +18,7 @@ from .entail import (
     EntailmentResult,
     Failed,
     FreshNames,
-    PredAtom,
     Proved,
-    PtoAtom,
     SymHeap,
     formula_to_symheaps,
     prove,
@@ -62,6 +60,9 @@ REFUTING_KINDS = (
 )
 
 VERIFIED, REFUTED, INCONCLUSIVE = "Verified", "Refuted", "Inconclusive"
+
+# one case of a condition in disjunctive normal form: comparisons, conjoined
+Case = list[tuple[str, fm.SymExpr, fm.SymExpr]]
 
 
 @record
@@ -186,7 +187,7 @@ class _Engine:
         if res.status != SAT or res.witness is None:
             return ""
         binds = ", ".join(f"{k}={v}" for k, v in sorted(res.witness.items()) if "$" not in k)
-        cells = "; ".join(fm.pretty(a.to_formula()) for a in state.heap.sorted_spatial())
+        cells = "; ".join(fm.pretty(a) for a in state.heap.sorted_spatial())
         out = f"store: {binds or 'any'}"
         if cells:
             out += f"; heap: {cells}"
@@ -214,16 +215,27 @@ class _Engine:
         )
 
     def fault(self, state: SymState, kind: str, span: Span, message: str) -> None:
-        node = self.builder.node("fault", message, FAILED)
-        state.node.children.append(node)
+        node = self.attach(state, "fault", message, FAILED)
         self.diag(state, kind, span, message, node)
         raise _PathFault()
 
-    def note(self, state: SymState, rule: str, text: str, outcome: str = OK) -> ProofNode:
-        node = self.builder.node(rule, text, outcome)
+    def attach(
+        self,
+        state: SymState,
+        rule: str,
+        text: str,
+        outcome: str = OK,
+        children: Optional[list[ProofNode]] = None,
+    ) -> ProofNode:
+        """A new proof node under the current node of ``state``."""
+        node = self.builder.node(rule, text, outcome, children)
         state.node.children.append(node)
-        self.stats.rule_applications += 1
         return node
+
+    def note(self, state: SymState, rule: str, text: str, outcome: str = OK) -> ProofNode:
+        """``attach``, counted as a rule application."""
+        self.stats.rule_applications += 1
+        return self.attach(state, rule, text, outcome)
 
     def declare(self, state: SymState, name: str) -> None:
         if name not in state.store:
@@ -244,11 +256,15 @@ class _Engine:
             self.taint_state(state, f"{what}: {ex.message}")
             return None
 
-    def prove_any(self, heap: SymHeap, goals: list[SymHeap]) -> EntailmentResult:
-        """The first proof of one of the disjuncts ``goals``, else the last
-        failure."""
+    def establish(self, state: SymState, f: fm.Formula, what: str) -> Optional[EntailmentResult]:
+        """Prove the assertion ``f`` from the heap of ``state``: the first proof
+        of one of its disjuncts, else the last failure.  Outside the fragment
+        the path is tainted (see ``heaps_of``) and the result is None."""
+        goals = self.heaps_of(state, f, False, what)
+        if goals is None:
+            return None
         for goal in goals:
-            res = prove(heap, goal, self.preds, self.depth, self.builder)
+            res = prove(state.heap, goal, self.preds, self.depth, self.builder)
             if isinstance(res, Proved):
                 break
         return res
@@ -264,7 +280,7 @@ class _Engine:
         missing: str,
         outside: Optional[str] = None,
         kind: str = INVALID_ACCESS,
-    ) -> Optional[PtoAtom]:
+    ) -> Optional[fm.PointsTo]:
         """The cell at ``addr``, after unfolding a predicate instance rooted
         there if that has exactly one case.
 
@@ -285,7 +301,7 @@ class _Engine:
             for n in range(len(cases)):
                 # the cases of a split stay in the proof, but only a single
                 # case replaces the heap
-                self.note(state, "unfold", f"{fm.pretty(atom.to_formula())} case {n + 1}")
+                self.note(state, "unfold", f"{fm.pretty(atom)} case {n + 1}")
             if len(cases) == 1:
                 state.heap = heap = cases[0]
                 i = heap.cell_at(addr)
@@ -303,7 +319,7 @@ class _Engine:
     def _provably_absent(self, state: SymState, addr: fm.SymExpr) -> bool:
         pure = state.heap.sep_pure()
         for atom in state.heap.spatial:
-            if isinstance(atom, PredAtom):
+            if isinstance(atom, fm.PredApp):
                 return False  # a predicate instance may hide the cell
             if not pure.distinct(addr, atom.loc):
                 return False
@@ -328,7 +344,7 @@ class _Engine:
                     continue
                 reached.add(i)
                 atom = heap.spatial[i]
-                if isinstance(atom, PtoAtom):
+                if isinstance(atom, fm.PointsTo):
                     work.extend(_components(atom.val))
                 else:
                     work.extend(atom.args)
@@ -343,12 +359,12 @@ class _Engine:
             a for i, a in enumerate(atoms) if i not in reached and a not in state.reported
         ]
         for a in lost:
-            node = self.note(state, "leak-check", fm.pretty(a.to_formula()), FAILED)
+            node = self.note(state, "leak-check", fm.pretty(a), FAILED)
             self.diag(
                 state,
                 UNREACHABLE_MEMORY,
                 span,
-                f"chunk {fm.pretty(a.to_formula())} is unreachable {origin}",
+                f"chunk {fm.pretty(a)} is unreachable {origin}",
                 node,
             )
             state.reported = state.reported | {a}
@@ -384,17 +400,17 @@ class _Engine:
             atom = heap.spatial[i]
             if i in reached or atom in state.reported:
                 continue
-            node = self.note(state, "leak-check", fm.pretty(atom.to_formula()), FAILED)
+            node = self.note(state, "leak-check", fm.pretty(atom), FAILED)
             self.diag(
                 state,
                 MEMORY_LEAK,
                 span,
-                f"last reference to chunk {fm.pretty(atom.to_formula())} was overwritten",
+                f"last reference to chunk {fm.pretty(atom)} was overwritten",
                 node,
             )
             state.reported = state.reported | {atom}
             # follow-on losses (a lost record may root further chunks)
-            if isinstance(atom, PtoAtom):
+            if isinstance(atom, fm.PointsTo):
                 self.leak_check(state, [atom.val], span, reached)
 
     # -- expression evaluation --------------------------------------------------
@@ -502,7 +518,7 @@ class _Engine:
             # the first field write displaces whatever scalar was there
             newval = fm.Record(None, ((fieldname, value),))
             lost = [old]
-        state.heap = state.heap.replace_atom(cell, PtoAtom(cell.loc, newval))
+        state.heap = state.heap.replace_atom(cell, fm.PointsTo(cell.loc, newval))
         self.leak_check(state, lost, span)
 
     # -- contracts ---------------------------------------------------------------
@@ -528,15 +544,13 @@ class _Engine:
         for g in sorted(ghosts):
             sigma[g] = self.fresh_sym("g")
         what = f"call to {name}"
-        pre_heaps = self.heaps_of(state, fm.substitute(contract.pre, sigma), False, what)
-        if pre_heaps is None:
+        res = self.establish(state, fm.substitute(contract.pre, sigma), what)
+        if res is None:
             return self.fresh_sym("r")
-        res = self.prove_any(state.heap, pre_heaps)
         if not isinstance(res, Proved):
-            node = self.builder.node(
-                "frame", f"call {name}: precondition not satisfied", FAILED, [res.tree]
+            node = self.attach(
+                state, "frame", f"call {name}: precondition not satisfied", FAILED, [res.tree]
             )
-            state.node.children.append(node)
             residue = _residue(res) or "pure conditions"
             self.diag(
                 state,
@@ -546,10 +560,7 @@ class _Engine:
                 node,
             )
             raise _PathFault()
-        node = self.builder.node(
-            "frame", f"call {name}: frame {res.frame.pretty()}", OK, [res.tree]
-        )
-        state.node.children.append(node)
+        self.attach(state, "frame", f"call {name}: frame {res.frame.pretty()}", OK, [res.tree])
         post_inst = fm.substitute(contract.post, {**sigma, **res.binding})
         post_heaps = self.heaps_of(state, post_inst, True, what)
         if post_heaps is None:
@@ -562,49 +573,30 @@ class _Engine:
             )
         consumed = Counter(state.heap.spatial) - Counter(res.frame.spatial)
         frame = res.frame.released(consumed.elements())
-        state.heap = SymHeap(
-            frame.pure.extend(post_heap.pure),
-            frame.spatial + post_heap.spatial,
-            frozenset(),
-        )
+        state.heap = frame.star(post_heap)
         return self.fresh_sym("r")
 
     # -- conditions ---------------------------------------------------------------
 
-    def cond_cases(
-        self, c: Term, state: SymState, span: Span, negate: bool
-    ) -> list[list[tuple[str, fm.SymExpr, fm.SymExpr]]]:
-        """DNF cases of the condition (or its negation) with operands evaluated."""
+    def cond_cases(self, c: Term, state: SymState, span: Span) -> tuple[list[Case], list[Case]]:
+        """DNF cases of the condition and of its negation; each operand is
+        evaluated once, left to right."""
 
-        def conv(t: Term) -> tuple:
+        def cases(t: Term) -> tuple[list[Case], list[Case]]:
             assert isinstance(t, Compound)
             if t.functor in ("and", "or"):
-                return (t.functor, conv(t.args[0]), conv(t.args[1]))
+                (lpos, lneg), (rpos, rneg) = cases(t.args[0]), cases(t.args[1])
+                if t.functor == "and":
+                    return [a + b for a in lpos for b in rpos], lneg + rneg
+                return lpos + rpos, [a + b for a in lneg for b in rneg]
             op = FUNCTOR_TO_CMP[t.functor]
             l = self.eval(t.args[0], state, span)
             r = self.eval(t.args[1], state, span)
-            return ("cmp", op, l, r)
+            return [[(op, l, r)]], [[(fm.NEGATED_CMP[op], l, r)]]
 
-        def pos(n: tuple) -> list[list]:
-            if n[0] == "and":
-                return [a + b for a in pos(n[1]) for b in pos(n[2])]
-            if n[0] == "or":
-                return pos(n[1]) + pos(n[2])
-            return [[(n[1], n[2], n[3])]]
+        return cases(c)
 
-        def neg(n: tuple) -> list[list]:
-            if n[0] == "and":
-                return neg(n[1]) + neg(n[2])
-            if n[0] == "or":
-                return [a + b for a in neg(n[1]) for b in neg(n[2])]
-            return [[(fm.NEGATED_CMP[n[1]], n[2], n[3])]]
-
-        tree = conv(c)
-        return neg(tree) if negate else pos(tree)
-
-    def assume_cases(
-        self, state: SymState, cases: list[list[tuple[str, fm.SymExpr, fm.SymExpr]]], label: str
-    ) -> list[SymState]:
+    def assume_cases(self, state: SymState, cases: list[Case], label: str) -> list[SymState]:
         out = []
         for i, case in enumerate(cases):
             text = " && ".join(fm.pretty(fm.PureAtom(op, l, r)) for op, l, r in case) or "true"
@@ -613,12 +605,9 @@ class _Engine:
                 heap = heap.add_pure(op, l, r)
             status = heap.sep_pure().check_sat().status
             if status == UNSAT:
-                node = self.builder.node("assume", f"{label} case {text}", PRUNED)
-                state.node.children.append(node)
+                self.attach(state, "assume", f"{label} case {text}", PRUNED)
                 continue
-            node = self.builder.node("assume", f"{label} case {text}", OK)
-            state.node.children.append(node)
-            st = state.fork(node)
+            st = state.fork(self.attach(state, "assume", f"{label} case {text}", OK))
             st.heap = heap
             if status == UNKNOWN:
                 self.taint_state(st, f"feasibility of path condition '{text}' is undecided")
@@ -656,19 +645,33 @@ class _Engine:
 
     def exec_assign(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         self.note(state, "stmt", emit_text(s))
-        value = self.eval(s.args[1], state, span)
-        lhs = s.args[0]
+        self.bind(state, s.args[0], self.eval(s.args[1], state, span), span)
+        return [state]
+
+    def exec_new(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
+        self.note(state, "stmt", emit_text(s))
+        addr = self.fresh_sym("a")
+        # separation from the other cells holds while the cell is in the heap;
+        # delete and call keep it once the cell leaves
+        heap = state.heap.add_pure("!=", addr, fm.Nil())
+        state.heap = heap.with_atom(fm.PointsTo(addr, self.fresh_sym("v")))
+        self.bind(state, s.args[0], addr, span)
+        return [state]
+
+    def bind(self, state: SymState, lhs: Term, value: fm.SymExpr, span: Span) -> None:
+        """Store ``value`` into the variable, field ``o.f`` or cell ``[loc]``
+        ``lhs``; a chunk only the overwritten value held leaks."""
         if isinstance(lhs, Atom):
             old = state.store.get(lhs.name)
             self.declare(state, lhs.name)
             state.store[lhs.name] = value
             if old is not None:
                 self.leak_check(state, [old], span)
-            return [state]
+            return
         assert isinstance(lhs, Compound)
         if lhs.functor == "oa":
             self.field_write(lhs, value, state, span)
-            return [state]
+            return
         if lhs.functor == "mem":
             addr = self.eval_address(lhs.args[0], state, span)
             cell = self.access(
@@ -676,30 +679,10 @@ class _Engine:
             )
             if cell is None:
                 raise _PathFault()
-            state.heap = state.heap.replace_atom(cell, PtoAtom(cell.loc, value))
+            state.heap = state.heap.replace_atom(cell, fm.PointsTo(cell.loc, value))
             self.leak_check(state, [cell.val], span)
-            return [state]
+            return
         raise AssertionError(f"bad assignment target {lhs!r}")
-
-    def exec_new(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", emit_text(s))
-        addr = self.fresh_sym("a")
-        content = self.fresh_sym("v")
-        # separation from the other cells holds while the cell is in the heap;
-        # delete and call keep it once the cell leaves
-        state.heap = state.heap.add_pure("!=", addr, fm.Nil())
-        target = s.args[0]
-        if isinstance(target, Atom):
-            old = state.store.get(target.name)
-            self.declare(state, target.name)
-            state.heap = state.heap.with_atom(PtoAtom(addr, content))
-            state.store[target.name] = addr
-            if old is not None:
-                self.leak_check(state, [old], span)
-        else:
-            state.heap = state.heap.with_atom(PtoAtom(addr, content))
-            self.field_write(target, addr, state, span)  # type: ignore[arg-type]
-        return [state]
 
     def exec_delete(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         self.note(state, "stmt", emit_text(s))
@@ -721,13 +704,11 @@ class _Engine:
 
     def exec_assert(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         goal = term_to_formula(s.args[0], self.class_fields)
-        goals = self.heaps_of(state, self.instantiate_formula(goal, state), False, "assert")
-        if goals is None:
+        res = self.establish(state, self.instantiate_formula(goal, state), "assert")
+        if res is None:
             return [state]
-        res = self.prove_any(state.heap, goals)
         proved = isinstance(res, Proved)
-        node = self.builder.node("assert", fm.pretty(goal), OK if proved else FAILED, [res.tree])
-        state.node.children.append(node)
+        node = self.attach(state, "assert", fm.pretty(goal), OK if proved else FAILED, [res.tree])
         if proved:
             return [state]
         self.diag(state, CONTRACT_VIOLATION, span, f"assertion not established: {fm.pretty(goal)}", node)
@@ -742,8 +723,7 @@ class _Engine:
     def exec_ite(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         self.note(state, "stmt", f"ite({emit_text(s.args[0])}, ...)")
         try:
-            then_cases = self.cond_cases(s.args[0], state, span, negate=False)
-            else_cases = self.cond_cases(s.args[0], state, span, negate=True)
+            then_cases, else_cases = self.cond_cases(s.args[0], state, span)
         except _PathFault:
             return []
         out: list[SymState] = []
@@ -764,13 +744,11 @@ class _Engine:
 
         # entry: current state must provide the invariant footprint
         what = "loop invariant"
-        inv_heaps = self.heaps_of(state, self.instantiate_formula(inv_formula, state), False, what)
-        if inv_heaps is None:
+        entry = self.establish(state, self.instantiate_formula(inv_formula, state), what)
+        if entry is None:
             return [state]
-        entry = self.prove_any(state.heap, inv_heaps)
         if not isinstance(entry, Proved):
-            node = self.builder.node("invariant", "entry check failed", FAILED, [entry.tree])
-            state.node.children.append(node)
+            node = self.attach(state, "invariant", "entry check failed", FAILED, [entry.tree])
             self.diag(
                 state,
                 INVARIANT_VIOLATION,
@@ -780,8 +758,7 @@ class _Engine:
             )
             return []
         frame = entry.frame
-        node = self.builder.node("invariant", f"entry ok, frame {frame.pretty()}", OK, [entry.tree])
-        state.node.children.append(node)
+        self.attach(state, "invariant", f"entry ok, frame {frame.pretty()}", OK, [entry.tree])
 
         modified = sorted(_assigned_vars(body))
 
@@ -802,36 +779,33 @@ class _Engine:
             bs.heap = ah
             bs.partial_heap = True
             try:
-                cases = self.cond_cases(cond_term, bs, span, negate=False)
+                cases, _ = self.cond_cases(cond_term, bs, span)
             except _PathFault:
                 continue
             for st in self.assume_cases(bs, cases, "loop"):
                 for terminal in self.exec_block(body, st):
                     inv_back = self.instantiate_formula(inv_formula, terminal)
-                    goals = self.heaps_of(terminal, inv_back, False, what)
-                    if goals is None:
+                    pres = self.establish(terminal, inv_back, what)
+                    if pres is None:
                         continue
-                    pres = self.prove_any(terminal.heap, goals)
                     if isinstance(pres, Proved) and pres.frame.spatial:
-                        node = self.builder.node(
-                            "invariant", "preserved with leftover chunks", FAILED, [pres.tree]
+                        node = self.attach(
+                            terminal, "invariant", "preserved with leftover chunks", FAILED, [pres.tree]
                         )
-                        terminal.node.children.append(node)
                         for a in pres.frame.spatial:
                             self.diag(
                                 terminal,
                                 MEMORY_LEAK,
                                 span,
-                                f"loop body allocates {fm.pretty(a.to_formula())} "
-                                "not claimed by the invariant",
+                                f"loop body allocates {fm.pretty(a)} not claimed by the invariant",
                                 node,
                             )
                     elif isinstance(pres, Proved):
-                        node = self.builder.node("invariant", "preserved", OK, [pres.tree])
-                        terminal.node.children.append(node)
+                        self.attach(terminal, "invariant", "preserved", OK, [pres.tree])
                     else:
-                        node = self.builder.node("invariant", "preservation failed", FAILED, [pres.tree])
-                        terminal.node.children.append(node)
+                        node = self.attach(
+                            terminal, "invariant", "preservation failed", FAILED, [pres.tree]
+                        )
                         self.diag(
                             terminal,
                             INVARIANT_VIOLATION,
@@ -851,11 +825,9 @@ class _Engine:
         out: list[SymState] = []
         for ah in after_heaps:
             st = after.fork()
-            st.heap = SymHeap(
-                frame.pure.extend(ah.pure), frame.spatial + ah.spatial, frozenset()
-            )
+            st.heap = frame.star(ah)
             try:
-                cases = self.cond_cases(cond_term, st, span, negate=True)
+                _, cases = self.cond_cases(cond_term, st, span)
             except _PathFault:
                 continue
             out.extend(self.assume_cases(st, cases, "loop-exit"))
@@ -924,13 +896,11 @@ class _Engine:
         for st in terminals:
             post_inst = fm.substitute(post, {**st.store, **gmap})
             what = "postcondition outside the supported fragment"
-            goals = self.heaps_of(st, post_inst, False, what)
-            if goals is None:
+            res = self.establish(st, post_inst, what)
+            if res is None:
                 continue
-            res = self.prove_any(st.heap, goals)
             if not isinstance(res, Proved):
-                node = self.builder.node("postcondition", fm.pretty(post), FAILED, [res.tree])
-                st.node.children.append(node)
+                node = self.attach(st, "postcondition", fm.pretty(post), FAILED, [res.tree])
                 self.diag(
                     st,
                     CONTRACT_VIOLATION,
@@ -939,18 +909,16 @@ class _Engine:
                     node,
                 )
             else:
-                node = self.builder.node("postcondition", fm.pretty(post), OK, [res.tree])
-                st.node.children.append(node)
+                self.attach(st, "postcondition", fm.pretty(post), OK, [res.tree])
                 for a in res.frame.spatial:
                     if a in st.reported:
                         continue
-                    leak_node = self.builder.node("leak-check", fm.pretty(a.to_formula()), FAILED)
-                    st.node.children.append(leak_node)
+                    leak_node = self.attach(st, "leak-check", fm.pretty(a), FAILED)
                     self.diag(
                         st,
                         MEMORY_LEAK,
                         self.fn.span,
-                        f"chunk {fm.pretty(a.to_formula())} is still allocated at return "
+                        f"chunk {fm.pretty(a)} is still allocated at return "
                         "and not claimed by the postcondition",
                         leak_node,
                     )
@@ -980,7 +948,7 @@ class _Engine:
 
 
 def _residue(res: Failed) -> str:
-    return ", ".join(fm.pretty(a.to_formula()) for a in res.residue_consequent)
+    return ", ".join(fm.pretty(a) for a in res.residue_consequent)
 
 
 def _components(v: fm.SymExpr) -> list[fm.SymExpr]:

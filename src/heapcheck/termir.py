@@ -775,11 +775,12 @@ def term_functions(t: Term) -> list[Compound]:
 
 def term_predicates(t: Term) -> list[fm.PredDef]:
     out: list[fm.PredDef] = []
+    fields = term_class_fields(t)
     for item in program_items(t):
         if isinstance(item, Compound) and item.functor == "pred":
             name = item.args[0].name  # type: ignore[union-attr]
             params = tuple(a.name for a in item.args[1].items)  # type: ignore[union-attr]
-            out.append(fm.PredDef(name, params, term_to_formula(item.args[2], term_class_fields(t))))
+            out.append(fm.PredDef(name, params, term_to_formula(item.args[2], fields)))
     return out
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from heapcheck import formula as fm
-from heapcheck.entail import FreshNames, PredAtom, PtoAtom, SymHeap, formula_to_symheaps
+from heapcheck.entail import FreshNames, SymHeap, formula_to_symheaps
 from heapcheck.interp import ConcreteState, CRecord, OracleConfig, Value, eval_assertion
 from heapcheck.termir import Atom, Compound, Int, TList, Term, comp
 
@@ -115,7 +115,7 @@ def combined_formula(con: SymHeap, frame: SymHeap) -> fm.Formula:
     pures: list[fm.Formula] = [
         fm.PureAtom(op, l, r) for op, l, r in con.pure.atoms + frame.pure.atoms
     ]
-    spatial = [a.to_formula() for a in list(con.spatial) + list(frame.spatial)]
+    spatial = [*con.spatial, *frame.spatial]
     body = fm.join(fm.And, [*pures, fm.join(fm.Star, spatial) if spatial else fm.Emp()])
     # the last name in sorted order is the outermost binder
     return fm.exists(sorted(con.existentials | frame.existentials, reverse=True), body)
@@ -189,7 +189,7 @@ def _place(
         yield ConcreteState(dict(store), dict(cells))
         return
     atom, rest = atoms[0], atoms[1:]
-    if isinstance(atom, PtoAtom):
+    if isinstance(atom, fm.PointsTo):
         addr = _eval_ground(atom.loc, store)
         if not isinstance(addr, int) or addr <= 0 or addr in cells:
             return
@@ -198,7 +198,7 @@ def _place(
         cells2[addr] = val
         yield from _place(rest, store, cells2, next_free, max_len, node_values)
         return
-    assert isinstance(atom, PredAtom) and atom.name == "list"
+    assert isinstance(atom, fm.PredApp) and atom.name == "list"
     start = _eval_ground(atom.args[0], store)
     end = _eval_ground(atom.args[1], store)
     if start == end:

@@ -25,7 +25,7 @@ from conftest import (
 
 from heapcheck import formula as fm
 from heapcheck.arith import PureSet, SAT, UNSAT
-from heapcheck.entail import PredAtom, Proved, PtoAtom, SymHeap, prove
+from heapcheck.entail import Proved, SymHeap, prove
 from heapcheck.interp import ConcreteState, CRecord, Fault, OracleConfig, eval_assertion, run_concrete
 from heapcheck.parser import parse_assertion, parse_program
 from heapcheck.prooftree import ProofBuilder, ProofTree, read_structured, to_structured
@@ -131,7 +131,7 @@ def _concrete_lists():
 def test_criterion_3_list_concatenation():
     with report("3 list concatenation"):
         ghosts = {k: fm.IntLit(i + 1) for i, k in enumerate("abcdef")}
-        cfg = OracleConfig(max_heap_cells=16)
+        cfg = OracleConfig()
 
         v1 = verify_file("append_destructive.oc")[0]
         assert v1.status == VERIFIED, v1.diagnostics
@@ -176,12 +176,12 @@ def _gen_entailment(rng: random.Random):
         v = fm.Var(rng.choice(_V))
         k = rng.random()
         if k < 0.45:
-            atoms.append(PtoAtom(v, fm.IntLit(rng.randint(0, 4))))
+            atoms.append(fm.PointsTo(v, fm.IntLit(rng.randint(0, 4))))
         elif k < 0.6:
-            atoms.append(PtoAtom(v, fm.Var(rng.choice(_V))))
+            atoms.append(fm.PointsTo(v, fm.Var(rng.choice(_V))))
         elif k < 0.75:
             atoms.append(
-                PtoAtom(
+                fm.PointsTo(
                     v,
                     fm.node_record(
                         fm.IntLit(rng.randint(0, 1)),
@@ -190,7 +190,7 @@ def _gen_entailment(rng: random.Random):
                 )
             )
         else:
-            atoms.append(PredAtom("list", (v, rng.choice([fm.Nil(), fm.Var(rng.choice(_V))]))))
+            atoms.append(fm.PredApp("list", (v, rng.choice([fm.Nil(), fm.Var(rng.choice(_V))]))))
     pure = PureSet()
     for _ in range(rng.randint(0, 2)):
         pure = pure.add(
@@ -205,19 +205,19 @@ def _gen_entailment(rng: random.Random):
     for a in atoms:
         if rng.random() >= 0.75:
             continue
-        if isinstance(a, PtoAtom) and rng.random() < 0.4:
+        if isinstance(a, fm.PointsTo) and rng.random() < 0.4:
             name = f"q{len(existentials)}"
             existentials.append(name)
-            catoms.append(PtoAtom(a.loc, fm.Var(name)))
+            catoms.append(fm.PointsTo(a.loc, fm.Var(name)))
         else:
             catoms.append(a)
     if strategy < 0.15 and catoms:
         i = rng.randrange(len(catoms))
         a = catoms[i]
-        if isinstance(a, PtoAtom):
-            catoms[i] = PtoAtom(a.loc, fm.IntLit(rng.randint(0, 4)))
+        if isinstance(a, fm.PointsTo):
+            catoms[i] = fm.PointsTo(a.loc, fm.IntLit(rng.randint(0, 4)))
     elif strategy < 0.3:
-        catoms.append(PredAtom("list", (fm.Var(rng.choice(_V)), fm.Nil())))
+        catoms.append(fm.PredApp("list", (fm.Var(rng.choice(_V)), fm.Nil())))
     cpure = PureSet()
     if rng.random() < 0.3:
         cpure = cpure.add(
@@ -369,7 +369,7 @@ def test_criterion_6_frame_rule_closure():
                 continue
             ok += 1
             w = fm.Var(f"w{ok % 7}")
-            extra = PtoAtom(w, fm.IntLit(rng.randint(0, 4)))
+            extra = fm.PointsTo(w, fm.IntLit(rng.randint(0, 4)))
             ant2 = SymHeap(ant.pure, ant.spatial + (extra,), ant.existentials)
             con2 = SymHeap(con.pure, con.spatial + (extra,), con.existentials)
             r2 = prove(ant2, con2, PREDS, depth=4)

@@ -12,8 +12,8 @@ from heapcheck.arith import (
     YES,
     simplify_expr,
 )
-from heapcheck.entail import PtoAtom, SymHeap
-from heapcheck.formula import ArithExpr, IntLit, Nil, OffsetOf, Var
+from heapcheck.entail import SymHeap
+from heapcheck.formula import ArithExpr, IntLit, Nil, OffsetOf, PointsTo, Var
 
 X, Y, Z, A, I = Var("x"), Var("y"), Var("z"), Var("a"), Var("i")
 W, P, Q = Var("w"), Var("p"), Var("q")
@@ -224,13 +224,13 @@ def test_witnesses_unchanged():
     assert p.check_sat().witness == {"x": 4, "y": 5, "z": 5, "w": 5}
     h = SymHeap(
         PureSet().add("<", P, Q).add("!=", X, Nil()).add(">", Q, IntLit(7)),
-        (PtoAtom(P, IntLit(1)), PtoAtom(Q, X), PtoAtom(W, Nil())),
+        (PointsTo(P, IntLit(1)), PointsTo(Q, X), PointsTo(W, Nil())),
     )
     assert h.sep_pure().check_sat().witness == {"p": 7, "q": 8, "x": 3000009, "w": 2000006}
 
 
 def test_sep_pure_is_computed_once_per_heap():
-    h = SymHeap(PureSet(), (PtoAtom(X, IntLit(1)), PtoAtom(Y, IntLit(2))))
+    h = SymHeap(PureSet(), (PointsTo(X, IntLit(1)), PointsTo(Y, IntLit(2))))
     assert h.sep_pure() is h.sep_pure()
     assert h.sep_pure().separated == (X, Y)
     assert h.sep_pure().atoms == ()

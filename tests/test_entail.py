@@ -8,9 +8,7 @@ from heapcheck import formula as fm
 from heapcheck.entail import (
     Failed,
     FreshNames,
-    PredAtom,
     Proved,
-    PtoAtom,
     SymHeap,
     formula_to_symheaps,
     infer_frame,
@@ -47,7 +45,7 @@ def test_nothing_to_consume_fails_with_residue():
     r = prove(heap_of("emp"), con("exists v. x->v"), PREDS)
     assert isinstance(r, Failed)
     assert len(r.residue_consequent) == 1
-    assert isinstance(r.residue_consequent[0], PtoAtom)
+    assert isinstance(r.residue_consequent[0], fm.PointsTo)
 
 
 def test_paper_chain_entails_list_with_leftover():
@@ -83,34 +81,34 @@ def test_infer_frame_failure_residue_is_raw_material():
 
 def test_unfold_list_two_disjuncts():
     h = heap_of("list(x, e)")
-    inst = next(a for a in h.spatial if isinstance(a, PredAtom))
+    inst = next(a for a in h.spatial if isinstance(a, fm.PredApp))
     cases = unfold(h, inst, PREDS, FreshNames("u"))
     assert len(cases) == 2
     base, step = cases
     assert not base.spatial
-    assert any(isinstance(a, PtoAtom) for a in step.spatial)
-    assert any(isinstance(a, PredAtom) for a in step.spatial)
+    assert any(isinstance(a, fm.PointsTo) for a in step.spatial)
+    assert any(isinstance(a, fm.PredApp) for a in step.spatial)
 
 
 def test_unfold_prunes_contradictory_case():
     h = heap_of("list(x, e)").add_pure("!=", fm.Var("x"), fm.Var("e"))
-    inst = next(a for a in h.spatial if isinstance(a, PredAtom))
+    inst = next(a for a in h.spatial if isinstance(a, fm.PredApp))
     cases = unfold(h, inst, PREDS, FreshNames("u"))
     assert len(cases) == 1
-    assert any(isinstance(a, PtoAtom) for a in cases[0].spatial)
+    assert any(isinstance(a, fm.PointsTo) for a in cases[0].spatial)
 
 
 def test_unfold_non_recursive_pred():
     table = dict(PREDS)
     table["single"] = fm.PredDef("single", ("a",), parse_assertion("a->1"))
-    h = SymHeap(spatial=(PredAtom("single", (fm.Var("q"),)),))
+    h = SymHeap(spatial=(fm.PredApp("single", (fm.Var("q"),)),))
     cases = unfold(h, h.spatial[0], table, FreshNames("u"))
     assert len(cases) == 1
-    assert cases[0].spatial == (PtoAtom(fm.Var("q"), fm.IntLit(1)),)
+    assert cases[0].spatial == (fm.PointsTo(fm.Var("q"), fm.IntLit(1)),)
 
 
 def test_unknown_predicate_raises():
-    h = SymHeap(spatial=(PredAtom("mystery", (fm.Var("q"),)),))
+    h = SymHeap(spatial=(fm.PredApp("mystery", (fm.Var("q"),)),))
     with pytest.raises(UnknownPredicateError):
         unfold(h, h.spatial[0], PREDS, FreshNames("u"))
     with pytest.raises(UnknownPredicateError):
@@ -231,7 +229,7 @@ def test_no_false_unsat_pruning():
     ]
     for text in texts:
         h = heap_of(text)
-        for inst in [a for a in h.spatial if isinstance(a, PredAtom)]:
+        for inst in [a for a in h.spatial if isinstance(a, fm.PredApp)]:
             kept = unfold(h, inst, PREDS, FreshNames("u"), prune=True)
             everything = unfold(h, inst, PREDS, FreshNames("u"), prune=False)
             for case in everything:
@@ -247,7 +245,7 @@ def _heap_text(f: fm.Formula, skolemize: bool) -> list:
     return [
         (
             sorted(h.existentials),
-            [fm.pretty(a.to_formula()) for a in h.spatial],
+            [fm.pretty(a) for a in h.spatial],
             [fm.pretty(fm.PureAtom(*p)) for p in h.pure.atoms],
         )
         for h in formula_to_symheaps(f, FreshNames(), skolemize=skolemize)

@@ -140,7 +140,6 @@ def test_builtin_list_predicate_shape():
     table = fm.builtin_preds()
     d = table["list"]
     assert d.params == ("s", "e")
-    assert d.builtin
     assert isinstance(d.body, fm.Or)
 
 

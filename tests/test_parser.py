@@ -159,6 +159,22 @@ def test_arity_errors_are_reported_in_program_order(src, first):
     assert e.value.message.startswith(f"predicate '{first}' used with")
 
 
+# The error points into the annotation holding the bad use, or at the
+# repeated field's name.
+@pytest.mark.parametrize("src, error, span", [
+    ("int f() { x = 1; @ one(1, 2) @; }", AssertionSyntaxError, "3:19"),
+    ("int f() @ one(1, 2) @ {}", AssertionSyntaxError, "3:10"),
+    ("int f() {} @ one(1, 2) @", AssertionSyntaxError, "3:13"),
+    ("int f() {\n  while (x > 0) @ one(1, 2) @ { }\n}", AssertionSyntaxError, "4:18"),
+    ("class C { int m() @ one(1, 2) @ {} }", AssertionSyntaxError, "3:20"),
+    ("class C {\n  int a;\n  int a;\n}", ParseError, "5:7"),
+])
+def test_error_span_points_at_the_offending_token(src, error, span):
+    with pytest.raises(error) as e:
+        parse_program(ARITY_PREDS + src)
+    assert str(e.value.span) == span
+
+
 # assertion sub-parser -------------------------------------------------------
 
 

@@ -45,8 +45,8 @@ TABLE = {
                  "PredApp(name='list', args=(Var(name='x'), Nil()))"),
     fm.PureAtom: ({"op": "==", "left": x, "right": y}, {"op": "!="},
                   "PureAtom(op='==', left=Var(name='x'), right=Var(name='y'))"),
-    fm.PredDef: ({"name": "p", "params": ("a",), "body": fm.Emp()}, {"builtin": True},
-                 "PredDef(name='p', params=('a',), body=Emp(), builtin=False)"),
+    fm.PredDef: ({"name": "p", "params": ("a",), "body": fm.Emp()}, {"body": fm.TrueF()},
+                 "PredDef(name='p', params=('a',), body=Emp())"),
     termir.Atom: ({"name": "a"}, {"name": "b"}, "Atom(name='a')"),
     termir.Int: ({"value": 0}, {"value": 1}, "Int(value=0)"),
     termir.Compound: ({"functor": "f", "args": (termir.Atom("a"),)}, {"functor": "g"},
@@ -59,12 +59,9 @@ TABLE = {
                       "SatResult(status='sat', witness=None)"),
     arith.PureSet: ({"atoms": (("==", x, y),)}, {"separated": (x,)},
                     "PureSet(atoms=(('==', Var(name='x'), Var(name='y')),), separated=())"),
-    entail.PtoAtom: ({"loc": x, "val": y}, {"val": x}, "PtoAtom(loc=Var(name='x'), val=Var(name='y'))"),
-    entail.PredAtom: ({"name": "list", "args": (x,)}, {"args": (y,)},
-                      "PredAtom(name='list', args=(Var(name='x'),))"),
-    entail.SymHeap: ({"spatial": (entail.PtoAtom(x, y),)}, {"existentials": frozenset({"x"})},
+    entail.SymHeap: ({"spatial": (fm.PointsTo(x, y),)}, {"existentials": frozenset({"x"})},
                      "SymHeap(pure=PureSet(atoms=(), separated=()), "
-                     "spatial=(PtoAtom(loc=Var(name='x'), val=Var(name='y')),), existentials=frozenset())"),
+                     "spatial=(PointsTo(loc=Var(name='x'), val=Var(name='y')),), existentials=frozenset())"),
     entail.Proved: ({"frame": heap, "binding": {"v": x}, "tree": node}, {"binding": {}},
                     "Proved(frame=SymHeap(pure=PureSet(atoms=(), separated=()), spatial=(), "
                     "existentials=frozenset()), binding={'v': Var(name='x')}, "
@@ -100,8 +97,8 @@ TABLE = {
                      "CRecord(tag='node', fields=(('value', 1),))"),
     interp.Fault: ({"kind": "InvalidFree"}, {"message": "m"}, "Fault(kind='InvalidFree', message='')"),
     interp.ConcreteState: ({"store": {"x": 1}}, {"steps": 1}, "ConcreteState(store={'x': 1}, heap={}, steps=0)"),
-    interp.OracleConfig: ({"value_hi": 3}, {"max_heap_cells": 2},
-                          "OracleConfig(value_lo=-4, value_hi=3, max_heap_cells=4)"),
+    interp.OracleConfig: ({"value_hi": 3}, {"value_lo": -2},
+                          "OracleConfig(value_lo=-4, value_hi=3)"),
 }
 
 MUTABLE = {entail.Proved, entail.Failed, symexec.Stats, symexec.Verdict, symexec.SymState,
@@ -169,13 +166,13 @@ def test_equal_fields_of_different_classes_compare_unequal():
     assert fm.Emp() != fm.TrueF() != fm.FalseF() and fm.Nil() != termir.Atom("nil")
     assert fm.Var("x") != termir.Atom("x")
     assert fm.IntLit(1) != termir.Int(1)
-    assert entail.PtoAtom(x, y) != fm.PointsTo(x, y)
+    assert fm.PureAtom("+", x, y) != fm.ArithExpr("+", x, y)
     assert fm.Record("node", ()) != interp.CRecord("node", ())
 
 
 def test_positional_and_keyword_construction_agree():
     assert termir.Compound("f", (), Span(1, 1, 1, 2)).span == Span(1, 1, 1, 2)
-    assert fm.PredDef("p", (), fm.Emp(), True) == fm.PredDef(name="p", params=(), body=fm.Emp(), builtin=True)
+    assert fm.PredDef("p", ("a",), fm.Emp()) == fm.PredDef(name="p", params=("a",), body=fm.Emp())
     with pytest.raises(TypeError):
         fm.Var()
     with pytest.raises(TypeError):

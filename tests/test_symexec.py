@@ -5,7 +5,7 @@ from conftest import data_text
 
 from heapcheck import formula as fm
 from heapcheck.arith import PureSet
-from heapcheck.entail import PredAtom, PtoAtom, SymHeap
+from heapcheck.entail import SymHeap
 from heapcheck.parser import parse_program
 from heapcheck.prooftree import FAILED, ProofBuilder
 from heapcheck.symexec import (
@@ -421,6 +421,22 @@ int f() { new(b); new(a); consume(a); delete(a); delete(b); }
     assert [d.kind for d in verdicts[1].diagnostics] == [INVALID_FREE]
 
 
+def test_if_condition_is_evaluated_once():
+    # evaluating it again would apply g's contract to a cell already freed
+    src = """
+void g(int x) @ x->1 @ { delete(x); } @ emp @
+void f(int x) @ x->1 @ { if (g(x) == 0) { } } @ emp @
+"""
+    assert [v.status for v in verify_source(src)] == [VERIFIED, VERIFIED]
+    # a read through a list root of undecided length notes each unfolded
+    # case once, and both branches compare the same read value
+    v = only_verdict("void f(int p) @ list(p, nil) @ { if ([p] == 0) { } } @ list(p, nil) @")
+    rules = [n.rule for n in v.proof.root.walk()]
+    assert (rules.count("stmt"), rules.count("unfold"), v.stats.rule_applications) == (1, 2, 6)
+    cases = [n.input for n in v.proof.root.walk() if n.rule == "assume"][1:]
+    assert cases == ["if-then case $u4==0", "if-else case $u4!=0"]
+
+
 # -- cell lookup by solver class agrees with a pairwise PureSet.equal scan ------
 
 X, Y, Z, W = (fm.Var(n) for n in "xyzw")
@@ -429,7 +445,7 @@ X, Y, Z, W = (fm.Var(n) for n in "xyzw")
 def _scan_cells(heap: SymHeap, addr: fm.SymExpr) -> list[int]:
     pure = heap.sep_pure()
     return [
-        i for i, a in enumerate(heap.spatial) if isinstance(a, PtoAtom) and pure.equal(a.loc, addr)
+        i for i, a in enumerate(heap.spatial) if isinstance(a, fm.PointsTo) and pure.equal(a.loc, addr)
     ]
 
 
@@ -446,12 +462,21 @@ def _scan_reachable(heap: SymHeap, roots: list) -> set[int]:
     while changed:
         changed = False
         for i, atom in enumerate(heap.spatial):
-            anchors = [atom.loc] if isinstance(atom, PtoAtom) else list(atom.args)
+            anchors = [atom.loc] if isinstance(atom, fm.PointsTo) else list(atom.args)
             if i not in reached and any(pure.equal(a, v) for a in anchors for v in flat):
                 reached.add(i)
-                flat += expand(atom.val) if isinstance(atom, PtoAtom) else list(atom.args)
+                flat += expand(atom.val) if isinstance(atom, fm.PointsTo) else list(atom.args)
                 changed = True
     return reached
+
+
+def _scan_preds(heap: SymHeap, addr: fm.SymExpr) -> tuple[list[int], list[int]]:
+    """Predicate instances rooted at ``addr``, and one entry per argument of
+    a predicate instance equal to ``addr``."""
+    pure = heap.sep_pure()
+    preds = [(i, a.args) for i, a in enumerate(heap.spatial) if isinstance(a, fm.PredApp)]
+    roots = [i for i, args in preds if args and pure.equal(args[0], addr)]
+    return roots, [i for i, args in preds for x in args if pure.equal(x, addr)]
 
 
 def _index_reachable(heap: SymHeap, roots: list) -> set[int]:
@@ -471,6 +496,9 @@ def _same_lookups(make_heap, addrs, roots) -> None:
         assert make_heap().cells_at(addr) == expected, fm.pretty_expr(addr)
         assert shared.cells_at(addr) == expected, fm.pretty_expr(addr)
         assert make_heap().cell_at(addr) == (expected[0] if expected else None)
+        roots, args = _scan_preds(make_heap(), addr)
+        assert make_heap().roots_at(addr) == roots == shared.roots_at(addr), fm.pretty_expr(addr)
+        assert make_heap().args_at(addr) == args == shared.args_at(addr), fm.pretty_expr(addr)
     assert _index_reachable(make_heap(), roots) == _scan_reachable(make_heap(), roots)
     assert _index_reachable(shared, roots) == _scan_reachable(make_heap(), roots)
 
@@ -482,12 +510,12 @@ def _heap(pure=(), spatial=()) -> SymHeap:
 def test_cell_lookup_on_inconsistent_heap_matches_every_cell():
     # a repeated location makes the separated set contradictory: equal holds
     # between any two terms, so the first cell answers every address
-    dup = lambda: _heap((), [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z), PtoAtom(X, W)])
+    dup = lambda: _heap((), [fm.PointsTo(Y, fm.IntLit(1)), fm.PointsTo(X, Z), fm.PointsTo(X, W)])
     assert dup().cells_at(W) == [0, 1, 2]
     assert dup().cell_at(W) == 0
     _same_lookups(dup, [X, Y, W, fm.Nil()], [W])
     clash = lambda: _heap(
-        [("==", X, fm.IntLit(1)), ("==", X, fm.IntLit(2))], [PtoAtom(Y, X), PtoAtom(Z, W)]
+        [("==", X, fm.IntLit(1)), ("==", X, fm.IntLit(2))], [fm.PointsTo(Y, X), fm.PointsTo(Z, W)]
     )
     _same_lookups(clash, [X, Z, W], [X])
     assert _index_reachable(clash(), [X]) == {0, 1}
@@ -496,17 +524,17 @@ def test_cell_lookup_on_inconsistent_heap_matches_every_cell():
 def test_cell_lookup_address_equal_only_by_bounds():
     # x <= y && y <= x puts x and y in different congruence classes that the
     # difference bounds force equal
-    bounds = lambda: _heap([("<=", X, Y), ("<=", Y, X)], [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z)])
+    bounds = lambda: _heap([("<=", X, Y), ("<=", Y, X)], [fm.PointsTo(Y, fm.IntLit(1)), fm.PointsTo(X, Z)])
     assert bounds().cells_at(X) == [0, 1]
     _same_lookups(bounds, [X, Y, Z], [X])
     # a negative cycle forces nothing: only congruence counts
-    cycle = lambda: _heap([("<", X, Y), ("<", Y, X)], [PtoAtom(Y, fm.IntLit(1)), PtoAtom(X, Z)])
+    cycle = lambda: _heap([("<", X, Y), ("<", Y, X)], [fm.PointsTo(Y, fm.IntLit(1)), fm.PointsTo(X, Z)])
     assert cycle().cells_at(X) == [1]
     _same_lookups(cycle, [X, Y], [X])
 
 
 def test_cell_lookup_offset_addresses():
-    spatial = [PtoAtom(X, fm.IntLit(1)), PtoAtom(fm.OffsetOf(X, 1), Y), PtoAtom(Y, fm.IntLit(3))]
+    spatial = [fm.PointsTo(X, fm.IntLit(1)), fm.PointsTo(fm.OffsetOf(X, 1), Y), fm.PointsTo(Y, fm.IntLit(3))]
     offsets = lambda: _heap([("==", Y, fm.ArithExpr("+", X, fm.IntLit(2)))], spatial)
     assert offsets().cells_at(fm.ArithExpr("+", X, fm.IntLit(1))) == [1]
     assert offsets().cells_at(fm.OffsetOf(X, 2)) == [2]
@@ -515,17 +543,17 @@ def test_cell_lookup_offset_addresses():
     _same_lookups(offsets, addrs, [X])
     # y+1 is congruent to the indexed x+1; interning it moves that class's
     # representative, and the index follows
-    congruent = _heap([("==", X, Y)], [PtoAtom(fm.OffsetOf(X, 1), Z)])
+    congruent = _heap([("==", X, Y)], [fm.PointsTo(fm.OffsetOf(X, 1), Z)])
     assert congruent.cells_at(fm.OffsetOf(X, 1)) == [0]
     assert congruent.cells_at(fm.OffsetOf(Y, 1)) == [0]
 
 
 def test_reachability_through_predicate_instance_anchor():
     spatial = [
-        PredAtom("list", (X, Y)),
-        PtoAtom(Y, Z),
-        PtoAtom(Z, W),
-        PtoAtom(W, fm.node_record(fm.IntLit(1), X)),
+        fm.PredApp("list", (X, Y)),
+        fm.PointsTo(Y, Z),
+        fm.PointsTo(Z, W),
+        fm.PointsTo(W, fm.node_record(fm.IntLit(1), X)),
     ]
     chain = lambda: _heap((), spatial)
     assert chain().roots_at(X) == [0] and chain().args_at(Y) == [0]
@@ -548,10 +576,10 @@ def test_cell_lookup_matches_scan_on_random_heaps():
         spatial = []
         for _ in range(rng.randint(1, 4)):
             if rng.random() < 0.2:
-                spatial.append(PredAtom("list", (rng.choice(terms[:4]), rng.choice(terms))))
+                spatial.append(fm.PredApp("list", (rng.choice(terms[:4]), rng.choice(terms))))
             else:
                 val = rng.choice([rng.choice(terms), fm.node_record(rng.choice(terms), rng.choice(terms))])
-                spatial.append(PtoAtom(rng.choice(terms[:4] + terms[6:]), val))
+                spatial.append(fm.PointsTo(rng.choice(terms[:4] + terms[6:]), val))
         make = lambda: _heap(pure, spatial)
         _same_lookups(make, terms, [rng.choice(terms)])
 
