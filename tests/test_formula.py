@@ -365,7 +365,7 @@ def test_round_trips_keep_the_splice_invariant():
     for path in sorted(DATA.glob("*.oc")):
         term = tir.lower_program(parse_program(path.read_text(encoding="utf-8")))
         from_files += program_formulas(term)
-    assert len(from_files) == 15
+    assert len(from_files) == 25
     parsed = [parse_assertion(text) for text in SPLICE_CASES] + from_files
     for f in generated + parsed:
         n = fm.normalize(f)

@@ -326,6 +326,14 @@ STATEMENT_SPANS = {
         (3, 3, 3, 6), (4, 3, 4, 10), (5, 3, 5, 7), (6, 3, 6, 8), (7, 5, 7, 11), (8, 5, 8, 9),
         (10, 3, 10, 9),
     ],
+    # one statement a line: a span covers the target name or the keyword
+    ("list_ops.oc", "walk12"): [(n, 3, n, 5) for n in range(8, 17)] + [(n, 3, n, 6) for n in range(17, 20)],
+    ("list_ops.oc", "copy6_free"): [(n, 3, n, 5) for n in range(26, 32)]
+    + [(n, 3, n, 6) for n in range(32, 50)] + [(50, 3, 50, 4), (51, 3, 51, 9), (52, 3, 52, 9)],
+    ("list_ops.oc", "walk10_leak"): [(n, 3, n, 5) for n in range(59, 68)]
+    + [(68, 3, 68, 6), (69, 3, 69, 6), (70, 3, 70, 5)],
+    ("list_ops.oc", "seg_walk"): [(79, 3, 79, 5), (80, 5, 80, 6), (81, 5, 81, 13)],
+    ("list_ops.oc", "seg_nil"): [],
     ("paper_fn.oc", "f"): [(2, 3, 2, 5), (2, 9, 2, 10), (2, 14, 2, 15)],
     ("SPAN_SOURCE", "m"): [(14, 21, 14, 24), (14, 29, 14, 35)],
     ("SPAN_SOURCE", "f"): [
