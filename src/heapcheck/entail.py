@@ -345,25 +345,23 @@ class _Prover:
                 ls = fm.substitute_expr(l, binding)
                 rs = fm.substitute_expr(r, binding)
                 unbound = (fm.expr_free_vars(ls) | fm.expr_free_vars(rs)) & exist
+
+                def text(op=op, ls=ls, rs=rs) -> str:
+                    return fm.pretty(fm.PureAtom(op, ls, rs))
+
                 if unbound:
                     nodes.append(
                         self.builder.node(
                             "pure-check",
-                            f"unbound existential {sorted(unbound)} in {fm.pretty(fm.PureAtom(op, ls, rs))}",
+                            lambda u=unbound, t=text: f"unbound existential {sorted(u)} in {t()}",
                             FAILED,
                         )
                     )
                     return "pure-check"
                 if ant_pure.entails(op, ls, rs) != YES:
-                    nodes.append(
-                        self.builder.node(
-                            "pure-check", fm.pretty(fm.PureAtom(op, ls, rs)), FAILED
-                        )
-                    )
+                    nodes.append(self.builder.node("pure-check", text, FAILED))
                     return "pure-check"
-                nodes.append(
-                    self.builder.node("pure-check", fm.pretty(fm.PureAtom(op, ls, rs)), OK)
-                )
+                nodes.append(self.builder.node("pure-check", text, OK))
             return tuple(a for i, a in enumerate(ant.spatial) if i not in used), binding
         atom, rest = con_atoms[0], con_atoms[1:]
         if isinstance(atom, fm.PointsTo):
@@ -390,7 +388,7 @@ class _Prover:
                 nodes.append(
                     self.builder.node(
                         "points-to",
-                        f"{fm.pretty(atom)} matches {fm.pretty(cand)}",
+                        lambda atom=atom, cand=cand: f"{fm.pretty(atom)} matches {fm.pretty(cand)}",
                     )
                 )
                 used.add(i)
@@ -415,7 +413,7 @@ class _Prover:
             if b2 is None:
                 continue
             mark = len(nodes)
-            nodes.append(self.builder.node("pred-match", fm.pretty(atom)))
+            nodes.append(self.builder.node("pred-match", lambda atom=atom: fm.pretty(atom)))
             used.add(i)
             res = yield (ant, used, rest, con_pure, exist, b2, depth, nodes)
             if not isinstance(res, str):
@@ -426,7 +424,7 @@ class _Prover:
         if depth <= 0:
             nodes.append(
                 self.builder.node(
-                    "fold", f"depth bound hit at {fm.pretty(atom)}", FAILED
+                    "fold", lambda atom=atom: f"depth bound hit at {fm.pretty(atom)}", FAILED
                 )
             )
             return "depth-exceeded"
@@ -439,7 +437,7 @@ class _Prover:
             new_pure = con_pure + disjunct.pure.atoms
             mark = len(nodes)
             nodes.append(
-                self.builder.node("fold", f"{fm.pretty(atom)} via case {i + 1}")
+                self.builder.node("fold", lambda atom=atom, i=i: f"{fm.pretty(atom)} via case {i + 1}")
             )
             res = yield (ant, used, new_con, new_pure, new_exist, binding, depth - 1, nodes)
             if not isinstance(res, str):
@@ -465,7 +463,7 @@ class _Prover:
         )
         con_spatial = tuple(fm.substitute(a, rename) for a in con.spatial)
         exist = frozenset(v.name for v in rename.values())
-        result = self._prove(ant, con_pure, con_spatial, exist, con.pretty(), depth)
+        result = self._prove(ant, con_pure, con_spatial, exist, con, depth)
         if isinstance(result, Proved):
             result.binding = {
                 orig: result.binding[renamed.name]
@@ -480,12 +478,19 @@ class _Prover:
         con_pure: tuple,
         con_spatial: tuple[SpatialAtom, ...],
         exist: frozenset[str],
-        con_text: str,
+        con: SymHeap,
         depth: int,
     ) -> EntailmentResult:
+        """``ant |- con``, with ``con``'s atoms renamed into the reserved
+        namespace as ``con_pure`` and ``con_spatial``; ``con`` itself only
+        labels the proof."""
         if ant.sep_pure().check_sat().status == UNSAT:
-            node = self.builder.node("pure-contradiction", ant.pretty())
+            node = self.builder.node("pure-contradiction", ant.pretty)
             return Proved(SymHeap(), {}, node)
+
+        def label() -> str:
+            return f"{ant.pretty()} |- {con.pretty()}"
+
         nodes: list[ProofNode] = []
         con_sorted = tuple(sorted(con_spatial, key=fm.star_key))
         args = (ant, set(), con_sorted, con_pure, exist, {}, depth, nodes)
@@ -493,7 +498,7 @@ class _Prover:
         if not isinstance(res, str):
             leftover, binding = res
             frame = SymHeap(ant.pure, leftover, frozenset())
-            root = self.builder.node("entail", f"{ant.pretty()} |- {con_text}", OK, nodes)
+            root = self.builder.node("entail", label, OK, nodes)
             return Proved(frame, binding, root)
         nearest = res
         # antecedent unfolding: case-split on the first predicate instance
@@ -508,14 +513,16 @@ class _Prover:
             for i, case in enumerate(cases):
                 if not case.consistent():
                     case_results.append(
-                        self.builder.node("unfold", f"case {i + 1}: {case.pretty()}", PRUNED)
+                        self.builder.node(
+                            "unfold", lambda i=i, case=case: f"case {i + 1}: {case.pretty()}", PRUNED
+                        )
                     )
                     continue
-                sub = self._prove(case, con_pure, con_spatial, exist, con_text, depth - 1)
+                sub = self._prove(case, con_pure, con_spatial, exist, con, depth - 1)
                 case_results.append(
                     self.builder.node(
                         "unfold",
-                        f"{fm.pretty(inst)} case {i + 1}",
+                        lambda i=i, inst=inst: f"{fm.pretty(inst)} case {i + 1}",
                         OK if isinstance(sub, Proved) else FAILED,
                         [sub.tree],
                     )
@@ -530,13 +537,11 @@ class _Prover:
             if all_ok and frames:
                 canon = {f.pretty() for f in frames}
                 if len(canon) == 1:
-                    root = self.builder.node(
-                        "entail", f"{ant.pretty()} |- {con_text}", OK, case_results
-                    )
+                    root = self.builder.node("entail", label, OK, case_results)
                     return Proved(frames[0], bindings[0], root)
                 nearest = "frame-mismatch-across-cases"
             nodes = case_results
-        root = self.builder.node("entail", f"{ant.pretty()} |- {con_text}", FAILED, nodes)
+        root = self.builder.node("entail", label, FAILED, nodes)
         return Failed(con_sorted, nearest, root)
 
 

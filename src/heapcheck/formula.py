@@ -17,7 +17,7 @@ from itertools import product
 from typing import Any, Callable, Generator, Iterable, Mapping, Sequence
 
 from .errors import NO_SPAN, AssertionSyntaxError, Span
-from .records import Frozen, record
+from .records import Frozen, field, record
 
 
 def run_steps(step: Callable[..., Generator], args: tuple) -> Any:
@@ -184,6 +184,8 @@ class PredDef(Frozen):
     name: str
     params: tuple[str, ...]
     body: Formula
+    # the declaration's `pred` keyword, where check_pred_table reports errors
+    span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
 def join(cls: type, parts: Sequence[Formula]) -> Formula:
@@ -620,22 +622,23 @@ def is_pure_only(f: Formula) -> bool:
 
 
 def check_pred_table(defs: Iterable[PredDef]) -> dict[str, PredDef]:
-    """Validate user definitions and merge them with the builtins."""
+    """Validate user definitions and merge them with the builtins.  An error
+    is raised at the span of the definition at fault."""
     table = builtin_preds()
     for d in defs:
         if d.name in table:
-            raise AssertionSyntaxError(f"predicate '{d.name}' is already defined")
+            raise AssertionSyntaxError(f"predicate '{d.name}' is already defined", d.span)
         if len(set(d.params)) != len(d.params):
-            raise AssertionSyntaxError(f"predicate '{d.name}' repeats a parameter name")
+            raise AssertionSyntaxError(f"predicate '{d.name}' repeats a parameter name", d.span)
         extra = free_vars(d.body) - set(d.params)
         if extra:
             names = ", ".join(sorted(extra))
             raise AssertionSyntaxError(
-                f"predicate '{d.name}' body uses variables outside its parameters: {names}"
+                f"predicate '{d.name}' body uses variables outside its parameters: {names}", d.span
             )
         table[d.name] = d
     for d in list(table.values()):
-        check_arities(d.body, table, d.name)
+        check_arities(d.body, table, d.name, d.span)
     return table
 
 

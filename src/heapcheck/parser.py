@@ -382,7 +382,7 @@ class _ProgramParser:
         self.cur.expect(":=")
         body = self._inline_formula()
         self.cur.expect(";")
-        return fm.PredDef(name, tuple(params), body)
+        return fm.PredDef(name, tuple(params), body, start.span)
 
     def _inline_formula(self) -> fm.Formula:
         try:

@@ -4,20 +4,40 @@ execution, exportable as DOT graphs and as a JSON structure that round-trips.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .records import Frozen, field, record
 
 OK, FAILED, PRUNED = "ok", "failed", "pruned"
 
+# a node label: its text, or a zero-argument callable that renders it
+Label = Union[str, Callable[[], str]]
+
 
 @record
 class ProofNode:
+    """One rule application.  ``input`` is the printed summary of what the
+    rule was applied to.  A node that ``ProofBuilder.node`` makes from a
+    callable label has no ``input`` until it is first read: the read renders
+    the label and keeps the text, so a tree pays for its text only when it
+    is exported or printed, and only once."""
+
     id: int
     rule: str
     input: str
     outcome: str
     children: list["ProofNode"] = field(default_factory=list)
+
+    def __getattr__(self, name: str) -> str:
+        # reached only for an attribute the instance lacks: here, the input
+        # of a node whose label is not rendered yet.  Attribute operations,
+        # not ``__dict__``, keep the instance's attributes in the layout that
+        # all nodes share.
+        if name != "input":
+            raise AttributeError(f"'ProofNode' object has no attribute {name!r}", name=name, obj=self)
+        self.input = text = self._render()
+        del self._render
+        return text
 
     def walk(self) -> Iterator["ProofNode"]:
         yield self
@@ -29,9 +49,6 @@ class ProofNode:
 class ProofTree:
     root: ProofNode
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.root.walk())
-
 
 class ProofBuilder:
     """Allocates node ids in application order, keeping trees deterministic."""
@@ -42,11 +59,15 @@ class ProofBuilder:
     def node(
         self,
         rule: str,
-        input_summary: str,
+        input_summary: Label,
         outcome: str = OK,
         children: Optional[list[ProofNode]] = None,
     ) -> ProofNode:
         n = ProofNode(self._next, rule, input_summary, outcome, list(children or []))
+        if not isinstance(input_summary, str):
+            # a callable label: the first read of ``input`` renders it
+            n._render = input_summary
+            del n.input
         self._next += 1
         return n
 
@@ -67,10 +88,8 @@ def _esc(text: str) -> str:
 def to_dot(tree: ProofTree, opts: DotOptions = DotOptions()) -> str:
     lines = [f"digraph {opts.graph_name} {{", "  node [shape=box];"]
     for n in tree.root.walk():
-        if opts.verbosity == "rule":
-            label = n.rule
-        else:
-            label = f"{n.rule}\n{n.input}" if n.input else n.rule
+        text = "" if opts.verbosity == "rule" else n.input
+        label = f"{n.rule}\n{text}" if text else n.rule
         attrs = f'label="{_esc(label)}"'
         if n.outcome == FAILED:
             attrs += ', style=filled, fillcolor="#f8d0d0"'

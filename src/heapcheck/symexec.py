@@ -25,7 +25,7 @@ from .entail import (
     unfold,
 )
 from .errors import NO_SPAN, Span, UnsupportedFormulaError
-from .prooftree import FAILED, OK, PRUNED, ProofBuilder, ProofNode, ProofTree
+from .prooftree import FAILED, OK, PRUNED, Label, ProofBuilder, ProofNode, ProofTree
 from .records import Frozen, record
 from .termir import (
     Atom,
@@ -223,16 +223,18 @@ class _Engine:
         self,
         state: SymState,
         rule: str,
-        text: str,
+        text: Label,
         outcome: str = OK,
         children: Optional[list[ProofNode]] = None,
     ) -> ProofNode:
-        """A new proof node under the current node of ``state``."""
+        """A new proof node under the current node of ``state``.  A label that
+        prints formulas or terms is passed as a callable, and so printed only
+        if the tree is read."""
         node = self.builder.node(rule, text, outcome, children)
         state.node.children.append(node)
         return node
 
-    def note(self, state: SymState, rule: str, text: str, outcome: str = OK) -> ProofNode:
+    def note(self, state: SymState, rule: str, text: Label, outcome: str = OK) -> ProofNode:
         """``attach``, counted as a rule application."""
         self.stats.rule_applications += 1
         return self.attach(state, rule, text, outcome)
@@ -301,7 +303,7 @@ class _Engine:
             for n in range(len(cases)):
                 # the cases of a split stay in the proof, but only a single
                 # case replaces the heap
-                self.note(state, "unfold", f"{fm.pretty(atom)} case {n + 1}")
+                self.note(state, "unfold", lambda atom=atom, n=n: f"{fm.pretty(atom)} case {n + 1}")
             if len(cases) == 1:
                 state.heap = heap = cases[0]
                 i = heap.cell_at(addr)
@@ -359,14 +361,9 @@ class _Engine:
             a for i, a in enumerate(atoms) if i not in reached and a not in state.reported
         ]
         for a in lost:
-            node = self.note(state, "leak-check", fm.pretty(a), FAILED)
-            self.diag(
-                state,
-                UNREACHABLE_MEMORY,
-                span,
-                f"chunk {fm.pretty(a)} is unreachable {origin}",
-                node,
-            )
+            text = fm.pretty(a)
+            node = self.note(state, "leak-check", text, FAILED)
+            self.diag(state, UNREACHABLE_MEMORY, span, f"chunk {text} is unreachable {origin}", node)
             state.reported = state.reported | {a}
         if not lost:
             self.note(state, "leak-check", origin, OK)
@@ -400,14 +397,9 @@ class _Engine:
             atom = heap.spatial[i]
             if i in reached or atom in state.reported:
                 continue
-            node = self.note(state, "leak-check", fm.pretty(atom), FAILED)
-            self.diag(
-                state,
-                MEMORY_LEAK,
-                span,
-                f"last reference to chunk {fm.pretty(atom)} was overwritten",
-                node,
-            )
+            text = fm.pretty(atom)
+            node = self.note(state, "leak-check", text, FAILED)
+            self.diag(state, MEMORY_LEAK, span, f"last reference to chunk {text} was overwritten", node)
             state.reported = state.reported | {atom}
             # follow-on losses (a lost record may root further chunks)
             if isinstance(atom, fm.PointsTo):
@@ -560,7 +552,8 @@ class _Engine:
                 node,
             )
             raise _PathFault()
-        self.attach(state, "frame", f"call {name}: frame {res.frame.pretty()}", OK, [res.tree])
+        text = lambda frame=res.frame: f"call {name}: frame {frame.pretty()}"
+        self.attach(state, "frame", text, OK, [res.tree])
         post_inst = fm.substitute(contract.post, {**sigma, **res.binding})
         post_heaps = self.heaps_of(state, post_inst, True, what)
         if post_heaps is None:
@@ -598,19 +591,19 @@ class _Engine:
 
     def assume_cases(self, state: SymState, cases: list[Case], label: str) -> list[SymState]:
         out = []
-        for i, case in enumerate(cases):
-            text = " && ".join(fm.pretty(fm.PureAtom(op, l, r)) for op, l, r in case) or "true"
+        for case in cases:
             heap = state.heap
             for op, l, r in case:
                 heap = heap.add_pure(op, l, r)
             status = heap.sep_pure().check_sat().status
+            text = lambda case=case: f"{label} case {_case_text(case)}"
+            node = self.attach(state, "assume", text, PRUNED if status == UNSAT else OK)
             if status == UNSAT:
-                self.attach(state, "assume", f"{label} case {text}", PRUNED)
                 continue
-            st = state.fork(self.attach(state, "assume", f"{label} case {text}", OK))
+            st = state.fork(node)
             st.heap = heap
             if status == UNKNOWN:
-                self.taint_state(st, f"feasibility of path condition '{text}' is undecided")
+                self.taint_state(st, f"feasibility of path condition '{_case_text(case)}' is undecided")
             out.append(st)
         return out
 
@@ -630,7 +623,7 @@ class _Engine:
             if f == "delete":
                 return self.exec_delete(s, state, span)
             if f == "funcall":
-                self.note(state, "stmt", emit_text(s))
+                self.note(state, "stmt", lambda: emit_text(s))
                 self.call(s, state, span)
                 return [state]
             if f == "assert":
@@ -644,12 +637,12 @@ class _Engine:
         raise AssertionError(f"statement shape not checked: {s!r}")
 
     def exec_assign(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", emit_text(s))
+        self.note(state, "stmt", lambda: emit_text(s))
         self.bind(state, s.args[0], self.eval(s.args[1], state, span), span)
         return [state]
 
     def exec_new(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", emit_text(s))
+        self.note(state, "stmt", lambda: emit_text(s))
         addr = self.fresh_sym("a")
         # separation from the other cells holds while the cell is in the heap;
         # delete and call keep it once the cell leaves
@@ -685,7 +678,7 @@ class _Engine:
         raise AssertionError(f"bad assignment target {lhs!r}")
 
     def exec_delete(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", emit_text(s))
+        self.note(state, "stmt", lambda: emit_text(s))
         target = s.args[0]
         value = self.eval(target, state, span)
         cell = self.access(
@@ -708,7 +701,8 @@ class _Engine:
         if res is None:
             return [state]
         proved = isinstance(res, Proved)
-        node = self.attach(state, "assert", fm.pretty(goal), OK if proved else FAILED, [res.tree])
+        text = lambda: fm.pretty(goal)
+        node = self.attach(state, "assert", text, OK if proved else FAILED, [res.tree])
         if proved:
             return [state]
         self.diag(state, CONTRACT_VIOLATION, span, f"assertion not established: {fm.pretty(goal)}", node)
@@ -721,7 +715,7 @@ class _Engine:
         return fm.substitute(f, mapping)
 
     def exec_ite(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", f"ite({emit_text(s.args[0])}, ...)")
+        self.note(state, "stmt", lambda: f"ite({emit_text(s.args[0])}, ...)")
         try:
             then_cases, else_cases = self.cond_cases(s.args[0], state, span)
         except _PathFault:
@@ -737,7 +731,7 @@ class _Engine:
         return out
 
     def exec_while(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        self.note(state, "stmt", f"while({emit_text(s.args[0])}, ...)")
+        self.note(state, "stmt", lambda: f"while({emit_text(s.args[0])}, ...)")
         cond_term = s.args[0]
         inv_formula = term_to_formula(s.args[1].args[0], self.class_fields)  # type: ignore[union-attr]
         body = list(s.args[2].items)  # type: ignore[union-attr]
@@ -758,7 +752,7 @@ class _Engine:
             )
             return []
         frame = entry.frame
-        self.attach(state, "invariant", f"entry ok, frame {frame.pretty()}", OK, [entry.tree])
+        self.attach(state, "invariant", lambda: f"entry ok, frame {frame.pretty()}", OK, [entry.tree])
 
         modified = sorted(_assigned_vars(body))
 
@@ -883,11 +877,12 @@ class _Engine:
             )
 
         terminals: list[SymState] = []
+        post_text = lambda: fm.pretty(post)
         for ih in init_heaps:
             if not ih.consistent():
                 root.children.append(self.builder.node("assume", "precondition case", PRUNED))
                 continue
-            node = self.builder.node("assume", f"precondition {ih.pretty()}", OK)
+            node = self.builder.node("assume", lambda ih=ih: f"precondition {ih.pretty()}", OK)
             root.children.append(node)
             st = SymState(dict(store), ih, [set(params)], node)
             terminals.extend(self.exec_block(list(body), st))
@@ -900,7 +895,7 @@ class _Engine:
             if res is None:
                 continue
             if not isinstance(res, Proved):
-                node = self.attach(st, "postcondition", fm.pretty(post), FAILED, [res.tree])
+                node = self.attach(st, "postcondition", post_text, FAILED, [res.tree])
                 self.diag(
                     st,
                     CONTRACT_VIOLATION,
@@ -909,17 +904,17 @@ class _Engine:
                     node,
                 )
             else:
-                self.attach(st, "postcondition", fm.pretty(post), OK, [res.tree])
+                self.attach(st, "postcondition", post_text, OK, [res.tree])
                 for a in res.frame.spatial:
                     if a in st.reported:
                         continue
-                    leak_node = self.attach(st, "leak-check", fm.pretty(a), FAILED)
+                    text = fm.pretty(a)
+                    leak_node = self.attach(st, "leak-check", text, FAILED)
                     self.diag(
                         st,
                         MEMORY_LEAK,
                         self.fn.span,
-                        f"chunk {fm.pretty(a)} is still allocated at return "
-                        "and not claimed by the postcondition",
+                        f"chunk {text} is still allocated at return and not claimed by the postcondition",
                         leak_node,
                     )
         self.stats.seconds = time.perf_counter() - t0
@@ -945,6 +940,10 @@ class _Engine:
             self.stats,
             self.taints[0] if self.taints else "",
         )
+
+
+def _case_text(case: Case) -> str:
+    return " && ".join(fm.pretty(fm.PureAtom(op, l, r)) for op, l, r in case) or "true"
 
 
 def _residue(res: Failed) -> str:

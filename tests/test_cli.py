@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from conftest import data_path, validate_dot
 
 from heapcheck.cli import main
@@ -51,6 +52,22 @@ def test_parse_error_exit_2(tmp_path):
     code, _, err = run_cli("verify", str(f))
     assert code == 2
     assert "error:" in err
+
+
+# each check of a predicate definition reports the definition's `pred` keyword
+@pytest.mark.parametrize("src, error", [
+    ("pred list(a) := a->1;", "1:1: predicate 'list' is already defined"),
+    ("pred p(a, a) := a->1;", "1:1: predicate 'p' repeats a parameter name"),
+    ("int g() { }\npred p(a) := b->1;",
+     "2:1: predicate 'p' body uses variables outside its parameters: b"),
+    ("pred one(a) := a->1; pred two(a) := one(a, a);",
+     "1:22: predicate 'one' used with 2 arguments in 'two' but defined with 1"),
+], ids=["builtin-name", "repeated-param", "free-vars", "body-arity"])
+def test_predicate_definition_errors_carry_a_span(tmp_path, src, error):
+    f = tmp_path / "pred.oc"
+    f.write_text(src + " int f() { }\n")
+    code, out, err = run_cli("verify", str(f))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_usage_error_exit_2():
@@ -164,7 +181,7 @@ def test_emit_proof_writes_dot_and_structured(tmp_path):
     from heapcheck.prooftree import read_structured
 
     tree = read_structured(structured)
-    assert tree.node_count() >= 3
+    assert sum(1 for _ in tree.root.walk()) >= 3
 
 
 def test_structured_output_deterministic_across_processes():

@@ -1,7 +1,10 @@
 import random
 
+import pytest
 from conftest import data_text, validate_dot
+from test_symexec import copy_source, only_verdict, walk_source
 
+from heapcheck import entail, formula as fm, symexec, termir
 from heapcheck.parser import parse_program
 from heapcheck.prooftree import (
     DotOptions,
@@ -14,7 +17,7 @@ from heapcheck.prooftree import (
     to_dot,
     to_structured,
 )
-from heapcheck.symexec import verify_program_term
+from heapcheck.symexec import VERIFIED, verify_program_term
 from heapcheck.termir import lower_program
 
 
@@ -54,7 +57,7 @@ def test_example1_tree_contains_failed_leak_check():
     assert any(n.rule == "leak-check" and n.outcome == FAILED for n in nodes)
     dot = to_dot(verdict.proof)
     n, e = validate_dot(dot)
-    assert n == verdict.proof.node_count()
+    assert n == sum(1 for _ in verdict.proof.root.walk())
     assert e == n - 1  # a tree
 
 
@@ -82,7 +85,7 @@ def test_dot_validates_for_generated_trees():
         tree = ProofTree(rand_tree(rng, ProofBuilder()))
         for opts in (DotOptions(), DotOptions(verbosity="rule")):
             n, _ = validate_dot(to_dot(tree, opts))
-            assert n == tree.node_count()
+            assert n == sum(1 for _ in tree.root.walk())
 
 
 def test_node_ids_in_application_order():
@@ -98,3 +101,51 @@ def test_structured_export_shape():
     text = to_structured(tree)
     assert '"children": []' in text
     assert text.endswith("\n")
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the outermost calls of the functions that print labels:
+    ``fm.pretty``, ``fm.pretty_expr``, ``SymHeap.pretty`` and ``emit_text``.
+    Calls inside ``fm.star_key``, the prover's sort key, are not label text."""
+    state = {"depth": 0, "count": 0}
+
+    def counted(orig, is_render=True):
+        def wrapper(*args, **kwargs):
+            if is_render and state["depth"] == 0:
+                state["count"] += 1
+            state["depth"] += 1
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                state["depth"] -= 1
+
+        return wrapper
+
+    for name in ("pretty", "pretty_expr", "star_key"):
+        monkeypatch.setattr(fm, name, counted(getattr(fm, name), name != "star_key"))
+    monkeypatch.setattr(entail.SymHeap, "pretty", counted(entail.SymHeap.pretty))
+    for mod in (termir, symexec):  # symexec binds emit_text by name
+        monkeypatch.setattr(mod, "emit_text", counted(termir.emit_text))
+    return lambda: state["count"]
+
+
+@pytest.mark.parametrize("source", [walk_source(12), copy_source(6)], ids=["walk12", "copy6"])
+def test_labels_render_only_on_export_and_once(renders, source):
+    verdict = only_verdict(source)
+    assert verdict.status == VERIFIED
+    assert renders() == 0  # verifying prints no label
+    tree = verdict.proof
+    # the same tree again, each label read once
+    fresh = only_verdict(source)
+    assert renders() == 0
+    for n in fresh.proof.root.walk():
+        assert isinstance(n.input, str)
+    once = renders()
+    assert once > 0
+    # both exports together cost exactly one read of each label
+    to_dot(tree)
+    text = to_structured(tree)
+    assert renders() == 2 * once
+    assert read_structured(text) == tree == fresh.proof
+    assert renders() == 2 * once

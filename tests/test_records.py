@@ -105,7 +105,7 @@ MUTABLE = {entail.Proved, entail.Failed, symexec.Stats, symexec.Verdict, symexec
            prooftree.ProofNode, prooftree.ProofTree, interp.Fault, interp.ConcreteState}
 
 # class -> (sample with a span, the name of its span field)
-SPANNED = (termir.Compound, termir.TList)
+SPANNED = (termir.Compound, termir.TList, fm.PredDef)
 
 
 def _is_record(cls) -> bool:
