@@ -184,7 +184,7 @@ class PredDef(Frozen):
     name: str
     params: tuple[str, ...]
     body: Formula
-    # the declaration's `pred` keyword, where check_pred_table reports errors
+    # the declaration's `pred` keyword, where errors in the definition are reported
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
 
@@ -343,7 +343,7 @@ def pretty_expr(e: SymExpr, level: int = 0) -> str:
         text = f"{left}{e.op}{right}"
         return f"({text})" if level >= mine else text
     if isinstance(e, Record):
-        if _positional_record(e):
+        if is_positional(e.tag, [n for n, _ in e.fields]):
             inner = ", ".join(pretty_expr(v) for _, v in e.fields)
         else:
             inner = ", ".join(f"{n}: {pretty_expr(v)}" for n, v in e.fields)
@@ -352,11 +352,11 @@ def pretty_expr(e: SymExpr, level: int = 0) -> str:
     raise TypeError(f"unknown expression {e!r}")
 
 
-def _positional_record(e: Record) -> bool:
-    names = tuple(n for n, _ in e.fields)
-    if e.tag == NODE_TAG:
-        return names == NODE_FIELDS
-    return names == tuple(f"_{i}" for i in range(len(names)))
+def is_positional(tag: str | None, names: Sequence[str]) -> bool:
+    """Whether a record with these field names is written without them."""
+    if tag == NODE_TAG:
+        return tuple(names) == NODE_FIELDS
+    return tuple(names) == tuple(f"_{i}" for i in range(len(names)))
 
 
 # formula precedence: or/exists (0) < and (1) < star (2) < atoms (3);
@@ -561,26 +561,8 @@ def _canon_binders(f: Formula) -> Formula:
 
 
 # --------------------------------------------------------------------------
-# chain sugar and builtin predicates
+# builtin predicates
 # --------------------------------------------------------------------------
-
-
-def chain_points_to(loc: SymExpr, values: list[SymExpr]) -> Formula:
-    """Desugar ``loc->v1,...,vn`` into a nil-terminated linked chain.
-
-    A single value stays a plain points-to; longer chains thread fresh
-    existential link variables through (value, next) node records.
-    """
-    if len(values) == 1:
-        return PointsTo(loc, values[0])
-    links = [Var(f"$l{i}") for i in range(1, len(values))]
-    atoms: list[Formula] = []
-    cur = loc
-    for i, v in enumerate(values):
-        nxt: SymExpr = links[i] if i < len(links) else Nil()
-        atoms.append(PointsTo(cur, node_record(v, nxt)))
-        cur = nxt
-    return exists([link.name for link in links], join(Star, atoms))
 
 
 def builtin_preds() -> dict[str, PredDef]:
@@ -637,28 +619,4 @@ def check_pred_table(defs: Iterable[PredDef]) -> dict[str, PredDef]:
                 f"predicate '{d.name}' body uses variables outside its parameters: {names}", d.span
             )
         table[d.name] = d
-    for d in list(table.values()):
-        check_arities(d.body, table, d.name, d.span)
     return table
-
-
-def check_arities(
-    f: Formula, table: dict[str, PredDef], context: str, span: Span = NO_SPAN
-) -> None:
-    """Raise, at ``span``, on a predicate instance in ``f`` whose argument
-    count differs from its definition."""
-    work = [f]
-    while work:  # left to right, without recursing into nested formulas
-        f = work.pop()
-        if isinstance(f, PredApp):
-            d = table.get(f.name)
-            if d is not None and len(d.params) != len(f.args):
-                raise AssertionSyntaxError(
-                    f"predicate '{f.name}' used with {len(f.args)} arguments in '{context}' "
-                    f"but defined with {len(d.params)}",
-                    span,
-                )
-        elif isinstance(f, (Star, And, Or)):
-            work.extend(reversed(f.parts))
-        elif isinstance(f, Exists):
-            work.append(f.body)

@@ -1,16 +1,17 @@
 """Recursive-descent parser for the annotated dialect and its assertion language.
 
-Entry points: ``parse_program`` for whole source files, which it reads
-straight into term IR, and ``parse_assertion`` for bare formula text
-(annotations, entailment query files).
+Entry points: ``parse_program`` reads a whole source file, annotations
+included, straight into term IR and then checks its predicates once
+(``termir.check_predicates``); ``assertion_term`` reads bare formula text into
+its term, and ``parse_assertion`` converts that term to a Formula.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import formula as fm
-from .errors import NO_SPAN, AssertionSyntaxError, ParseError, Span
+from .errors import NO_SPAN, AssertionSyntaxError, ParseError, TermShapeError
 from .lexer import Token, tokenize
 from .termir import (
     CMP_TO_FUNCTOR,
@@ -20,14 +21,19 @@ from .termir import (
     SourceProgram,
     Term,
     TList,
+    _positional_names,
+    check_predicates,
     comp,
-    formula_to_term,
     is_assert,
+    lower_program,
+    term_to_formula,
 )
 
 _REL_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
-_EOF = Token("eof", "<eof>", Span())
+_EOF = Token("eof", "<eof>", NO_SPAN)
+
+_T = TypeVar("_T")
 
 
 class _Cursor:
@@ -56,61 +62,112 @@ class _Cursor:
         expected = ", ".join(repr(k) for k in kinds)
         raise ParseError(f"expected {expected} but found {t.text!r}", t.span, tuple(kinds))
 
+    def separated(self, read: Callable[[], _T], sep: str = ",") -> list[_T]:
+        """``read()`` once, then once more after each ``sep``."""
+        out = [read()]
+        while self.at(sep):
+            self.pos += 1
+            out.append(read())
+        return out
+
+    def name(self) -> Atom:
+        """The next token, which must be a name, as an atom."""
+        return Atom(self.expect("ident").text)
+
+
+class _ExprParser:
+    """The expression grammar that statements and assertions share: ``+`` and
+    ``-`` over ``*`` over unary minus. ``*`` multiplies only at a positive
+    ``_paren_depth``; subclasses read the operands that differ."""
+
+    cur: _Cursor
+    _paren_depth = 0
+
+    def _nested(self, read: Callable[[], _T]) -> _T:
+        """``read()`` where ``*`` multiplies."""
+        self._paren_depth += 1
+        try:
+            return read()
+        finally:
+            self._paren_depth -= 1
+
+    def _expr(self) -> Term:
+        left = self._term()
+        while self.cur.at("+", "-"):
+            functor = "add" if self.cur.next().kind == "+" else "sub"
+            left = comp(functor, left, self._term())
+        return left
+
+    def _term(self) -> Term:
+        left = self._unary()
+        while self._paren_depth > 0 and self.cur.at("*"):
+            self.cur.next()
+            left = comp("mul", left, self._unary())
+        return left
+
+    def _unary(self) -> Term:
+        if self.cur.at("-"):
+            self.cur.next()
+            return comp("sub", Int(0), self._unary())
+        t = self.cur.peek()
+        if t.kind == "int":
+            self.cur.next()
+            return Int(t.value)
+        if t.kind in ("nil", "null"):
+            self.cur.next()
+            return Atom("nil")
+        if t.kind == "(":
+            self.cur.next()
+            e = self._nested(self._expr)
+            self.cur.expect(")")
+            return e
+        out = self._operand(t)
+        if out is None:
+            raise ParseError(f"expected expression, found {t.text!r}", t.span)
+        return out
+
+    def _operand(self, t: Token) -> Optional[Term]:
+        """The operand that starts at ``t``, or None if none does."""
+        raise NotImplementedError
+
 
 # --------------------------------------------------------------------------
 # assertion (formula) parsing
 # --------------------------------------------------------------------------
 
 
-class _FormulaParser:
-    """Parses the assertion grammar: ``*`` binds tighter than ``&&`` than ``||``,
-    ``exists`` extends to the right as far as possible."""
+class _FormulaParser(_ExprParser):
+    """Parses the assertion grammar into its formula term: ``*`` binds tighter
+    than ``&&`` than ``||``, ``exists`` extends to the right as far as possible.
+
+    Connective chains and binder lists are read in loops and built right-nested,
+    one ``exists`` term per binder, so their length costs no stack depth.
+    """
 
     def __init__(self, cur: _Cursor, class_fields: dict[str, tuple[str, ...]]):
         self.cur = cur
         self.class_fields = class_fields
-        # '*' is separating conjunction at formula level; it only means
-        # multiplication inside parentheses
-        self._paren_depth = 0
 
-    def parse(self) -> fm.Formula:
-        return self._or()
+    def parse(self) -> Term:
+        return _right_nested("or", self.cur.separated(self._and, "||"))
 
-    def _chain(self, kind: str, cls, sub) -> fm.Formula:
-        parts = [sub()]
-        while self.cur.at(kind):
-            self.cur.next()
-            parts.append(sub())
-        return fm.join(cls, parts)
+    def _and(self) -> Term:
+        return _right_nested("and", self.cur.separated(self._star, "&&"))
 
-    def _or(self) -> fm.Formula:
-        return self._chain("||", fm.Or, self._and)
+    def _star(self) -> Term:
+        # '*' is separating conjunction here; it multiplies only in parentheses
+        return _right_nested("star", self.cur.separated(self._unit, "*"))
 
-    def _and(self) -> fm.Formula:
-        return self._chain("&&", fm.And, self._star)
-
-    def _star(self) -> fm.Formula:
-        return self._chain("*", fm.Star, self._unit)
-
-    def _unit(self) -> fm.Formula:
+    def _unit(self) -> Term:
         t = self.cur.peek()
-        if t.kind == "emp":
+        if t.kind in ("emp", "true", "false"):
             self.cur.next()
-            return fm.Emp()
-        if t.kind == "true":
-            self.cur.next()
-            return fm.TrueF()
-        if t.kind == "false":
-            self.cur.next()
-            return fm.FalseF()
+            return Atom(t.kind)
         if t.kind == "exists":
             self.cur.next()
-            binders = [self.cur.expect("ident").text]
-            while self.cur.at(","):
-                self.cur.next()
-                binders.append(self.cur.expect("ident").text)
+            binders: list[Term] = self.cur.separated(self.cur.name)
             self.cur.expect(".")
-            return fm.exists(binders, self._or())
+            return _right_nested("exists", binders + [self.parse()])
         if t.kind == "(":
             # a parenthesized sub-formula, or a parenthesized expression that
             # starts a points-to / comparison atom; bare expressions never
@@ -118,7 +175,7 @@ class _FormulaParser:
             save = self.cur.pos
             self.cur.next()
             try:
-                inner = self._or()
+                inner = self.parse()
                 self.cur.expect(")")
                 return inner
             except (ParseError, AssertionSyntaxError):
@@ -127,150 +184,102 @@ class _FormulaParser:
         if t.kind == "ident" and self.cur.peek(1).kind == "(":
             name = self.cur.next().text
             self.cur.next()
-            self._paren_depth += 1
-            try:
-                args: list[fm.SymExpr] = []
-                if not self.cur.at(")"):
-                    args.append(self._expr())
-                    while self.cur.at(","):
-                        self.cur.next()
-                        args.append(self._expr())
-            finally:
-                self._paren_depth -= 1
+            args = [] if self.cur.at(")") else self._nested(lambda: self.cur.separated(self._expr))
             self.cur.expect(")")
-            return fm.PredApp(name, tuple(args))
+            return comp("pred", Atom(name), TList(tuple(args)))
         return self._atom_from_expr()
 
-    def _atom_from_expr(self) -> fm.Formula:
+    def _atom_from_expr(self) -> Term:
         left = self._expr()
         t = self.cur.peek()
         if t.kind == "->":
             self.cur.next()
-            values = [self._expr()]
-            while self.cur.at(","):
-                self.cur.next()
-                values.append(self._expr())
-            return fm.chain_points_to(left, values)
+            values = self.cur.separated(self._expr)
+            if len(values) == 1:
+                return comp("pto", left, values[0])
+            # ``loc->v1,...,vn`` is a nil-terminated chain of node records
+            # threaded through fresh existential links
+            links: list[Term] = [Atom(f"$l{i}") for i in range(1, len(values))]
+            cells: list[Term] = []
+            for v, nxt in zip(values, links + [Atom("nil")]):
+                cells.append(comp("pto", left, comp("object", Atom(fm.NODE_TAG), v, nxt)))
+                left = nxt
+            return _right_nested("exists", links + [_right_nested("star", cells)])
         if t.kind in _REL_OPS:
             self.cur.next()
-            return fm.PureAtom(t.kind, left, self._expr())
+            return comp(CMP_TO_FUNCTOR[t.kind], left, self._expr())
         raise ParseError(
             f"expected '->' or a comparison after expression, found {t.text!r}",
             t.span,
             ("->",) + _REL_OPS,
         )
 
-    # expression sub-grammar (shared precedence with program expressions)
-
-    def _expr(self) -> fm.SymExpr:
-        left = self._term()
-        while self.cur.at("+", "-"):
-            op = self.cur.next().kind
-            left = fm.ArithExpr(op, left, self._term())
-        return left
-
-    def _term(self) -> fm.SymExpr:
-        left = self._unary()
-        while self._paren_depth > 0 and self.cur.at("*"):
-            self.cur.next()
-            left = fm.ArithExpr("*", left, self._unary())
-        return left
-
-    def _unary(self) -> fm.SymExpr:
-        if self.cur.at("-"):
-            self.cur.next()
-            return fm.ArithExpr("-", fm.IntLit(0), self._unary())
-        return self._primary()
-
-    def _primary(self) -> fm.SymExpr:
-        t = self.cur.peek()
-        if t.kind == "int":
-            self.cur.next()
-            return fm.IntLit(t.value)
-        if t.kind in ("nil", "null"):
-            self.cur.next()
-            return fm.Nil()
-        if t.kind == "(":
-            self.cur.next()
-            self._paren_depth += 1
-            try:
-                e = self._expr()
-            finally:
-                self._paren_depth -= 1
-            self.cur.expect(")")
-            return e
+    def _operand(self, t: Token) -> Optional[Term]:
         if t.kind == "object":
             return self._record()
-        if t.kind in ("ident", "this"):
+        if t.kind not in ("ident", "this"):
+            return None
+        self.cur.next()
+        if self.cur.at(".") and self.cur.peek(1).kind == "ident":
             self.cur.next()
-            base: fm.SymExpr = fm.Var(t.text)
-            if self.cur.at(".") and self.cur.peek(1).kind == "ident":
-                self.cur.next()
-                field = self.cur.next().text
-                return fm.FieldRef(base, field)
-            return base
-        raise ParseError(f"expected expression, found {t.text!r}", t.span)
+            return comp("oa", Atom(t.text), Atom(self.cur.next().text))
+        return Atom(t.text)
 
-    def _record(self) -> fm.Record:
+    def _record(self) -> Term:
+        """A record, written positional when its field names are the implied
+        ones and named otherwise; a positional record of a class declared so
+        far takes that class's field names."""
         self.cur.expect("object")
         self.cur.expect("(")
         tag_tok = self.cur.peek()
         if tag_tok.kind != "ident":
             raise ParseError(f"expected record tag, found {tag_tok.text!r}", tag_tok.span)
-        tag: str | None = self.cur.next().text
-        if tag == "_":  # '_' marks a tagless record
-            tag = None
-        named: list[tuple[str, fm.SymExpr]] = []
-        positional: list[fm.SymExpr] = []
-        self._paren_depth += 1
-        try:
-            while self.cur.at(","):
+        self.cur.next()
+        tag = None if tag_tok.text == "_" else tag_tok.text  # '_' marks a tagless record
+        names: list[str] = []
+        values: list[Term] = []
+        while self.cur.at(","):
+            self.cur.next()
+            if self.cur.at("ident") and self.cur.peek(1).kind == ":":
+                names.append(self.cur.next().text)
                 self.cur.next()
-                if self.cur.at("ident") and self.cur.peek(1).kind == ":":
-                    name = self.cur.next().text
-                    self.cur.next()
-                    named.append((name, self._expr()))
-                else:
-                    positional.append(self._expr())
-        finally:
-            self._paren_depth -= 1
+            values.append(self._nested(self._expr))
         self.cur.expect(")")
-        if named and positional:
+        if names and len(names) != len(values):
             raise AssertionSyntaxError(
                 "record mixes positional and named components", tag_tok.span
             )
-        if named:
-            return fm.Record(tag, tuple(named))
-        names = self._record_field_names(tag, len(positional), tag_tok.span)
-        return fm.Record(tag, tuple(zip(names, positional)))
-
-    def _record_field_names(self, tag: str | None, count: int, span: Span) -> list[str]:
-        if tag == fm.NODE_TAG:
-            if count != len(fm.NODE_FIELDS):
-                raise AssertionSyntaxError(
-                    f"'{fm.NODE_TAG}' records take {len(fm.NODE_FIELDS)} components", span
-                )
-            return list(fm.NODE_FIELDS)
-        if tag is not None and tag in self.class_fields:
-            declared = self.class_fields[tag]
-            if count != len(declared):
-                raise AssertionSyntaxError(
-                    f"class '{tag}' declares {len(declared)} fields, record has {count}", span
-                )
-            return list(declared)
-        return [f"_{i}" for i in range(count)]
+        if not names:
+            try:
+                names = _positional_names(tag, len(values), self.class_fields)
+            except TermShapeError as e:
+                raise AssertionSyntaxError(e.message, tag_tok.span) from None
+        if not fm.is_positional(tag, names):
+            values = [comp(":", Atom(n), v) for n, v in zip(names, values)]
+        return Compound("object", (Atom(tag_tok.text), *values))
 
 
-def parse_assertion(
+_TRUE = Atom("true")
+
+
+def _right_nested(functor: str, parts: list[Term]) -> Term:
+    """``parts`` joined by binary ``functor`` terms nested to the right."""
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = comp(functor, p, out)
+    return out
+
+
+def assertion_term(
     raw: str,
     base_line: int = 1,
     base_col: int = 1,
     class_fields: Optional[dict[str, tuple[str, ...]]] = None,
-) -> fm.Formula:
-    """Parse annotation text into a Formula; empty text means ``true``."""
+) -> Term:
+    """Parse annotation text into its formula term; empty text means ``true``."""
     toks = tokenize(raw, base_line, base_col)
     if not toks:
-        return fm.TrueF()
+        return _TRUE
     cur = _Cursor(toks)
     try:
         out = _FormulaParser(cur, class_fields or {}).parse()
@@ -284,32 +293,40 @@ def parse_assertion(
     return out
 
 
+def parse_assertion(
+    raw: str,
+    base_line: int = 1,
+    base_col: int = 1,
+    class_fields: Optional[dict[str, tuple[str, ...]]] = None,
+) -> fm.Formula:
+    """Parse annotation text into a Formula; empty text means ``true``."""
+    term = assertion_term(raw, base_line, base_col, class_fields)
+    return term_to_formula(term, class_fields)
+
+
 # --------------------------------------------------------------------------
 # program parsing
 # --------------------------------------------------------------------------
 
 
-class _ProgramParser:
+class _ProgramParser(_ExprParser):
     """Builds the term IR of a source file as it reads it.
 
     Every statement term carries the span of the source statement it came
-    from, for diagnostics; contract asserts and function terms carry none.
+    from, every ``assert`` the span of its annotation and every ``pred`` the
+    span of its keyword, for diagnostics; function terms carry none.
     """
+
+    _paren_depth = 1  # statements have no separating conjunction: '*' multiplies
 
     def __init__(self, toks: list[Token]):
         self.cur = _Cursor(toks)
         self.class_fields: dict[str, tuple[str, ...]] = {}
-        # annotation formulas and their spans, for the arity check once every
-        # predicate is known: per method its pre, post and then its body
-        # formulas in order
-        self._fn_formulas: list[tuple[fm.Formula, Span]] = []
-        self._method_formulas: list[tuple[fm.Formula, Span]] = []
-        self._body_formulas: list[tuple[fm.Formula, Span]] = []
 
     def parse(self) -> SourceProgram:
         classes: list[Term] = []
         functions: list[Compound] = []
-        preds: list[fm.PredDef] = []
+        preds: list[Compound] = []
         while not self.cur.at("eof"):
             if self.cur.at("class"):
                 classes.append(self._class_decl())
@@ -317,20 +334,14 @@ class _ProgramParser:
                 preds.append(self._pred_decl(preds))
             else:
                 start = self.cur.peek()
-                fn = self._method_decl(self._fn_formulas)
+                fn = self._method_decl()
                 if any(f.args[0] == fn.args[0] for f in functions):
                     name = fn.args[0].name  # type: ignore[union-attr]
                     raise ParseError(f"duplicate function '{name}'", start.span)
                 functions.append(fn)
-        # check_pred_table checks the predicate bodies themselves
-        table = fm.check_pred_table(preds)
-        for f, span in self._fn_formulas + self._method_formulas:
-            fm.check_arities(f, table, "annotation", span)
-        pred_terms = tuple(
-            comp("pred", Atom(d.name), TList(tuple(map(Atom, d.params))), formula_to_term(d.body))
-            for d in preds
-        )
-        return SourceProgram(pred_terms, tuple(classes), tuple(functions))
+        program = SourceProgram(tuple(preds), tuple(classes), tuple(functions))
+        check_predicates(lower_program(program))
+        return program
 
     def _class_decl(self) -> Term:
         start = self.cur.expect("class")
@@ -356,7 +367,7 @@ class _ProgramParser:
                 self.class_fields[name] += (fname,)
             else:
                 m_start = self.cur.peek()
-                m = self._method_decl(self._method_formulas, this_class=name)
+                m = self._method_decl(this_class=name)
                 if any(x.args[0] == m.args[0] for x in methods):
                     raise ParseError(
                         f"duplicate method '{m.args[0].name}' in class '{name}'",  # type: ignore[union-attr]
@@ -366,74 +377,57 @@ class _ProgramParser:
         self.cur.expect("}")
         return comp("class", Atom(name), TList(tuple(fields)), TList(tuple(methods)))
 
-    def _pred_decl(self, seen: list[fm.PredDef]) -> fm.PredDef:
+    def _pred_decl(self, seen: list[Compound]) -> Compound:
         start = self.cur.expect("pred")
-        name = self.cur.expect("ident").text
-        if any(p.name == name for p in seen):
-            raise ParseError(f"duplicate predicate '{name}'", start.span)
+        name = self.cur.name()
+        if any(p.args[0] == name for p in seen):
+            raise ParseError(f"duplicate predicate '{name.name}'", start.span)
         self.cur.expect("(")
-        params: list[str] = []
-        if not self.cur.at(")"):
-            params.append(self.cur.expect("ident").text)
-            while self.cur.at(","):
-                self.cur.next()
-                params.append(self.cur.expect("ident").text)
+        params: list[Term] = [] if self.cur.at(")") else self.cur.separated(self.cur.name)
         self.cur.expect(")")
         self.cur.expect(":=")
-        body = self._inline_formula()
-        self.cur.expect(";")
-        return fm.PredDef(name, tuple(params), body, start.span)
-
-    def _inline_formula(self) -> fm.Formula:
         try:
-            return _FormulaParser(self.cur, self.class_fields).parse()
-        except AssertionSyntaxError:
-            raise
+            body = _FormulaParser(self.cur, self.class_fields).parse()
         except ParseError as e:
             raise AssertionSyntaxError(e.message, e.span) from None
+        self.cur.expect(";")
+        return comp("pred", name, TList(tuple(params)), body, span=start.span)
 
-    def _annotation(self, tok: Token) -> fm.Formula:
-        return parse_assertion(tok.text, tok.span.line, tok.span.col, self.class_fields)
+    def _assert(self, tok: Token) -> Compound:
+        """The assert term of an annotation token, carrying its span."""
+        f = assertion_term(tok.text, tok.span.line, tok.span.col, self.class_fields)
+        return comp("assert", f, span=tok.span)
 
-    def _method_decl(
-        self, formulas: list[tuple[fm.Formula, Span]], this_class: Optional[str] = None
-    ) -> Compound:
+    def _method_decl(self, this_class: Optional[str] = None) -> Compound:
         rtype_tok = self.cur.expect("ident")
         name = self.cur.expect("ident").text
         self.cur.expect("(")
-        params: list[Compound] = []
-        if not self.cur.at(")"):
-            params.append(self._param())
-            while self.cur.at(","):
-                self.cur.next()
-                params.append(self._param())
+        params = [] if self.cur.at(")") else self.cur.separated(self._param)
         self.cur.expect(")")
         if len({p.args[0] for p in params}) != len(params):
             raise ParseError(f"duplicate parameter name in '{name}'", rtype_tok.span)
         if this_class is not None:
             params.insert(0, comp("param", Atom("this"), Atom(this_class)))
-        pre, pre_span = self._contract()
-        self._body_formulas = []
+        pre = self._optional_assert()
         body = self._block()
-        post, post_span = self._contract()
-        formulas += [(pre, pre_span), (post, post_span), *self._body_formulas]
+        post = self._optional_assert()
         # ``split_contracts`` reads a leading and a trailing assert as the
         # contracts, so a true contract is written out when a body assert
         # would otherwise stand in its place
-        if post != fm.TrueF() or (body and is_assert(body[-1])):
-            body.append(comp("assert", formula_to_term(post)))
-        if pre != fm.TrueF() or (body and is_assert(body[0])):
-            body.insert(0, comp("assert", formula_to_term(pre)))
+        if post.args[0] != _TRUE or (body and is_assert(body[-1])):
+            body.append(post)
+        if pre.args[0] != _TRUE or (body and is_assert(body[0])):
+            body.insert(0, pre)
         return comp(
             "function", Atom(name), Atom(rtype_tok.text), TList(tuple(params)), TList(tuple(body))
         )
 
-    def _contract(self) -> tuple[fm.Formula, Span]:
-        """An optional contract annotation and its span; ``true`` when absent."""
+    def _optional_assert(self) -> Compound:
+        """The assert of an optional contract or loop invariant; ``true``
+        without a span when absent."""
         if not self.cur.at("annot"):
-            return fm.TrueF(), NO_SPAN
-        tok = self.cur.next()
-        return self._annotation(tok), tok.span
+            return comp("assert", _TRUE)
+        return self._assert(self.cur.next())
 
     def _param(self) -> Compound:
         ptype = self.cur.expect("ident").text
@@ -454,9 +448,7 @@ class _ProgramParser:
         if t.kind == "annot":
             self.cur.next()
             self.cur.expect(";")
-            f = self._annotation(t)
-            self._body_formulas.append((f, t.span))
-            out.append(comp("assert", formula_to_term(f), span=t.span))
+            out.append(self._assert(t))
         elif t.kind in ("new", "delete"):
             self.cur.next()
             self.cur.expect("(")
@@ -474,13 +466,9 @@ class _ProgramParser:
         elif t.kind == "while":
             self.cur.next()
             cond = self._cond()
-            inv: fm.Formula = fm.TrueF()
-            if self.cur.at("annot"):
-                tok = self.cur.next()
-                inv = self._annotation(tok)
-                self._body_formulas.append((inv, tok.span))
+            inv = self._optional_assert()
             body = TList(tuple(self._block()))
-            out.append(comp("while", cond, comp("assert", formula_to_term(inv)), body, span=t.span))
+            out.append(comp("while", cond, inv, body, span=t.span))
         elif t.kind == "{":
             out.append(TList(tuple(self._block()), t.span))
         else:
@@ -581,41 +569,9 @@ class _ProgramParser:
         right = self._expr()
         return comp(CMP_TO_FUNCTOR[op.kind], left, right)
 
-    # expressions
+    # expression operands: heap reads, names, fields and calls
 
-    def _expr(self) -> Term:
-        left = self._exp_term()
-        while self.cur.at("+", "-"):
-            functor = "add" if self.cur.next().kind == "+" else "sub"
-            left = comp(functor, left, self._exp_term())
-        return left
-
-    def _exp_term(self) -> Term:
-        left = self._exp_unary()
-        while self.cur.at("*"):
-            self.cur.next()
-            left = comp("mul", left, self._exp_unary())
-        return left
-
-    def _exp_unary(self) -> Term:
-        if self.cur.at("-"):
-            self.cur.next()
-            return comp("sub", Int(0), self._exp_unary())
-        return self._exp_primary()
-
-    def _exp_primary(self) -> Term:
-        t = self.cur.peek()
-        if t.kind == "int":
-            self.cur.next()
-            return Int(t.value)
-        if t.kind in ("null", "nil"):
-            self.cur.next()
-            return Atom("nil")
-        if t.kind == "(":
-            self.cur.next()
-            e = self._expr()
-            self.cur.expect(")")
-            return e
+    def _operand(self, t: Token) -> Optional[Term]:
         if t.kind == "[":
             self.cur.next()
             loc = self._location()
@@ -628,28 +584,25 @@ class _ProgramParser:
             if self.cur.at("("):
                 return self._call(member, Atom("this"))
             return comp("oa", Atom("this"), Atom(member))
-        if t.kind == "ident":
-            name = self.cur.next().text
+        if t.kind != "ident":
+            return None
+        name = self.cur.next().text
+        if self.cur.at("("):
+            return self._call(name, None)
+        if self.cur.at(".") and self.cur.peek(1).kind == "ident":
+            self.cur.next()
+            member = self.cur.next().text
             if self.cur.at("("):
-                return self._call(name, None)
-            if self.cur.at(".") and self.cur.peek(1).kind == "ident":
-                self.cur.next()
-                member = self.cur.next().text
-                if self.cur.at("("):
-                    return self._call(member, Atom(name))
-                return comp("oa", Atom(name), Atom(member))
-            return Atom(name)
-        raise ParseError(f"expected expression, found {t.text!r}", t.span)
+                return self._call(member, Atom(name))
+            return comp("oa", Atom(name), Atom(member))
+        return Atom(name)
 
     def _call(self, name: str, receiver: Optional[Term]) -> Term:
         """A call; its receiver becomes the implicit first actual."""
         self.cur.expect("(")
         args: list[Term] = [] if receiver is None else [receiver]
         if not self.cur.at(")"):
-            args.append(self._expr())
-            while self.cur.at(","):
-                self.cur.next()
-                args.append(self._expr())
+            args += self.cur.separated(self._expr)
         self.cur.expect(")")
         if args:
             return comp("funcall", Atom(name), TList(tuple(args)))

@@ -34,11 +34,11 @@ from .termir import (
     Int,
     Term,
     TList,
+    check_predicates,
     emit_text,
     split_contracts,
     term_class_fields,
     term_functions,
-    term_predicates,
     term_to_formula,
 )
 
@@ -996,7 +996,7 @@ def verify_function(
 
 def verify_program_term(program: Term, depth: int = 4) -> list[Verdict]:
     """Verify every function in a checked program term, in source order."""
-    preds = fm.check_pred_table(term_predicates(program))
+    preds = check_predicates(program)
     contracts = contract_table(program)
     fields = term_class_fields(program)
     out = []

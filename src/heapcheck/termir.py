@@ -13,7 +13,15 @@ import re
 from typing import Generator, Optional
 
 from . import formula as fm
-from .errors import NO_SPAN, LexError, Span, TermShapeError, TermSyntaxError
+from .errors import (
+    NO_SPAN,
+    AssertionSyntaxError,
+    LexError,
+    Span,
+    TermShapeError,
+    TermSyntaxError,
+    UnknownPredicateError,
+)
 from .lexer import RESERVED, Token, tokenize
 from .records import Frozen, field, record
 
@@ -44,8 +52,9 @@ class Int(Term):
 class Compound(Term):
     functor: str
     args: tuple[Term, ...]
-    # statement terms carry the span of their source statement for
-    # diagnostics; it takes no part in equality or text
+    # statement, ``assert`` and ``pred`` terms read from source carry the span
+    # of their statement, annotation or ``pred`` keyword for diagnostics; it
+    # takes no part in equality or text
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -574,72 +583,11 @@ def is_assert(t: Term) -> bool:
 
 
 # --------------------------------------------------------------------------
-# formulas <-> terms
+# terms to formulas
 # --------------------------------------------------------------------------
 
 
-_CONNECTIVE_FUNCTORS = {fm.Star: "star", fm.And: "and", fm.Or: "or"}
-_FUNCTOR_CONNECTIVES = {v: k for k, v in _CONNECTIVE_FUNCTORS.items()}
-
-
-def formula_to_term(f: fm.Formula) -> Term:
-    """The term image of ``f``: right-nested binary ``star``/``and``/``or``
-    terms and one ``exists`` term per binder, built in loops."""
-    if isinstance(f, (fm.Star, fm.And, fm.Or)):
-        functor = _CONNECTIVE_FUNCTORS[type(f)]
-        out = formula_to_term(f.parts[-1])
-        for p in reversed(f.parts[:-1]):
-            out = comp(functor, formula_to_term(p), out)
-        return out
-    if isinstance(f, fm.Exists):
-        out = formula_to_term(f.body)
-        for v in reversed(f.vars):
-            out = comp("exists", Atom(v), out)
-        return out
-    if isinstance(f, fm.Emp):
-        return Atom("emp")
-    if isinstance(f, fm.TrueF):
-        return Atom("true")
-    if isinstance(f, fm.FalseF):
-        return Atom("false")
-    if isinstance(f, fm.PointsTo):
-        return comp("pto", expr_to_term(f.loc), expr_to_term(f.val))
-    if isinstance(f, fm.PredApp):
-        return comp("pred", Atom(f.name), TList(tuple(expr_to_term(a) for a in f.args)))
-    if isinstance(f, fm.PureAtom):
-        return comp(CMP_TO_FUNCTOR[f.op], expr_to_term(f.left), expr_to_term(f.right))
-    raise TypeError(f"unknown formula {f!r}")
-
-
-def expr_to_term(e: fm.SymExpr) -> Term:
-    if isinstance(e, fm.IntLit):
-        return Int(e.value)
-    if isinstance(e, fm.Var):
-        return Atom(e.name)
-    if isinstance(e, fm.Nil):
-        return Atom("nil")
-    if isinstance(e, fm.FieldRef):
-        if isinstance(e.obj, fm.Var):
-            return comp("oa", Atom(e.obj.name), Atom(e.field))
-        raise TypeError(f"field reference base must be a variable: {e!r}")
-    if isinstance(e, fm.OffsetOf):
-        base = expr_to_term(e.base)
-        if e.offset == 0:
-            return comp("offset", base)
-        if e.offset > 0:
-            return comp("offset", base, Int(e.offset))
-        return comp("offset", base, comp("minus", Int(0), Int(-e.offset)))
-    if isinstance(e, fm.ArithExpr):
-        functor = {"+": "add", "-": "sub", "*": "mul"}[e.op]
-        return comp(functor, expr_to_term(e.left), expr_to_term(e.right))
-    if isinstance(e, fm.Record):
-        args: list[Term] = [Atom(e.tag if e.tag is not None else "_")]
-        if fm._positional_record(e):
-            args.extend(expr_to_term(v) for _, v in e.fields)
-        else:
-            args.extend(comp(":", Atom(n), expr_to_term(v)) for n, v in e.fields)
-        return Compound("object", tuple(args))
-    raise TypeError(f"unknown expression {e!r}")
+_FUNCTOR_CONNECTIVES = {"star": fm.Star, "and": fm.And, "or": fm.Or}
 
 
 def term_to_formula(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = None) -> fm.Formula:
@@ -780,7 +728,83 @@ def term_predicates(t: Term) -> list[fm.PredDef]:
         if isinstance(item, Compound) and item.functor == "pred":
             name = item.args[0].name  # type: ignore[union-attr]
             params = tuple(a.name for a in item.args[1].items)  # type: ignore[union-attr]
-            out.append(fm.PredDef(name, params, term_to_formula(item.args[2], fields)))
+            body = term_to_formula(item.args[2], fields)
+            out.append(fm.PredDef(name, params, body, item.span))  # type: ignore[union-attr]
+    return out
+
+
+def check_predicates(t: Term) -> dict[str, fm.PredDef]:
+    """The predicate table of a program term, once its definitions and every
+    predicate instance in their bodies and in its annotations check against it.
+
+    An error is raised at the span of the ``pred`` or ``assert`` term at
+    fault: definitions first, then free functions before class methods, and
+    per function its pre, its post, then its body in order.
+    """
+    table = fm.check_pred_table(term_predicates(t))
+    functions: list[Term] = []
+    methods: list[Term] = []
+    for item in program_items(t):
+        if not isinstance(item, Compound):
+            continue
+        if item.functor == "pred":
+            check_instances(item.args[2], table, item.args[0].name, item.span)  # type: ignore[union-attr]
+        elif item.functor == "function":
+            functions.append(item)
+        elif item.functor == "class":
+            methods += item.args[2].items  # type: ignore[union-attr]
+    for fn in functions + methods:
+        for a in _annotations(fn):  # type: ignore[arg-type]
+            check_instances(a.args[0], table, "annotation", a.span)
+    return table
+
+
+def check_instances(
+    f: Term, table: dict[str, fm.PredDef], context: str, span: Span = NO_SPAN
+) -> None:
+    """Raise, at ``span``, on the leftmost predicate instance in formula term
+    ``f`` that names no definition in ``table`` or takes another number of
+    arguments; ``context`` names where ``f`` stands."""
+    work = [f]
+    while work:  # left to right, without recursing into nested formulas
+        f = work.pop()
+        if not (isinstance(f, Compound) and len(f.args) == 2):
+            continue
+        if f.functor in ("star", "and", "or"):
+            work += (f.args[1], f.args[0])
+        elif f.functor == "exists":
+            work.append(f.args[1])
+        elif f.functor == "pred":
+            name, count = f.args[0].name, len(f.args[1].items)  # type: ignore[union-attr]
+            d = table.get(name)
+            if d is None:
+                raise UnknownPredicateError(f"unknown predicate '{name}'", span)
+            if len(d.params) != count:
+                raise AssertionSyntaxError(
+                    f"predicate '{name}' used with {count} arguments in '{context}' "
+                    f"but defined with {len(d.params)}",
+                    span,
+                )
+
+
+def _annotations(fn: Compound) -> list[Compound]:
+    """The assert terms of a function: its pre, its post, then those of its
+    body (statement asserts and loop invariants) in source order."""
+    body = list(fn.args[3].items)  # type: ignore[union-attr]
+    out = []
+    if body and is_assert(body[0]):
+        out.append(body.pop(0))
+    if body and is_assert(body[-1]):
+        out.append(body.pop())
+    work = body[::-1]
+    while work:
+        s = work.pop()
+        if isinstance(s, TList):
+            work += reversed(s.items)
+        elif is_assert(s):
+            out.append(s)  # type: ignore[arg-type]
+        elif isinstance(s, Compound) and s.functor in ("ite", "while"):
+            work += reversed(s.args[1:])
     return out
 
 

@@ -4,6 +4,7 @@ as ground truth for entailment soundness, and a small DOT syntax checker."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from pathlib import Path
 from typing import Iterator, Optional
@@ -14,6 +15,12 @@ from heapcheck.interp import ConcreteState, CRecord, OracleConfig, Value, eval_a
 from heapcheck.termir import Atom, Compound, Int, TList, Term, comp
 
 DATA = Path(__file__).parent / "data"
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI processes some tests
+# start import the package from the same checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def data_path(name: str) -> Path:

@@ -62,12 +62,39 @@ def test_parse_error_exit_2(tmp_path):
      "2:1: predicate 'p' body uses variables outside its parameters: b"),
     ("pred one(a) := a->1; pred two(a) := one(a, a);",
      "1:22: predicate 'one' used with 2 arguments in 'two' but defined with 1"),
-], ids=["builtin-name", "repeated-param", "free-vars", "body-arity"])
+    ("pred p(a) := a->1 || nosuch(a);", "1:1: unknown predicate 'nosuch'"),
+], ids=["builtin-name", "repeated-param", "free-vars", "body-arity", "unknown-name"])
 def test_predicate_definition_errors_carry_a_span(tmp_path, src, error):
     f = tmp_path / "pred.oc"
     f.write_text(src + " int f() { }\n")
     code, out, err = run_cli("verify", str(f))
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+# An annotation naming no predicate is rejected at load, in source and in
+# term input alike; term input carries no spans yet.
+@pytest.mark.parametrize("name, text, error", [
+    ("f.oc", "void f(node x) @ x->1 @ { @ x->1 || nosuch(x) @; } @ x->1 @\n",
+     "1:28: unknown predicate 'nosuch'"),
+    ("f.plt", "function(f, void, [param(x, node)], "
+     "[assert(x->1), assert(x->1 || pred(nosuch, [x])), assert(x->1)]).\n",
+     "?:?: unknown predicate 'nosuch'"),
+], ids=["source", "term"])
+def test_unknown_predicate_in_an_annotation_is_a_load_error(tmp_path, name, text, error):
+    f = tmp_path / name
+    f.write_text(text)
+    command = "verify-term" if name.endswith(".plt") else "verify"
+    assert run_cli(command, str(f)) == (2, "", f"error: {error}\n")
+
+
+def test_term_annotations_get_the_arity_check(tmp_path):
+    f = tmp_path / "arity.plt"
+    f.write_text(
+        "program([pred(one, [a], a->1), function(f, void, [param(x, node)], "
+        "[assert(pred(one, [x, x])), assign(y, 1), assert(pred(one, [x, x]))])]).\n"
+    )
+    error = "?:?: predicate 'one' used with 2 arguments in 'annotation' but defined with 1"
+    assert run_cli("verify-term", str(f)) == (2, "", f"error: {error}\n")
 
 
 def test_usage_error_exit_2():

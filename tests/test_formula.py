@@ -8,7 +8,7 @@ from heapcheck import formula as fm
 from heapcheck import termir as tir
 from heapcheck.entail import FreshNames, formula_to_symheaps
 from heapcheck.interp import ConcreteState, OracleConfig, _Goal, eval_assertion
-from heapcheck.parser import parse_assertion, parse_program
+from heapcheck.parser import assertion_term, parse_assertion, parse_program
 
 
 def test_emp_is_star_unit():
@@ -236,7 +236,7 @@ def test_normalize_binder_edge_cases():
 def test_normalize_long_binder_chain():
     # a 300-binder chain is deeper than the default recursion limit allows
     # record equality to compare
-    f = fm.chain_points_to(fm.Var("x"), [fm.Var(f"a{i}") for i in range(300)])
+    f = parse_assertion("x->" + ", ".join(f"a{i}" for i in range(300)))
     text = fm.pretty(fm.normalize(f))
     assert text.startswith("exists e0, e1, e2, ") and text.count("->") == 300
     assert "x->object(node, a0, e0)" in text and "e298->object(node, a299, nil)" in text
@@ -273,21 +273,22 @@ def test_walkers_loop_over_long_chains():
     table = fm.builtin_preds()
     for name, text in LONG_CHAINS.items():
         with shallow_stack():
+            t = assertion_term(text)
             f = parse_assertion(text)
             fm.free_vars(f)
             fm.substitute(f, {"y": fm.Var("v0"), "x0": fm.Nil()})
             assert fm.or_free(f) == [f]
             assert not fm.is_pure_only(f)
-            fm.check_arities(f, table, name)
+            tir.check_instances(t, table, name)
             n = fm.normalize(f)  # _fold_formula, _normalize1, _canon_binders
             assert parse_assertion(fm.pretty(n)) == n, name
             assert len(formula_to_symheaps(f, FreshNames())) == 1
             parts: list = []
             _Goal({}, table, OracleConfig(), 3).extract(f, parts, {"absorb": False})
             assert len(parts) == (1000 if name == "exists" else 5000)
-            t = tir.formula_to_term(f)
             tir.check_shape(t)
             assert tir.term_to_formula(t) == f
+            assert tir.term_to_formula(tir.parse_term(tir.emit_text(t))) == f, name
 
 
 def well_formed(f: fm.Formula) -> None:
@@ -371,9 +372,10 @@ def test_round_trips_keep_the_splice_invariant():
         n = fm.normalize(f)
         for g in (f, n):
             well_formed(g)
-            back = tir.term_to_formula(tir.formula_to_term(g))
-            assert back == g, fm.pretty(g)
+            text = fm.pretty(g)
+            back = tir.term_to_formula(tir.parse_term(tir.emit_text(assertion_term(text))))
+            assert back == parse_assertion(text), text
             well_formed(back)
-            assert fm.normalize(parse_assertion(fm.pretty(g))) == n, fm.pretty(g)
+            assert fm.normalize(parse_assertion(text)) == n, text
     for f in parsed:
         assert parse_assertion(fm.pretty(f)) == f, fm.pretty(f)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heapcheck import formula as fm
-from heapcheck.errors import AssertionSyntaxError, ParseError
+from heapcheck.errors import AssertionSyntaxError, ParseError, UnknownPredicateError
 from heapcheck.parser import parse_assertion, parse_program
 from heapcheck.termir import CMP_TO_FUNCTOR, Atom, Int, Term, TList, comp, lower_program
 
@@ -159,8 +159,8 @@ def test_arity_errors_are_reported_in_program_order(src, first):
     assert e.value.message.startswith(f"predicate '{first}' used with")
 
 
-# The error points into the annotation holding the bad use, or at the
-# repeated field's name.
+# The error points into the annotation holding the bad use, at the `pred`
+# keyword of a definition holding one, or at the repeated field's name.
 @pytest.mark.parametrize("src, error, span", [
     ("int f() { x = 1; @ one(1, 2) @; }", AssertionSyntaxError, "3:19"),
     ("int f() @ one(1, 2) @ {}", AssertionSyntaxError, "3:10"),
@@ -168,6 +168,9 @@ def test_arity_errors_are_reported_in_program_order(src, first):
     ("int f() {\n  while (x > 0) @ one(1, 2) @ { }\n}", AssertionSyntaxError, "4:18"),
     ("class C { int m() @ one(1, 2) @ {} }", AssertionSyntaxError, "3:20"),
     ("class C {\n  int a;\n  int a;\n}", ParseError, "5:7"),
+    ("int f() { x = 1; @ x->1 || nosuch(x) @; }", UnknownPredicateError, "3:19"),
+    ("int f() @ emp @ {} @ nosuch(1) @", UnknownPredicateError, "3:21"),
+    ("pred bad(a) := one(a) * nosuch(a);", UnknownPredicateError, "3:1"),
 ])
 def test_error_span_points_at_the_offending_token(src, error, span):
     with pytest.raises(error) as e:

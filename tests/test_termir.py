@@ -7,7 +7,8 @@ from conftest import DATA, data_text, rand_term
 
 from heapcheck import termir as tir
 from heapcheck.errors import NO_SPAN, Span, TermShapeError, TermSyntaxError
-from heapcheck.parser import parse_program
+from heapcheck.lexer import tokenize
+from heapcheck.parser import assertion_term, parse_program
 
 PAPER_TERM = (
     "function(f, int, [param(a,int), param(b,int)], "
@@ -103,7 +104,7 @@ def test_lowering_total_on_parse_valid_programs():
 
 
 def test_formula_term_roundtrip():
-    from heapcheck.parser import parse_assertion
+    from heapcheck.parser import assertion_term, parse_assertion
     from heapcheck import formula as fm
 
     for text in (
@@ -115,8 +116,9 @@ def test_formula_term_roundtrip():
         "x+1->(2*y)",
     ):
         f = parse_assertion(text)
-        t = tir.formula_to_term(f)
+        t = assertion_term(text)
         back = tir.term_to_formula(tir.parse_term(tir.emit_text(t)))
+        assert back == f, text
         assert fm.normalize(back) == fm.normalize(f), text
 
 
@@ -354,7 +356,9 @@ def test_statement_terms_carry_their_source_spans():
             assert fn.span == NO_SPAN
             _, stmts, _ = tir.split_contracts(fn)
             contracts = [t for t in fn.args[3].items if not any(t is s for s in stmts)]
-            assert [t.span for t in contracts] == [NO_SPAN] * len(contracts)
+            # a contract carries its annotation's span, one written for an
+            # absent contract none (see the annotation span test below)
+            assert all(t.span != NO_SPAN or t.args[0] == tir.Atom("true") for t in contracts)
             assert _term_spans(stmts) == STATEMENT_SPANS[key], key
             checked += len(STATEMENT_SPANS[key])
     assert seen == list(STATEMENT_SPANS)
@@ -372,9 +376,54 @@ def test_span_source_covers_nested_blocks_and_chains():
     assert loop.functor == "while" and loop.span.line == 4
     assert [t.span.line for t in loop.args[2].items] == [5, 6]
     assert ite.args[2].items[0].span.line == 9
-    # branch and loop-body lists and the invariant assert carry no span
-    parts = (ite.args[1], ite.args[2], loop.args[1], loop.args[2])
-    assert [t.span for t in parts] == [NO_SPAN] * 4
+    # branch and loop-body lists carry no span; the invariant assert carries
+    # its annotation's, which starts after the opening '@'
+    parts = (ite.args[1], ite.args[2], loop.args[2])
+    assert [t.span for t in parts] == [NO_SPAN] * 3
+    assert loop.args[1].span == Span(4, 20, 4, 27)
+
+
+def _asserts(items, out: list) -> list:
+    """Every assert term under a statement list, loop invariants included;
+    each is paired with whether an absent annotation may have written it."""
+    for i, t in enumerate(items):
+        if isinstance(t, tir.TList):
+            _asserts(t.items, out)
+        elif t.functor == "assert":
+            out.append((t, i in (0, len(items) - 1)))
+        elif t.functor == "ite":
+            for block in t.args[1:]:
+                _asserts(block.items, out)
+        elif t.functor == "while":
+            out.append((t.args[1], True))
+            _asserts(t.args[2].items, out)
+    return out
+
+
+def test_annotation_terms_carry_their_token_spans():
+    sources = [(p.name, data_text(p.name)) for p in sorted(DATA.glob("*.oc"))]
+    sources.append(("SPAN_SOURCE", SPAN_SOURCE))
+    spanned = 0
+    for name, text in sources:
+        annots = {t.span: t for t in tokenize(text) if t.kind == "annot"}
+        pred_spans = [t.span for t in tokenize(text) if t.kind == "pred"]
+        program = parse_program(text)
+        assert [p.span for p in program.predicates] == pred_spans, name
+        term = tir.lower_program(program)
+        fields = tir.term_class_fields(term)
+        found = []
+        for fn in tir.term_functions(term):
+            for a, may_be_absent in _asserts(fn.args[3].items, []):
+                if a.span == NO_SPAN:
+                    # only an absent contract or invariant is written unspanned
+                    assert may_be_absent and a.args[0] == tir.Atom("true"), (name, a)
+                    continue
+                tok = annots[a.span]
+                assert a.args[0] == assertion_term(tok.text, a.span.line, a.span.col, fields)
+                found.append(a.span)
+        assert sorted(found) == sorted(annots), name
+        spanned += len(found) + len(pred_spans)
+    assert spanned > 20
 
 
 def test_term_spans_take_no_part_in_equality_or_text():
