@@ -21,9 +21,12 @@ from .prooftree import DotOptions, to_dot, to_structured
 from .symexec import INCONCLUSIVE, REFUTED, VERIFIED, Verdict, verify_program_term
 from .termir import (
     Term,
+    check_predicates,
     emit_term_file,
     lower_program,
     parse_term,
+    program_items,
+    term_class_fields,
     term_functions,
     term_to_formula,
 )
@@ -54,9 +57,13 @@ def _unfold_depth(text: str) -> int:
 
 
 def _load_program_term(path: Path) -> Term:
+    """The checked program term of a source or ``.plt`` file; ``parse_program``
+    checks a source file's predicates, and this a term file's."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".plt":
-        return parse_term(text)
+        term = parse_term(text)
+        check_predicates(program_items(term), term_class_fields(term))
+        return term
     return lower_program(parse_program(text))
 
 

@@ -68,7 +68,3 @@ class UnknownPredicateError(HeapcheckError):
 
 class UnsupportedFormulaError(HeapcheckError):
     """Formula outside the symbolic-heap fragment (e.g. spatial conjunction)."""
-
-
-class UnboundVariableError(HeapcheckError):
-    """Assertion evaluation hit a variable missing from the store."""

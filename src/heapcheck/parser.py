@@ -25,7 +25,6 @@ from .termir import (
     check_predicates,
     comp,
     is_assert,
-    lower_program,
     term_to_formula,
 )
 
@@ -325,23 +324,25 @@ class _ProgramParser(_ExprParser):
 
     def parse(self) -> SourceProgram:
         classes: list[Term] = []
-        functions: list[Compound] = []
-        preds: list[Compound] = []
+        functions: list[Term] = []
+        preds: list[Term] = []
+        pred_names: set[str] = set()
+        fn_names: set[str] = set()
         while not self.cur.at("eof"):
             if self.cur.at("class"):
                 classes.append(self._class_decl())
             elif self.cur.at("pred"):
-                preds.append(self._pred_decl(preds))
+                preds.append(self._pred_decl(pred_names))
             else:
                 start = self.cur.peek()
                 fn = self._method_decl()
-                if any(f.args[0] == fn.args[0] for f in functions):
-                    name = fn.args[0].name  # type: ignore[union-attr]
+                name = fn.args[0].name  # type: ignore[union-attr]
+                if name in fn_names:
                     raise ParseError(f"duplicate function '{name}'", start.span)
+                fn_names.add(name)
                 functions.append(fn)
-        program = SourceProgram(tuple(preds), tuple(classes), tuple(functions))
-        check_predicates(lower_program(program))
-        return program
+        check_predicates(preds + classes + functions, self.class_fields)
+        return SourceProgram(tuple(preds), tuple(classes), tuple(functions))
 
     def _class_decl(self) -> Term:
         start = self.cur.expect("class")
@@ -353,6 +354,7 @@ class _ProgramParser(_ExprParser):
         self.cur.expect("{")
         fields: list[Term] = []
         methods: list[Compound] = []
+        method_names: set[str] = set()
         # record the (growing) field list so method annotations can resolve it
         self.class_fields[name] = ()
         while not self.cur.at("}"):
@@ -368,20 +370,21 @@ class _ProgramParser(_ExprParser):
             else:
                 m_start = self.cur.peek()
                 m = self._method_decl(this_class=name)
-                if any(x.args[0] == m.args[0] for x in methods):
-                    raise ParseError(
-                        f"duplicate method '{m.args[0].name}' in class '{name}'",  # type: ignore[union-attr]
-                        m_start.span,
-                    )
+                m_name = m.args[0].name  # type: ignore[union-attr]
+                if m_name in method_names:
+                    raise ParseError(f"duplicate method '{m_name}' in class '{name}'", m_start.span)
+                method_names.add(m_name)
                 methods.append(m)
         self.cur.expect("}")
         return comp("class", Atom(name), TList(tuple(fields)), TList(tuple(methods)))
 
-    def _pred_decl(self, seen: list[Compound]) -> Compound:
+    def _pred_decl(self, seen: set[str]) -> Compound:
+        """A ``pred`` declaration whose name is not in ``seen``, which gains it."""
         start = self.cur.expect("pred")
         name = self.cur.name()
-        if any(p.args[0] == name for p in seen):
+        if name.name in seen:
             raise ParseError(f"duplicate predicate '{name.name}'", start.span)
+        seen.add(name.name)
         self.cur.expect("(")
         params: list[Term] = [] if self.cur.at(")") else self.cur.separated(self.cur.name)
         self.cur.expect(")")

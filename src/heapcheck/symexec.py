@@ -34,11 +34,11 @@ from .termir import (
     Int,
     Term,
     TList,
-    check_predicates,
     emit_text,
     split_contracts,
     term_class_fields,
     term_functions,
+    term_predicates,
     term_to_formula,
 )
 
@@ -139,20 +139,6 @@ class Contract(Frozen):
     params: tuple[str, ...]
     pre: fm.Formula
     post: fm.Formula
-
-
-def contract_table(program: Term) -> dict[str, Contract]:
-    """Bare-name contract lookup; the first definition of a name wins."""
-    fields = term_class_fields(program)
-    out: dict[str, Contract] = {}
-    for fn in term_functions(program):
-        name = fn.args[0].name  # type: ignore[union-attr]
-        if name in out:
-            continue
-        pre, _, post = split_contracts(fn, fields)
-        params = tuple(p.args[0].name for p in fn.args[2].items)  # type: ignore[union-attr]
-        out[name] = Contract(name, params, pre, post)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -849,10 +835,11 @@ class _Engine:
             out.append(st)
         return out
 
-    def verify(self) -> Verdict:
+    def verify(self, pre: fm.Formula, body: list[Term], post: fm.Formula) -> Verdict:
+        """Verify the function against its own contracts ``pre`` and ``post``
+        (from ``split_contracts``), ``body`` being its statements between them."""
         t0 = time.perf_counter()
         name = self.fn.args[0].name  # type: ignore[union-attr]
-        pre, body, post = split_contracts(self.fn, self.class_fields)
         params = [p.args[0].name for p in self.fn.args[2].items]  # type: ignore[union-attr]
         root = self.builder.node("function", name)
 
@@ -990,16 +977,21 @@ def verify_function(
     class_fields: Optional[dict[str, tuple[str, ...]]] = None,
     depth: int = 4,
 ) -> Verdict:
-    engine = _Engine(fn, contracts, preds, class_fields or {}, depth)
-    return engine.verify()
+    fields = class_fields or {}
+    return _Engine(fn, contracts, preds, fields, depth).verify(*split_contracts(fn, fields))
 
 
 def verify_program_term(program: Term, depth: int = 4) -> list[Verdict]:
-    """Verify every function in a checked program term, in source order."""
-    preds = check_predicates(program)
-    contracts = contract_table(program)
+    """Verify every function in a checked program term, in source order; the
+    loaders check its predicates (``termir.check_predicates``), not this."""
     fields = term_class_fields(program)
-    out = []
-    for fn in term_functions(program):
-        out.append(verify_function(fn, contracts, preds, fields, depth))
-    return out
+    preds = fm.builtin_preds()
+    preds.update((d.name, d) for d in term_predicates(program, fields))
+    functions = [(fn, split_contracts(fn, fields)) for fn in term_functions(program)]
+    # calls look contracts up by bare name; the first definition of a name wins
+    contracts: dict[str, Contract] = {}
+    for fn, (pre, _, post) in functions:
+        name = fn.args[0].name  # type: ignore[union-attr]
+        params = tuple(p.args[0].name for p in fn.args[2].items)  # type: ignore[union-attr]
+        contracts.setdefault(name, Contract(name, params, pre, post))
+    return [_Engine(fn, contracts, preds, fields, depth).verify(*split) for fn, split in functions]

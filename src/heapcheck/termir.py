@@ -10,7 +10,7 @@ functional notation.
 from __future__ import annotations
 
 import re
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from . import formula as fm
 from .errors import (
@@ -721,42 +721,52 @@ def term_functions(t: Term) -> list[Compound]:
     return out
 
 
-def term_predicates(t: Term) -> list[fm.PredDef]:
-    out: list[fm.PredDef] = []
-    fields = term_class_fields(t)
-    for item in program_items(t):
-        if isinstance(item, Compound) and item.functor == "pred":
-            name = item.args[0].name  # type: ignore[union-attr]
-            params = tuple(a.name for a in item.args[1].items)  # type: ignore[union-attr]
-            body = term_to_formula(item.args[2], fields)
-            out.append(fm.PredDef(name, params, body, item.span))  # type: ignore[union-attr]
-    return out
+def term_predicates(
+    t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = None
+) -> list[fm.PredDef]:
+    """The predicate definitions of a program term; their bodies read records
+    with ``class_fields``, by default the term's own."""
+    fields = term_class_fields(t) if class_fields is None else class_fields
+    return [
+        _pred_def(item, fields)
+        for item in program_items(t)
+        if isinstance(item, Compound) and item.functor == "pred"
+    ]
 
 
-def check_predicates(t: Term) -> dict[str, fm.PredDef]:
-    """The predicate table of a program term, once its definitions and every
-    predicate instance in their bodies and in its annotations check against it.
+def _pred_def(item: Compound, class_fields: dict[str, tuple[str, ...]]) -> fm.PredDef:
+    name = item.args[0].name  # type: ignore[union-attr]
+    params = tuple(a.name for a in item.args[1].items)  # type: ignore[union-attr]
+    return fm.PredDef(name, params, term_to_formula(item.args[2], class_fields), item.span)
+
+
+def check_predicates(items: Sequence[Term], class_fields: dict[str, tuple[str, ...]]) -> None:
+    """Check the predicate definitions among a loaded program's ``items``, and
+    every predicate instance in their bodies and in its annotations; records
+    in the bodies read with the program's ``class_fields``.
 
     An error is raised at the span of the ``pred`` or ``assert`` term at
     fault: definitions first, then free functions before class methods, and
     per function its pre, its post, then its body in order.
     """
-    table = fm.check_pred_table(term_predicates(t))
+    preds: list[Compound] = []
     functions: list[Term] = []
     methods: list[Term] = []
-    for item in program_items(t):
+    for item in items:
         if not isinstance(item, Compound):
             continue
         if item.functor == "pred":
-            check_instances(item.args[2], table, item.args[0].name, item.span)  # type: ignore[union-attr]
+            preds.append(item)
         elif item.functor == "function":
             functions.append(item)
         elif item.functor == "class":
             methods += item.args[2].items  # type: ignore[union-attr]
+    table = fm.check_pred_table(_pred_def(p, class_fields) for p in preds)
+    for p in preds:
+        check_instances(p.args[2], table, p.args[0].name, p.span)  # type: ignore[union-attr]
     for fn in functions + methods:
         for a in _annotations(fn):  # type: ignore[arg-type]
             check_instances(a.args[0], table, "annotation", a.span)
-    return table
 
 
 def check_instances(
@@ -790,12 +800,8 @@ def check_instances(
 def _annotations(fn: Compound) -> list[Compound]:
     """The assert terms of a function: its pre, its post, then those of its
     body (statement asserts and loop invariants) in source order."""
-    body = list(fn.args[3].items)  # type: ignore[union-attr]
-    out = []
-    if body and is_assert(body[0]):
-        out.append(body.pop(0))
-    if body and is_assert(body[-1]):
-        out.append(body.pop())
+    pre, body, post = contract_terms(fn)
+    out = [a for a in (pre, post) if a is not None]
     work = body[::-1]
     while work:
         s = work.pop()
@@ -818,21 +824,24 @@ def term_class_fields(t: Term) -> dict[str, tuple[str, ...]]:
     return out
 
 
+def contract_terms(fn: Compound) -> tuple[Optional[Compound], list[Term], Optional[Compound]]:
+    """The contracts of a function term around its executable statements:
+    a leading ``assert`` is its precondition and a trailing one its
+    postcondition; None stands for an absent contract."""
+    body = list(fn.args[3].items)  # type: ignore[union-attr]
+    pre = body.pop(0) if body and is_assert(body[0]) else None
+    post = body.pop() if body and is_assert(body[-1]) else None
+    return pre, body, post  # type: ignore[return-value]
+
+
 def split_contracts(
     fn: Compound, class_fields: Optional[dict[str, tuple[str, ...]]] = None
 ) -> tuple[fm.Formula, list[Term], fm.Formula]:
-    """Pop the leading/trailing assert entries off a function body.
+    """(precondition, executable statements, postcondition) of a function
+    term, the contracts as formulas; an absent contract is ``true``."""
+    pre, body, post = contract_terms(fn)
 
-    Returns (precondition, executable statements, postcondition); missing
-    asserts default to true.
-    """
-    body = list(fn.args[3].items)  # type: ignore[union-attr]
-    pre: fm.Formula = fm.TrueF()
-    post: fm.Formula = fm.TrueF()
-    if body and is_assert(body[0]):
-        pre = term_to_formula(body[0].args[0], class_fields)  # type: ignore[union-attr]
-        body = body[1:]
-    if body and is_assert(body[-1]):
-        post = term_to_formula(body[-1].args[0], class_fields)  # type: ignore[union-attr]
-        body = body[:-1]
-    return pre, body, post
+    def formula(a: Optional[Compound]) -> fm.Formula:
+        return fm.TrueF() if a is None else term_to_formula(a.args[0], class_fields)
+
+    return formula(pre), body, formula(post)

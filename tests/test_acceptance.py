@@ -15,18 +15,18 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    check_entailment_sound,
     data_path,
     data_text,
     rand_formula,
     rand_term,
     validate_dot,
 )
+from oracle import OracleConfig, check_entailment_sound, eval_assertion
 
 from heapcheck import formula as fm
 from heapcheck.arith import PureSet, SAT, UNSAT
 from heapcheck.entail import Proved, SymHeap, prove
-from heapcheck.interp import ConcreteState, CRecord, Fault, OracleConfig, eval_assertion, run_concrete
+from heapcheck.interp import ConcreteState, CRecord, Fault, run_concrete
 from heapcheck.parser import parse_assertion, parse_program
 from heapcheck.prooftree import ProofBuilder, ProofTree, read_structured, to_structured
 from heapcheck.symexec import (

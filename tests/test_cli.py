@@ -6,9 +6,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import data_path, validate_dot
+from conftest import DATA, data_path, data_text, validate_dot
 
+from heapcheck import termir
 from heapcheck.cli import main
+from heapcheck.parser import parse_program
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:
@@ -85,6 +87,59 @@ def test_unknown_predicate_in_an_annotation_is_a_load_error(tmp_path, name, text
     f.write_text(text)
     command = "verify-term" if name.endswith(".plt") else "verify"
     assert run_cli(command, str(f)) == (2, "", f"error: {error}\n")
+
+
+def test_run_checks_the_predicates_of_a_term_file(tmp_path):
+    f = tmp_path / "f.plt"
+    f.write_text("function(f, void, [param(x, node)], "
+                 "[assert(x->1), assert(x->1 || pred(nosuch, [x])), assert(x->1)]).\n")
+    assert run_cli("run", str(f)) == (2, "", "error: ?:?: unknown predicate 'nosuch'\n")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of the calls of ``termir.<name>`` made through any
+    package module that binds the name."""
+    orig = getattr(termir, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("heapcheck") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+CORPUS = sorted(p.name for p in DATA.glob("*.oc"))
+
+
+# the loader of each input kind checks a program's predicates, and nothing
+# after it checks them again
+@pytest.mark.parametrize("name", CORPUS)
+def test_each_command_checks_a_program_once(tmp_path, monkeypatch, name):
+    src, plt = data_path(name), tmp_path / "p.plt"
+    assert run_cli("emit-term", str(src), "-o", str(plt))[0] == 0
+    checks = _count_calls(monkeypatch, "check_predicates")
+    for command, path, *extra in (
+        ("verify", src),
+        ("emit-term", src, "-o", str(tmp_path / "again.plt")),
+        ("verify-term", plt),
+        ("run", plt),
+    ):
+        checks.clear()
+        run_cli(command, str(path), *extra)
+        assert len(checks) == 1, command
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_verify_splits_each_function_once(monkeypatch, name):
+    term = termir.lower_program(parse_program(data_text(name)))
+    functions = [fn.args[0].name for fn in termir.term_functions(term)]
+    splits = _count_calls(monkeypatch, "split_contracts")
+    run_cli("verify", str(data_path(name)))
+    assert sorted(args[0].args[0].name for args in splits) == sorted(functions)
 
 
 def test_term_annotations_get_the_arity_check(tmp_path):

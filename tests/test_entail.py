@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import check_entailment_sound, enumerate_models, heap_of
+from conftest import heap_of
+from oracle import OracleConfig, _Goal, check_entailment_sound, enumerate_models
 
 from heapcheck import formula as fm
 from heapcheck.entail import (
@@ -16,7 +17,6 @@ from heapcheck.entail import (
     unfold,
 )
 from heapcheck.errors import HeapcheckError, UnknownPredicateError, UnsupportedFormulaError
-from heapcheck.interp import OracleConfig, _Goal
 from heapcheck.parser import parse_assertion
 from heapcheck.prooftree import ProofTree, to_structured
 

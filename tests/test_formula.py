@@ -3,11 +3,12 @@ import sys
 from contextlib import contextmanager
 
 from conftest import DATA, rand_formula
+from oracle import OracleConfig, _Goal, eval_assertion
 
 from heapcheck import formula as fm
 from heapcheck import termir as tir
 from heapcheck.entail import FreshNames, formula_to_symheaps
-from heapcheck.interp import ConcreteState, OracleConfig, _Goal, eval_assertion
+from heapcheck.interp import ConcreteState
 from heapcheck.parser import assertion_term, parse_assertion, parse_program
 
 

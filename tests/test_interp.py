@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import data_text
+from oracle import OracleConfig, eval_assertion
 
 from heapcheck import formula as fm
 from heapcheck.formula import IntLit, substitute
@@ -10,8 +11,6 @@ from heapcheck.interp import (
     CRecord,
     Fault,
     OUT_OF_FUEL,
-    OracleConfig,
-    eval_assertion,
     run_concrete,
 )
 from heapcheck.parser import parse_assertion, parse_program
@@ -199,8 +198,7 @@ def test_exists_enumerates_addresses_and_values():
 def test_unbound_variable_raises():
     import pytest
 
-    from heapcheck.errors import UnboundVariableError
-    from heapcheck.interp import eval_expr
+    from oracle import UnboundVariableError, eval_expr
 
     with pytest.raises(UnboundVariableError):
         eval_expr(parse_assertion("q->1").loc, {})

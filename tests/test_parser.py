@@ -111,6 +111,27 @@ def test_duplicate_param_rejected():
         parse_program("int f(int a, int a) {}")
 
 
+# a repeated name is found in a set of the names read so far, so a long file
+# parses in time linear in its length; the error points at the repeat
+def test_a_repeated_function_name_ends_a_long_file():
+    text = "".join(f"void f{i}() {{ }}\n" for i in range(5000))
+    assert len(parse_program(text).functions) == 5000
+    with pytest.raises(ParseError) as e:
+        parse_program(text + "int f4999() { }\n")
+    assert (e.value.message, str(e.value.span)) == ("duplicate function 'f4999'", "5001:1")
+
+
+@pytest.mark.parametrize("src, message, span", [
+    ("pred p(a) := a->1;\npred p(b) := b->2;", "duplicate predicate 'p'", "2:1"),
+    ("class C {\n  int m() {}\n  void m() {}\n}", "duplicate method 'm' in class 'C'", "3:3"),
+    ("class C {}\nclass C {}", "duplicate class 'C'", "2:1"),
+])
+def test_duplicate_names_are_reported_at_the_repeat(src, message, span):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.message, str(e.value.span)) == (message, span)
+
+
 def test_this_receiver_and_calls():
     p = parse_program("class C { int m() { this.helper(1); obj.run(); go(); } }")
     calls = p.classes[0].args[2].items[0].args[3].items

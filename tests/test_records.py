@@ -6,10 +6,12 @@ import inspect
 
 import pytest
 
+import oracle
+
 from heapcheck import arith, entail, formula as fm, interp, prooftree, symexec, termir
 from heapcheck.errors import Span
 
-MODULES = (fm, termir, arith, entail, symexec, prooftree, interp)
+MODULES = (fm, termir, arith, entail, symexec, prooftree, interp, oracle)
 
 x, y = fm.Var("x"), fm.Var("y")
 pto = fm.PointsTo(x, fm.IntLit(1))
@@ -97,7 +99,7 @@ TABLE = {
                      "CRecord(tag='node', fields=(('value', 1),))"),
     interp.Fault: ({"kind": "InvalidFree"}, {"message": "m"}, "Fault(kind='InvalidFree', message='')"),
     interp.ConcreteState: ({"store": {"x": 1}}, {"steps": 1}, "ConcreteState(store={'x': 1}, heap={}, steps=0)"),
-    interp.OracleConfig: ({"value_hi": 3}, {"value_lo": -2},
+    oracle.OracleConfig: ({"value_hi": 3}, {"value_lo": -2},
                           "OracleConfig(value_lo=-4, value_hi=3)"),
 }
 
