@@ -13,6 +13,12 @@ separation of a heap's points-to locations arrives as the set's
 ``separated`` tuple (pairwise distinct, none nil) instead of O(n^2)
 disequality atoms.  A ``ClassIndex`` groups terms by their class under one
 set, so callers look a term up instead of scanning with ``equal``.
+
+Every sum has one normal form, a constant plus a sum of coefficient × leaf
+(``linear_form``), and is keyed by it: ``(y+1)+1`` and ``y+2`` are one term
+to the solver, and ``simplify_expr`` rebuilds a value from it.  This is the
+canonizer of Shostak ("Deciding Combinations of Theories", JACM 1984) for
+linear arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .formula import (
     FieldRef,
     IntLit,
     Nil,
-    OffsetOf,
     Record,
     SymExpr,
     Var,
@@ -43,7 +48,8 @@ PureAtomT = tuple[str, SymExpr, SymExpr]  # (op, left, right)
 
 
 def canon_key(e: SymExpr):
-    """Hashable canonical key; nil folds to 0 and offsets to additions."""
+    """Hashable canonical key: the key of an arithmetic expression is that of
+    its linear form, so nil keys as 0 and ``x+0`` as ``x``."""
     if isinstance(e, IntLit):
         return ("int", e.value)
     if isinstance(e, Nil):
@@ -52,62 +58,91 @@ def canon_key(e: SymExpr):
         return ("var", e.name)
     if isinstance(e, FieldRef):
         return ("field", canon_key(e.obj), e.field)
-    if isinstance(e, OffsetOf):
-        return _canon_arith("+", canon_key(e.base), ("int", e.offset))
     if isinstance(e, ArithExpr):
-        return _canon_arith(e.op, canon_key(e.left), canon_key(e.right))
+        return _form_key(*linear_form(e))
     if isinstance(e, Record):
-        return ("rec", e.tag, tuple(sorted((n, canon_key(v)) for n, v in e.fields)))
+        # an untagged record keys as tag "", so every key orders against every other
+        return ("rec", e.tag or "", tuple(sorted((n, canon_key(v)) for n, v in e.fields)))
     raise TypeError(f"unknown expression {e!r}")
 
 
-def _canon_arith(op: str, lk, rk):
-    if lk[0] == "int" and rk[0] == "int":
-        a, b = lk[1], rk[1]
-        return ("int", a + b if op == "+" else a - b if op == "-" else a * b)
-    if op in ("+", "*") and rk < lk:
-        lk, rk = rk, lk
-    return (op, lk, rk)
+def linear_form(e: SymExpr, ctx: Optional[PureSet] = None) -> tuple[int, dict]:
+    """``e`` as a constant plus a sum of coefficient × leaf:
+    ``(c, {leaf key: (coefficient, leaf)})``, with no zero coefficient.
+
+    A leaf is a variable, a field reference, a record, or a product of two
+    factors that are not constants, each factor rebuilt from its own form.
+    A variable or field reference that ``ctx`` pins to a constant folds into
+    ``c``.  Sums are walked with a stack, so a long chain does not recurse.
+    """
+    const, terms = 0, {}
+    todo = [(1, e)]
+    while todo:
+        k, e = todo.pop()
+        if isinstance(e, IntLit):
+            const += k * e.value
+        elif isinstance(e, ArithExpr) and e.op != "*":
+            todo.append((k, e.left))
+            todo.append((-k if e.op == "-" else k, e.right))
+        elif isinstance(e, ArithExpr):
+            (lc, lt), (rc, rt) = linear_form(e.left, ctx), linear_form(e.right, ctx)
+            if not lt or not rt:
+                const += k * lc * rc
+                scale, other = (lc, rt) if not lt else (rc, lt)
+                for key, (a, leaf) in other.items():
+                    _add(terms, key, k * scale * a, leaf)
+                continue
+            fa, fb = (lc, lt), (rc, rt)
+            ka, kb = _form_key(*fa), _form_key(*fb)
+            if kb < ka:
+                (ka, fa), (kb, fb) = (kb, fb), (ka, fa)
+            _add(terms, ("*", ka, kb), k, ArithExpr("*", _rebuild(*fa), _rebuild(*fb)))
+        elif not isinstance(e, Nil):
+            pinned = None
+            if ctx is not None and isinstance(e, (Var, FieldRef)):
+                pinned = ctx.const_of(e)
+            if pinned is None:
+                _add(terms, canon_key(e), k, e)
+            else:
+                const += k * pinned
+    return const, {key: t for key, t in terms.items() if t[0]}
 
 
-def linear_form(e: SymExpr) -> Optional[tuple[int, dict]]:
-    """(constant, {leaf-key: coefficient}) for linear terms, else None."""
-    if isinstance(e, (IntLit, Nil)):
-        return (0 if isinstance(e, Nil) else e.value, {})
-    if isinstance(e, OffsetOf):
-        base = linear_form(e.base)
-        if base is None:
-            return None
-        return (base[0] + e.offset, base[1])
-    if isinstance(e, ArithExpr):
-        lf, rf = linear_form(e.left), linear_form(e.right)
-        if lf is None or rf is None:
-            return None
-        if e.op == "+":
-            return (lf[0] + rf[0], _merge(lf[1], rf[1], 1))
-        if e.op == "-":
-            return (lf[0] - rf[0], _merge(lf[1], rf[1], -1))
-        if e.op == "*":
-            if not lf[1]:
-                return (lf[0] * rf[0], {k: lf[0] * c for k, c in rf[1].items() if lf[0] * c})
-            if not rf[1]:
-                return (lf[0] * rf[0], {k: rf[0] * c for k, c in lf[1].items() if rf[0] * c})
-            return None
-        return None
-    # opaque leaf (variable, field, record)
-    try:
-        return (0, {canon_key(e): 1})
-    except TypeError:
-        return None
+def _add(terms: dict, key, a: int, leaf: SymExpr) -> None:
+    old = terms.get(key)
+    terms[key] = (a, leaf) if old is None else (old[0] + a, old[1])
 
 
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + sign * c
-        if out[k] == 0:
-            del out[k]
+def _form_key(const: int, terms: dict):
+    if not terms:
+        return ("int", const)
+    if const == 0 and len(terms) == 1:
+        ((key, (a, _)),) = terms.items()
+        if a == 1:
+            return key
+    return ("+", const, tuple(sorted((key, a) for key, (a, _) in terms.items())))
+
+
+def _rebuild(const: int, terms: dict) -> SymExpr:
+    """The expression of a linear form: leaves in key order, those with a
+    positive coefficient first, then the constant."""
+    items = sorted(terms.items())
+    pos = [_scaled(a, leaf) for _, (a, leaf) in items if a > 0]
+    neg = [_scaled(-a, leaf) for _, (a, leaf) in items if a < 0]
+    if not pos:
+        pos, const = [IntLit(max(const, 0))], min(const, 0)
+    out = pos[0]
+    for term in pos[1:]:
+        out = ArithExpr("+", out, term)
+    for term in neg:
+        out = ArithExpr("-", out, term)
+    if const:
+        out = ArithExpr("+" if const > 0 else "-", out, IntLit(abs(const)))
     return out
+
+
+def _scaled(a: int, leaf: SymExpr) -> SymExpr:
+    return leaf if a == 1 else ArithExpr("*", IntLit(a), leaf)
 
 
 class lazy:
@@ -231,6 +266,20 @@ class _Graph:
         ]
 
 
+def _children(key) -> tuple:
+    """The keys a composite key is built from; () for a leaf or a constant."""
+    tag = key[0]
+    if tag == "field":
+        return (key[1],)
+    if tag == "*":
+        return key[1:]
+    if tag == "+":
+        return tuple(k for k, _ in key[2])
+    if tag == "rec":
+        return tuple(vk for _, vk in key[2])
+    return ()
+
+
 class _Solver:
     """Congruence closure + difference-constraint graph for one pure set.
 
@@ -264,31 +313,26 @@ class _Solver:
         if key[0] == "int":
             self.const[key] = key[1]
             self.version += 1
-        if key[0] in ("+", "-", "*", "field"):
-            children = [k for k in key[1:] if isinstance(k, tuple)]
+            return
+        children = _children(key)
+        if children:
             for ch in children:
                 self._intern(ch)
                 self.parents_of.setdefault(self.find(ch), set()).add(key)
             self._update_sig(key)
-        if key[0] == "rec":
-            for _, vk in key[2]:
-                self._intern(vk)
-                self.parents_of.setdefault(self.find(vk), set()).add(key)
-            self._update_sig(key)
 
     def _signature(self, key):
-        if key[0] in ("+", "-", "*"):
-            return (key[0], self.find(key[1]), self.find(key[2]))
-        if key[0] == "field":
-            return ("field", self.find(key[1]), key[2])
-        if key[0] == "rec":
-            return ("rec", key[1], tuple((n, self.find(vk)) for n, vk in key[2]))
-        return None
+        tag, find = key[0], self.find
+        if tag == "field":
+            return ("field", find(key[1]), key[2])
+        if tag == "*":
+            return ("*", find(key[1]), find(key[2]))
+        if tag == "+":
+            return ("+", key[1], tuple((find(k), a) for k, a in key[2]))
+        return ("rec", key[1], tuple((n, find(vk)) for n, vk in key[2]))
 
     def _update_sig(self, key) -> None:
         sig = self._signature(key)
-        if sig is None:
-            return
         other = self.sig.get(sig)
         if other is None:
             self.sig[sig] = key
@@ -327,10 +371,7 @@ class _Solver:
 
     def _build(self) -> None:
         for op, l, r in self.atoms:
-            try:
-                lk, rk = canon_key(l), canon_key(r)
-            except TypeError:
-                continue
+            lk, rk = canon_key(l), canon_key(r)
             self._intern(lk)
             self._intern(rk)
             if op == "==":
@@ -340,19 +381,11 @@ class _Solver:
             self._add_linear(op, l, r)
             if self.contradiction:
                 return
-        forms = set()
         for loc in self.separated:
             key = canon_key(loc)
             self._intern(key)
             self._intern(self.ZERO)
             self.sep_keys.append(key)
-            lf = linear_form(loc)
-            if lf is not None:
-                form = (lf[0], frozenset(lf[1].items()))
-                if form == (0, frozenset()) or form in forms:
-                    self.contradiction = True  # nil or a repeated location
-                    return
-                forms.add(form)
         for lk, rk in self.diseqs:
             if self.find(lk) == self.find(rk):
                 self.contradiction = True
@@ -362,10 +395,8 @@ class _Solver:
             self.contradiction = True
 
     def _add_linear(self, op: str, l: SymExpr, r: SymExpr) -> None:
-        lf = linear_form(ArithExpr("-", l, r))
-        if lf is None:
-            return
-        const, coeffs = lf
+        const, terms = linear_form(ArithExpr("-", l, r))
+        coeffs = {k: a for k, (a, _) in terms.items()}
         # normalize to: coeffs + const OP 0
         bounds = {"<": -1 - const, "<=": -const, "==": -const}
         if op in ("<", "<=", "=="):
@@ -514,13 +545,7 @@ def _eval_key(e: SymExpr, env: dict) -> Optional[int]:
     if isinstance(e, Nil):
         return 0
     if isinstance(e, (Var, FieldRef, Record)):
-        try:
-            return env.get(canon_key(e))
-        except TypeError:
-            return None
-    if isinstance(e, OffsetOf):
-        b = _eval_key(e.base, env)
-        return None if b is None else b + e.offset
+        return env.get(canon_key(e))
     if isinstance(e, ArithExpr):
         l, r = _eval_key(e.left, env), _eval_key(e.right, env)
         if l is None or r is None:
@@ -582,10 +607,7 @@ class PureSet(Frozen):
 
     def equal(self, a: SymExpr, b: SymExpr) -> bool:
         """Provable equality (congruence or zero-weight constraint cycle)."""
-        try:
-            ka, kb = canon_key(a), canon_key(b)
-        except TypeError:
-            return False
+        ka, kb = canon_key(a), canon_key(b)
         if ka == kb:
             return True
         return self._solver.provably_equal(ka, kb)
@@ -594,10 +616,7 @@ class PureSet(Frozen):
         return self.entails("!=", a, b) == YES
 
     def const_of(self, e: SymExpr) -> Optional[int]:
-        try:
-            key = canon_key(e)
-        except TypeError:
-            return None
+        key = canon_key(e)
         if key[0] == "int":
             return key[1]
         solver = self._solver
@@ -630,21 +649,15 @@ class ClassIndex:
         if not self._entries:
             return None
         head, tag = self._entries[0]
-        try:
-            if canon_key(head) == canon_key(e):
-                return tag
-        except TypeError:
-            pass
+        if canon_key(head) == canon_key(e):
+            return tag
         found = self.find(e)
         return found[0] if found else None
 
     def find(self, e: SymExpr) -> list[int]:
         if not self._entries:
             return []
-        try:
-            key = canon_key(e)
-        except TypeError:
-            return []
+        key = canon_key(e)
         solver = self._pure._solver
         solver._intern(key)
         # interning the entries can itself merge classes
@@ -662,10 +675,7 @@ class ClassIndex:
     def _table(self, solver: _Solver) -> dict:
         by_class: dict = {}
         for e, tag in self._entries:
-            try:
-                key = canon_key(e)
-            except TypeError:
-                continue
+            key = canon_key(e)
             solver._intern(key)
             by_class.setdefault(solver.find(key), []).append(tag)
         return by_class
@@ -677,49 +687,6 @@ class ClassIndex:
 
 
 def simplify_expr(e: SymExpr, ctx: Optional[PureSet] = None) -> SymExpr:
-    """Constant-fold and substitute context-known constants to a fixed point."""
-    ctx = ctx or PureSet()
-    cur = e
-    for _ in range(32):
-        nxt = _simp(cur, ctx)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return cur
-
-
-def _simp(e: SymExpr, ctx: PureSet) -> SymExpr:
-    if isinstance(e, (IntLit, Nil)):
-        return e
-    if isinstance(e, (Var, FieldRef)):
-        c = ctx.const_of(e)
-        return IntLit(c) if c is not None else e
-    if isinstance(e, OffsetOf):
-        base = _simp(e.base, ctx)
-        if isinstance(base, IntLit):
-            return IntLit(base.value + e.offset)
-        if isinstance(base, Nil):
-            return IntLit(e.offset)
-        if e.offset == 0:
-            return base
-        return OffsetOf(base, e.offset)
-    if isinstance(e, ArithExpr):
-        l, r = _simp(e.left, ctx), _simp(e.right, ctx)
-        lv = l.value if isinstance(l, IntLit) else 0 if isinstance(l, Nil) else None
-        rv = r.value if isinstance(r, IntLit) else 0 if isinstance(r, Nil) else None
-        if lv is not None and rv is not None:
-            return IntLit(lv + rv if e.op == "+" else lv - rv if e.op == "-" else lv * rv)
-        if e.op == "*" and (lv == 0 or rv == 0):
-            return IntLit(0)
-        if e.op == "*" and lv == 1:
-            return r
-        if e.op == "*" and rv == 1:
-            return l
-        if e.op == "+" and lv == 0:
-            return r
-        if e.op in ("+", "-") and rv == 0:
-            return l
-        return ArithExpr(e.op, l, r)
-    if isinstance(e, Record):
-        return Record(e.tag, tuple((n, _simp(v, ctx)) for n, v in e.fields))
-    return e
+    """``e`` in normal form, in one pass: the constants ``ctx`` pins folded in,
+    then its linear form rebuilt in canonical order."""
+    return _rebuild(*linear_form(e, ctx))

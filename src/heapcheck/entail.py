@@ -234,8 +234,6 @@ def formula_to_symheaps(
                 return fm.Record(e.tag, tuple((n, _rn(v)) for n, v in e.fields))
             if isinstance(e, fm.ArithExpr):
                 return fm.ArithExpr(e.op, _rn(e.left), _rn(e.right))
-            if isinstance(e, fm.OffsetOf):
-                return fm.OffsetOf(_rn(e.base), e.offset)
             return e
 
         walk(disjunct)

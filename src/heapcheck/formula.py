@@ -70,18 +70,18 @@ class FieldRef(SymExpr):
 
 
 @record
-class OffsetOf(SymExpr):
-    """Address displacement ``base + offset`` with a literal offset."""
-
-    base: SymExpr
-    offset: int
-
-
-@record
 class ArithExpr(SymExpr):
     op: str  # one of + - *
     left: SymExpr
     right: SymExpr
+
+
+def shifted(base: SymExpr, k: int) -> SymExpr:
+    """The address ``base + k``: ``base`` itself when ``k`` is 0, else a sum
+    with a literal right operand."""
+    if k == 0:
+        return base
+    return ArithExpr("+" if k > 0 else "-", base, IntLit(abs(k)))
 
 
 @record
@@ -220,8 +220,6 @@ def expr_free_vars(e: SymExpr) -> set[str]:
         return set()
     if isinstance(e, FieldRef):
         return expr_free_vars(e.obj)
-    if isinstance(e, OffsetOf):
-        return expr_free_vars(e.base)
     if isinstance(e, ArithExpr):
         return expr_free_vars(e.left) | expr_free_vars(e.right)
     if isinstance(e, Record):
@@ -263,8 +261,6 @@ def substitute_expr(e: SymExpr, mapping: Mapping[str, SymExpr]) -> SymExpr:
         return e
     if isinstance(e, FieldRef):
         return FieldRef(substitute_expr(e.obj, mapping), e.field)
-    if isinstance(e, OffsetOf):
-        return OffsetOf(substitute_expr(e.base, mapping), e.offset)
     if isinstance(e, ArithExpr):
         return ArithExpr(e.op, substitute_expr(e.left, mapping), substitute_expr(e.right, mapping))
     if isinstance(e, Record):
@@ -331,10 +327,6 @@ def pretty_expr(e: SymExpr, level: int = 0) -> str:
         return "nil"
     if isinstance(e, FieldRef):
         return f"{pretty_expr(e.obj, _ATOM_LEVEL)}.{e.field}"
-    if isinstance(e, OffsetOf):
-        sign = "+" if e.offset >= 0 else "-"
-        text = f"{pretty_expr(e.base, _ATOM_LEVEL)}{sign}{abs(e.offset)}"
-        return f"({text})" if level >= _MUL_LEVEL else text
     if isinstance(e, ArithExpr):
         mine = _MUL_LEVEL if e.op == "*" else _ADD_LEVEL
         # left-associative: the left child tolerates equal precedence unparenthesized
@@ -418,8 +410,8 @@ def star_key(f: Formula) -> tuple:
 
 
 def fold_expr(e: SymExpr) -> SymExpr:
-    """Context-free constant folding; offsets canonicalize into arithmetic so
-    canonical text reparses to the identical tree."""
+    """Context-free constant folding that keeps the order an expression was
+    written in, so canonical text reparses to the identical tree."""
     if isinstance(e, ArithExpr):
         l, r = fold_expr(e.left), fold_expr(e.right)
         lv = l.value if isinstance(l, IntLit) else 0 if isinstance(l, Nil) else None
@@ -437,17 +429,6 @@ def fold_expr(e: SymExpr) -> SymExpr:
         if e.op == "*" and rv == 1:
             return l
         return ArithExpr(e.op, l, r)
-    if isinstance(e, OffsetOf):
-        b = fold_expr(e.base)
-        if isinstance(b, IntLit):
-            return IntLit(b.value + e.offset)
-        if isinstance(b, Nil):
-            return IntLit(e.offset)
-        if e.offset == 0:
-            return b
-        if e.offset > 0:
-            return ArithExpr("+", b, IntLit(e.offset))
-        return ArithExpr("-", b, IntLit(-e.offset))
     if isinstance(e, Record):
         return Record(e.tag, tuple((n, fold_expr(v)) for n, v in e.fields))
     if isinstance(e, FieldRef):

@@ -8,10 +8,11 @@ The assertion model checker the test suites also rely on is
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional, Union
 
 from .records import Frozen, field, record
-from .termir import Atom, Compound, Int, Term, TList, FUNCTOR_TO_CMP
+from .termir import Atom, Compound, Int, Term, TList, FUNCTOR_TO_CMP, offset_value
 
 INVALID_ACCESS = "InvalidAccess"
 INVALID_FREE = "InvalidFree"
@@ -57,23 +58,48 @@ class Fault:
         return f"{self.kind}: {self.message}" if self.message else self.kind
 
 
+class Heap(dict):
+    """Address -> value cells that find their lowest free address in
+    amortized logarithmic time.  Every address below ``scanned`` is allocated
+    or on the ``holes`` min-heap, which may also hold addresses allocated
+    again since.  A callee shares its caller's heap, so this lives here."""
+
+    def __init__(self, cells=()):
+        super().__init__(cells)
+        self.scanned = 1
+        self.holes: list[int] = []
+
+    def __delitem__(self, addr: int) -> None:
+        super().__delitem__(addr)
+        if 0 < addr < self.scanned:
+            heapq.heappush(self.holes, addr)
+
+    def allocate(self) -> int:
+        """The lowest free address, now allocated and holding 0."""
+        holes = self.holes
+        while holes and holes[0] in self:
+            heapq.heappop(holes)
+        if holes:
+            addr = heapq.heappop(holes)
+        else:
+            addr = self.scanned
+            while addr in self:
+                addr += 1
+            self.scanned = addr + 1
+        self[addr] = 0
+        return addr
+
+
 @record
 class ConcreteState:
     """Store + finite heap; addresses are positive integers, nil is 0."""
 
     store: dict[str, Value] = field(default_factory=dict)
-    heap: dict[int, Value] = field(default_factory=dict)
+    heap: dict[int, Value] = field(default_factory=Heap)
     steps: int = 0
 
     def copy(self) -> "ConcreteState":
-        return ConcreteState(dict(self.store), dict(self.heap), self.steps)
-
-    def allocate(self) -> int:
-        addr = 1
-        while addr in self.heap:
-            addr += 1
-        self.heap[addr] = 0
-        return addr
+        return ConcreteState(dict(self.store), Heap(self.heap), self.steps)
 
     def snapshot(self) -> str:
         parts = [f"{k}={_show(v)}" for k, v in sorted(self.store.items())]
@@ -127,7 +153,7 @@ class _Interp:
             self.write(s.args[0], value, state)
             return
         if f == "new":
-            addr = state.allocate()
+            addr = state.heap.allocate()
             self.write(s.args[0], addr, state)
             return
         if f == "delete":
@@ -196,11 +222,7 @@ class _Interp:
         base = self.eval(loc.args[0], state)
         if not isinstance(base, int):
             raise _Halt(Fault(INVALID_ACCESS, "address arithmetic on a record"))
-        disp = 0
-        if len(loc.args) == 2:
-            d = loc.args[1]
-            disp = d.value if isinstance(d, Int) else -d.args[1].value  # type: ignore[union-attr]
-        return base + disp
+        return base + (offset_value(loc.args[1]) if len(loc.args) == 2 else 0)
 
     def eval(self, e: Term, state: ConcreteState) -> Value:
         if isinstance(e, Int):

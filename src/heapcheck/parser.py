@@ -30,16 +30,16 @@ from .termir import (
 
 _REL_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
-_EOF = Token("eof", "<eof>", NO_SPAN)
-
 _T = TypeVar("_T")
 
 
 class _Cursor:
     def __init__(self, toks: list[Token]):
         # no token is consumed past the first sentinel, and a peek looks at
-        # most two further, so every lookahead is an index that exists
-        self.toks = toks + [_EOF] * 3
+        # most two further, so every lookahead is an index that exists; the
+        # sentinels carry the last token's span, where a truncated input ends
+        end = Token("eof", "<eof>", toks[-1].span if toks else NO_SPAN)
+        self.toks = toks + [end] * 3
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:

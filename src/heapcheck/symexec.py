@@ -35,6 +35,7 @@ from .termir import (
     Term,
     TList,
     emit_text,
+    offset_value,
     split_contracts,
     term_class_fields,
     term_functions,
@@ -434,13 +435,10 @@ class _Engine:
         base = self.eval(loc.args[0], state, span)
         if isinstance(base, fm.Record):
             self.fault(state, INVALID_ACCESS, span, "address arithmetic on a record")
-        disp = 0
-        if len(loc.args) == 2:
-            d = loc.args[1]
-            disp = d.value if isinstance(d, Int) else -d.args[1].value  # type: ignore[union-attr]
+        disp = offset_value(loc.args[1]) if len(loc.args) == 2 else 0
         if disp == 0:
             return base
-        return simplify_expr(fm.OffsetOf(base, disp), state.heap.pure)
+        return simplify_expr(fm.shifted(base, disp), state.heap.pure)
 
     def field_read(self, e: Compound, state: SymState, span: Span) -> fm.SymExpr:
         objname = e.args[0].name  # type: ignore[union-attr]

@@ -642,9 +642,7 @@ def term_to_expr(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = N
             return fm.FieldRef(fm.Var(t.args[0].name), t.args[1].name)  # type: ignore[union-attr]
         if f == "offset" and n in (1, 2):
             base = term_to_expr(t.args[0], fields)
-            if n == 1:
-                return fm.OffsetOf(base, 0)
-            return fm.OffsetOf(base, _offset_value(t.args[1]))
+            return fm.shifted(base, offset_value(t.args[1]) if n == 2 else 0)
         if f in ("add", "sub", "mul") and n == 2:
             op = {"add": "+", "sub": "-", "mul": "*"}[f]
             return fm.ArithExpr(op, term_to_expr(t.args[0], fields), term_to_expr(t.args[1], fields))
@@ -683,7 +681,8 @@ def _positional_names(
     return [f"_{i}" for i in range(count)]
 
 
-def _offset_value(t: Term) -> int:
+def offset_value(t: Term) -> int:
+    """The displacement ``k`` or ``minus(0, k)`` of an ``offset`` term as an int."""
     if isinstance(t, Int):
         return t.value
     if (

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -48,7 +50,7 @@ def rand_expr(rng: random.Random, depth: int = 2) -> fm.SymExpr:
     if roll < 0.7:
         return fm.node_record(rand_expr(rng, 0), rng.choice([fm.Var(rng.choice(_VARS)), fm.Nil()]))
     if roll < 0.85:
-        return fm.OffsetOf(fm.Var(rng.choice(_VARS)), rng.randint(-3, 3))
+        return fm.shifted(fm.Var(rng.choice(_VARS)), rng.randint(-3, 3))
     return fm.Record("myClass1", (("_0", rand_expr(rng, 0)),))
 
 
@@ -147,3 +149,17 @@ def validate_dot(text: str) -> tuple[int, int]:
         assert unescaped.count('"') % 2 == 0, f"unbalanced quotes: {line!r}"
         nodes += 1
     return nodes, edges
+
+
+@contextmanager
+def shallow_stack(headroom: int = 100):
+    """Lower the recursion limit to ``headroom`` frames above the caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

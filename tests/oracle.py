@@ -153,9 +153,6 @@ class _Goal:
             if e.name in self.store:
                 return self.store[e.name]
             return None
-        if isinstance(e, fm.OffsetOf):
-            b = self.try_eval(e.base, env)
-            return None if not isinstance(b, int) else b + e.offset
         if isinstance(e, fm.ArithExpr):
             l, r = self.try_eval(e.left, env), self.try_eval(e.right, env)
             if not isinstance(l, int) or not isinstance(r, int):
@@ -427,8 +424,6 @@ def _eval_ground(e: fm.SymExpr, store: dict[str, int]):
     if isinstance(e, fm.ArithExpr):
         l, r = _eval_ground(e.left, store), _eval_ground(e.right, store)
         return l + r if e.op == "+" else l - r if e.op == "-" else l * r
-    if isinstance(e, fm.OffsetOf):
-        return _eval_ground(e.base, store) + e.offset
     if isinstance(e, fm.Record):
         return CRecord(e.tag, tuple((n, _eval_ground(v, store)) for n, v in e.fields))
     raise TypeError(f"not ground-evaluable: {e!r}")

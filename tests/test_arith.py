@@ -13,7 +13,9 @@ from heapcheck.arith import (
     simplify_expr,
 )
 from heapcheck.entail import SymHeap
-from heapcheck.formula import ArithExpr, IntLit, Nil, OffsetOf, PointsTo, Var
+from heapcheck.formula import ArithExpr, IntLit, Nil, PointsTo, Var, pretty, shifted
+from heapcheck.parser import parse_assertion
+from heapcheck.termir import parse_term, term_to_formula
 
 X, Y, Z, A, I = Var("x"), Var("y"), Var("z"), Var("a"), Var("i")
 W, P, Q = Var("w"), Var("p"), Var("q")
@@ -75,30 +77,93 @@ def test_simplify_examples():
     assert simplify_expr(ArithExpr("*", X, IntLit(0))) == IntLit(0)
 
 
+def _ev(e, env):
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Nil):
+        return 0
+    if isinstance(e, Var):
+        return env[e.name]
+    l, r = _ev(e.left, env), _ev(e.right, env)
+    return l + r if e.op == "+" else l - r if e.op == "-" else l * r
+
+
+def _rand_arith(rng, depth=4):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([IntLit(rng.randint(-5, 5)), X, Y, Z, Nil()])
+    return ArithExpr(rng.choice("+-*"), _rand_arith(rng, depth - 1), _rand_arith(rng, depth - 1))
+
+
+def _respell(e, rng):
+    """``e`` written another way with the same linear form: sums commuted,
+    regrouped and padded with constants that cancel, products commuted."""
+    if isinstance(e, ArithExpr):
+        l, r = _respell(e.left, rng), _respell(e.right, rng)
+        k = IntLit(rng.randint(-3, 3))
+        roll = rng.random()
+        if e.op == "+":
+            if roll < 0.4:
+                return ArithExpr("+", r, l)
+            if roll < 0.7:
+                return ArithExpr("-", l, ArithExpr("-", IntLit(0), r))
+            return ArithExpr("+", ArithExpr("+", l, k), ArithExpr("-", r, k))
+        if e.op == "-":
+            if roll < 0.5:
+                return ArithExpr("+", ArithExpr("-", IntLit(0), r), l)
+            return ArithExpr("-", ArithExpr("+", l, k), ArithExpr("+", r, k))
+        return ArithExpr("*", r, l) if roll < 0.5 else ArithExpr("*", l, r)
+    if rng.random() < 0.3:
+        k = rng.randint(-3, 3)
+        return ArithExpr("-", ArithExpr("+", e, IntLit(k)), IntLit(k))
+    return e
+
+
 def test_simplify_fixed_point_and_value_preservation():
+    # simplify_expr keeps the value and is idempotent, and two spellings of
+    # one linear form get one key
     rng = random.Random(77)
-
-    def rand_e(depth=3):
-        if depth == 0 or rng.random() < 0.4:
-            return rng.choice([IntLit(rng.randint(-5, 5)), X, Y, Nil()])
-        return ArithExpr(rng.choice("+-*"), rand_e(depth - 1), rand_e(depth - 1))
-
-    def ev(e, env):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, Nil):
-            return 0
-        if isinstance(e, Var):
-            return env[e.name]
-        l, r = ev(e.left, env), ev(e.right, env)
-        return l + r if e.op == "+" else l - r if e.op == "-" else l * r
-
-    for _ in range(300):
-        e = rand_e()
+    envs = [{v: rng.randint(-9, 9) for v in "xyz"} for _ in range(4)]
+    for _ in range(500):
+        e = _rand_arith(rng)
         s = simplify_expr(e)
-        assert simplify_expr(s) == s
-        for env in ({"x": 2, "y": -1}, {"x": 0, "y": 7}):
-            assert ev(e, env) == ev(s, env)
+        assert simplify_expr(s) == s, e
+        other = _respell(e, rng)
+        assert arith.canon_key(other) == arith.canon_key(e), (e, other)
+        for env in envs:
+            assert _ev(e, env) == _ev(s, env) == _ev(other, env), e
+
+
+def test_sums_key_by_their_linear_form():
+    one, two = IntLit(1), IntLit(2)
+    bumped = ArithExpr("+", ArithExpr("+", Y, one), one)
+    assert arith.canon_key(bumped) == arith.canon_key(ArithExpr("+", Y, two))
+    assert PureSet().equal(bumped, ArithExpr("+", Y, two))
+    assert arith.canon_key(ArithExpr("+", X, IntLit(0))) == arith.canon_key(X)
+    assert arith.canon_key(ArithExpr("-", Nil(), Nil())) == ("int", 0)
+    assert simplify_expr(bumped) == ArithExpr("+", Y, two)
+    # 1 + y - w + w + y: leaves by key, positive coefficients first, then the constant
+    mixed = ArithExpr("+", ArithExpr("+", ArithExpr("-", ArithExpr("+", one, Y), W), W), Y)
+    assert simplify_expr(mixed) == ArithExpr("+", ArithExpr("*", two, Y), one)
+    assert simplify_expr(ArithExpr("-", ArithExpr("-", IntLit(0), X), IntLit(3))) == (
+        ArithExpr("-", ArithExpr("-", IntLit(0), X), IntLit(3)))
+    assert simplify_expr(ArithExpr("-", Y, ArithExpr("+", X, one)), PureSet().add("==", X, two)) == (
+        ArithExpr("-", Y, IntLit(3)))
+
+
+def test_long_sum_is_one_level_deep():
+    chain = Y
+    for _ in range(5000):
+        chain = ArithExpr("+", chain, IntLit(1))
+    assert simplify_expr(chain) == ArithExpr("+", Y, IntLit(5000))
+    assert PureSet().add("==", X, chain).entails("==", X, ArithExpr("+", Y, IntLit(5000))) == YES
+
+
+def test_products_print_as_they_parse():
+    for text, shown in (("x->mul(offset(y, 1), z)", "x->((y+1)*z)"), ("x->offset(y)", "x->y"),
+                        ("x->offset(y, minus(0, 2))", "x->(y-2)")):
+        f = term_to_formula(parse_term(text))
+        assert pretty(f) == shown
+        assert parse_assertion(pretty(f)) == f
 
 
 def test_entails_monotone():
@@ -197,8 +262,8 @@ def test_separated_locations():
     assert PureSet(separated=(X, Y, X)).check_sat().status == UNSAT
     assert PureSet((("==", Y, Nil()),), (X, Y)).check_sat().status == UNSAT
     assert PureSet(separated=(Nil(),)).check_sat().status == UNSAT
-    shifted = (OffsetOf(OffsetOf(X, 2), -1), OffsetOf(X, 1))
-    assert PureSet(separated=shifted).check_sat().status == UNSAT
+    shifted_locs = (shifted(shifted(X, 2), -1), shifted(X, 1))
+    assert PureSet(separated=shifted_locs).check_sat().status == UNSAT
     # forced equal by bounds, not by congruence
     forced = PureSet((("<=", X, Y), ("<=", Y, X)), (X, Y))
     assert forced.check_sat().status == UNSAT

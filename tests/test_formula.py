@@ -1,8 +1,6 @@
 import random
-import sys
-from contextlib import contextmanager
 
-from conftest import DATA, rand_formula
+from conftest import DATA, rand_formula, shallow_stack
 from oracle import OracleConfig, _Goal, eval_assertion
 
 from heapcheck import formula as fm
@@ -246,20 +244,6 @@ def test_normalize_long_binder_chain():
 # -- flat parts: long chains cost no depth, and the splice invariant holds ----
 
 
-@contextmanager
-def shallow_stack(headroom: int = 100):
-    """Lower the recursion limit to ``headroom`` frames above the caller's depth."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + headroom)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 LONG_CHAINS = {
     "star": " * ".join(f"x{i}->{i}" for i in range(5000)),
     "and": " && ".join([f"x{i} == {i}" for i in range(4999)] + ["y->1"]),
@@ -367,7 +351,7 @@ def test_round_trips_keep_the_splice_invariant():
     for path in sorted(DATA.glob("*.oc")):
         term = tir.lower_program(parse_program(path.read_text(encoding="utf-8")))
         from_files += program_formulas(term)
-    assert len(from_files) == 25
+    assert len(from_files) == 31
     parsed = [parse_assertion(text) for text in SPLICE_CASES] + from_files
     for f in generated + parsed:
         n = fm.normalize(f)

@@ -10,6 +10,7 @@ from heapcheck.interp import (
     ConcreteState,
     CRecord,
     Fault,
+    Heap,
     OUT_OF_FUEL,
     run_concrete,
 )
@@ -36,6 +37,58 @@ def test_new_delete_cancel():
 def test_deterministic_lowest_address_allocation():
     out = run_concrete(parse_term("[new(x), new(y), delete(x), new(z)]"))
     assert out.store == {"x": 1, "y": 2, "z": 1}
+
+
+def _scan_allocate(heap: Heap) -> int:
+    """The reference: the lowest address not in the heap, found by a scan."""
+    addr = 1
+    while addr in heap:
+        addr += 1
+    heap[addr] = 0
+    return addr
+
+
+def _alloc_program(rng: random.Random) -> str:
+    # every `new` writes a fresh variable, so the final store lists every
+    # address the caller allocated; the callees allocate and free on the
+    # shared heap in between
+    helpers = ("void drop(node p) { delete(p); }\n"
+               "void churn(node p) { new(q); new(r); delete(q); }\n")
+    live, body = [], []
+    for i in range(rng.randint(5, 60)):
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            body.append(f"new(a{i});")
+            live.append(f"a{i}")
+        elif roll < 0.7:
+            body.append(f"delete({live.pop(rng.randrange(len(live)))});")
+        elif roll < 0.85:
+            body.append(f"drop({live.pop(rng.randrange(len(live)))});")
+        else:
+            body.append(f"churn({rng.choice(live)});")
+    return helpers + "void main() { " + " ".join(body) + " }\n"
+
+
+def test_allocation_matches_the_lowest_free_address_scan(monkeypatch):
+    rng = random.Random(31)
+    programs = []
+    for _ in range(200):
+        fns = term_functions(lower_program(parse_program(_alloc_program(rng))))
+        table = {fn.args[0].name: fn for fn in fns}
+        start = ConcreteState(heap={rng.randint(1, 9): 7 for _ in range(rng.randint(0, 3))})
+        programs.append((table, start))
+    fast = [run_concrete(t["main"], start, functions=t) for t, start in programs]
+    monkeypatch.setattr(Heap, "allocate", _scan_allocate)
+    slow = [run_concrete(t["main"], start, functions=t) for t, start in programs]
+    assert fast == slow
+    assert all(isinstance(out, ConcreteState) for out in fast)
+
+
+def test_many_allocations_run():
+    program = parse_term("[" + ", ".join(f"new(x{i})" for i in range(20_000)) + "]")
+    out = run_concrete(program, fuel=30_000)
+    assert isinstance(out, ConcreteState)
+    assert out.store["x19999"] == 20_000 and len(out.heap) == 20_000
 
 
 def test_cycle_runs_out_of_fuel():

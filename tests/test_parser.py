@@ -83,17 +83,32 @@ def test_parse_error_has_span_inside_input():
     assert 1 <= span.col <= len(lines[span.line - 1]) + 1
 
 
-@pytest.mark.parametrize("src, message", [
-    ("class A { int", "expected 'ident' but found '<eof>'"),
-    ("class A { int x", "expected '(' but found '<eof>'"),
-    ("class A {", "expected 'ident' but found '<eof>'"),
-    ("int f(", "expected 'ident' but found '<eof>'"),
-    ("int f() { p = x.next", "expected ';' but found '<eof>'"),
-])
-def test_truncated_program_is_a_parse_error(src, message):
+# an input cut short is reported at its last token, as the term parser does
+_TRUNCATED = [
+    ("class A { int", "expected 'ident' but found '<eof>'", "1:11"),
+    ("class A { int x", "expected '(' but found '<eof>'", "1:15"),
+    ("class A {", "expected 'ident' but found '<eof>'", "1:9"),
+    ("int f(", "expected 'ident' but found '<eof>'", "1:6"),
+    ("int f() { p = x.next", "expected ';' but found '<eof>'", "1:17"),
+]
+
+
+@pytest.mark.parametrize("src, message, where", _TRUNCATED, ids=[f"{s}-{m}" for s, m, _ in _TRUNCATED])
+def test_truncated_program_is_a_parse_error(src, message, where):
     with pytest.raises(ParseError) as e:
         parse_program(src)
-    assert (e.value.message, str(e.value.span)) == (message, "?:?")
+    assert (e.value.message, str(e.value.span)) == (message, where)
+
+
+@pytest.mark.parametrize("src, where", [
+    ("void f(node x) @ x-> @ { }", "1:19"),
+    ("void f(node x) @ x->1 * @ { }", "1:23"),
+    ("void f(node x) @ emp @ { }\n@ list(x, @", "2:9"),
+])
+def test_truncated_annotation_is_reported_at_its_last_token(src, where):
+    with pytest.raises(AssertionSyntaxError) as e:
+        parse_program(src)
+    assert (e.value.message, str(e.value.span)) == ("expected expression, found '<eof>'", where)
 
 
 def test_duplicate_method_rejected():

@@ -26,7 +26,6 @@ TABLE = {
     fm.Var: ({"name": "x"}, {"name": "y"}, "Var(name='x')"),
     fm.Nil: ({}, None, "Nil()"),
     fm.FieldRef: ({"obj": x, "field": "f"}, {"field": "g"}, "FieldRef(obj=Var(name='x'), field='f')"),
-    fm.OffsetOf: ({"base": x, "offset": 2}, {"offset": 3}, "OffsetOf(base=Var(name='x'), offset=2)"),
     fm.ArithExpr: ({"op": "*", "left": x, "right": y}, {"right": x},
                    "ArithExpr(op='*', left=Var(name='x'), right=Var(name='y'))"),
     fm.Record: ({"tag": "node", "fields": (("value", x),)}, {"tag": None},

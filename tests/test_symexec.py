@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import data_text
+from conftest import data_text, shallow_stack
 
 from heapcheck import formula as fm
 from heapcheck.arith import PureSet
@@ -398,6 +398,40 @@ def test_long_copy_verifies():
     assert v.status == VERIFIED and not v.diagnostics
 
 
+# -- one normal form for sums: a value bumped n times is one sum deep --------
+
+
+def test_long_counter_verifies():
+    body = " ".join(["y = y + 1;"] * 2000)
+    with shallow_stack():
+        v = only_verdict(f"void f(int y) @ emp @ {{ {body} }} @ emp @")
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_long_sum_statement_verifies():
+    v = only_verdict(f"void f(int y) @ emp @ {{ z = {' + '.join(['y'] * 350)}; }} @ emp @")
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+@pytest.mark.parametrize("src", [
+    "void f(node x, int y) @ x->0 @ { z = y + 1; z = z + 1; [x] = z; } @ x->y+2 @",
+    "void f(node x, int y, int w) @ x->0 @ { z = 1 + y; z = z - w; z = z + w + y; [x] = z; }"
+    " @ x->(2*y)+1 @",
+])
+def test_sums_written_two_ways_match(src):
+    v = only_verdict(src)
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_offset_below_a_cell_is_found_like_one_above():
+    # [x-1] and the precondition's x-1 are one address, as [x+1] and x+1 are
+    below = only_verdict("void f(node x) @ x->1 * x-1->2 @ { a = [x-1]; [x-1] = 3; } @ x->1 * x-1->3 @")
+    above = only_verdict("void f(node x) @ x->1 * x+1->2 @ { a = [x+1]; [x+1] = 3; } @ x->1 * x+1->3 @")
+    assert "address not decidable" not in below.inconclusive_reason
+    assert below.status == above.status != INCONCLUSIVE
+    assert [d.kind for d in below.diagnostics] == [d.kind for d in above.diagnostics]
+
+
 def test_double_delete_of_precondition_node_is_invalid_free():
     # the freed node's distinctness from the remaining cells outlives it
     v = only_verdict(walk_source(8, ("delete(p5);", "delete(p5);")))
@@ -496,8 +530,8 @@ def _same_lookups(make_heap, addrs, roots) -> None:
         assert make_heap().cells_at(addr) == expected, fm.pretty_expr(addr)
         assert shared.cells_at(addr) == expected, fm.pretty_expr(addr)
         assert make_heap().cell_at(addr) == (expected[0] if expected else None)
-        roots, args = _scan_preds(make_heap(), addr)
-        assert make_heap().roots_at(addr) == roots == shared.roots_at(addr), fm.pretty_expr(addr)
+        anchored, args = _scan_preds(make_heap(), addr)
+        assert make_heap().roots_at(addr) == anchored == shared.roots_at(addr), fm.pretty_expr(addr)
         assert make_heap().args_at(addr) == args == shared.args_at(addr), fm.pretty_expr(addr)
     assert _index_reachable(make_heap(), roots) == _scan_reachable(make_heap(), roots)
     assert _index_reachable(shared, roots) == _scan_reachable(make_heap(), roots)
@@ -534,18 +568,18 @@ def test_cell_lookup_address_equal_only_by_bounds():
 
 
 def test_cell_lookup_offset_addresses():
-    spatial = [fm.PointsTo(X, fm.IntLit(1)), fm.PointsTo(fm.OffsetOf(X, 1), Y), fm.PointsTo(Y, fm.IntLit(3))]
+    spatial = [fm.PointsTo(X, fm.IntLit(1)), fm.PointsTo(fm.shifted(X, 1), Y), fm.PointsTo(Y, fm.IntLit(3))]
     offsets = lambda: _heap([("==", Y, fm.ArithExpr("+", X, fm.IntLit(2)))], spatial)
     assert offsets().cells_at(fm.ArithExpr("+", X, fm.IntLit(1))) == [1]
-    assert offsets().cells_at(fm.OffsetOf(X, 2)) == [2]
-    assert offsets().cells_at(fm.OffsetOf(X, 3)) == []
-    addrs = [X, Y, fm.OffsetOf(X, 1), fm.OffsetOf(X, 2), fm.ArithExpr("-", Y, fm.IntLit(1))]
+    assert offsets().cells_at(fm.shifted(X, 2)) == [2]
+    assert offsets().cells_at(fm.shifted(X, 3)) == []
+    addrs = [X, Y, fm.shifted(X, 1), fm.shifted(X, 2), fm.ArithExpr("-", Y, fm.IntLit(1))]
     _same_lookups(offsets, addrs, [X])
     # y+1 is congruent to the indexed x+1; interning it moves that class's
     # representative, and the index follows
-    congruent = _heap([("==", X, Y)], [fm.PointsTo(fm.OffsetOf(X, 1), Z)])
-    assert congruent.cells_at(fm.OffsetOf(X, 1)) == [0]
-    assert congruent.cells_at(fm.OffsetOf(Y, 1)) == [0]
+    congruent = _heap([("==", X, Y)], [fm.PointsTo(fm.shifted(X, 1), Z)])
+    assert congruent.cells_at(fm.shifted(X, 1)) == [0]
+    assert congruent.cells_at(fm.shifted(Y, 1)) == [0]
 
 
 def test_reachability_through_predicate_instance_anchor():
@@ -567,7 +601,7 @@ def test_reachability_through_predicate_instance_anchor():
 
 def test_cell_lookup_matches_scan_on_random_heaps():
     rng = random.Random(5)
-    terms = [X, Y, Z, W, fm.Nil(), fm.IntLit(2), fm.OffsetOf(X, 1), fm.ArithExpr("+", Y, fm.IntLit(1))]
+    terms = [X, Y, Z, W, fm.Nil(), fm.IntLit(2), fm.shifted(X, 1), fm.ArithExpr("+", Y, fm.IntLit(1))]
     for _ in range(300):
         pure = [
             (rng.choice(["==", "!=", "<=", "<"]), rng.choice(terms[:4]), rng.choice(terms))

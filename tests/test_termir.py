@@ -321,6 +321,10 @@ STATEMENT_SPANS = {
         (4, 3, 4, 4), (5, 3, 5, 4), (6, 3, 6, 4), (7, 3, 7, 6), (8, 3, 8, 4), (9, 3, 9, 4),
         (10, 3, 10, 4), (11, 3, 11, 4), (12, 3, 12, 5), (13, 3, 13, 4),
     ],
+    # ten `y = y + 1;` a line, eleven columns apart
+    ("arith.oc", "count"): [(line, 3 + 11 * i, line, 4 + 11 * i) for line in range(7, 57) for i in range(10)],
+    ("arith.oc", "bump"): [(63, 3, 63, 4), (64, 3, 64, 4), (65, 3, 65, 4)],
+    ("arith.oc", "mix"): [(72, 3, 72, 4), (73, 3, 73, 4), (74, 3, 74, 4), (75, 3, 75, 4)],
     ("ex1.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 6), (5, 3, 5, 9)],
     ("ex2.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 4), (5, 5, 5, 8), (6, 5, 6, 12), (8, 3, 8, 9)],
     ("ex3.oc", "f"): [(3, 3, 3, 6), (4, 3, 4, 10), (5, 3, 5, 8), (6, 3, 6, 9)],
