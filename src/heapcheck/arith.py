@@ -30,7 +30,6 @@ from typing import Optional
 from .formula import (
     NEGATED_CMP,
     ArithExpr,
-    FieldRef,
     IntLit,
     Nil,
     Record,
@@ -56,8 +55,6 @@ def canon_key(e: SymExpr):
         return ("int", 0)
     if isinstance(e, Var):
         return ("var", e.name)
-    if isinstance(e, FieldRef):
-        return ("field", canon_key(e.obj), e.field)
     if isinstance(e, ArithExpr):
         return _form_key(*linear_form(e))
     if isinstance(e, Record):
@@ -70,10 +67,10 @@ def linear_form(e: SymExpr, ctx: Optional[PureSet] = None) -> tuple[int, dict]:
     """``e`` as a constant plus a sum of coefficient × leaf:
     ``(c, {leaf key: (coefficient, leaf)})``, with no zero coefficient.
 
-    A leaf is a variable, a field reference, a record, or a product of two
-    factors that are not constants, each factor rebuilt from its own form.
-    A variable or field reference that ``ctx`` pins to a constant folds into
-    ``c``.  Sums are walked with a stack, so a long chain does not recurse.
+    A leaf is a variable, a record, or a product of two factors that are
+    not constants, each factor rebuilt from its own form.  A variable that
+    ``ctx`` pins to a constant folds into ``c``.  Sums are walked with a
+    stack, so a long chain does not recurse.
     """
     const, terms = 0, {}
     todo = [(1, e)]
@@ -99,7 +96,7 @@ def linear_form(e: SymExpr, ctx: Optional[PureSet] = None) -> tuple[int, dict]:
             _add(terms, ("*", ka, kb), k, ArithExpr("*", _rebuild(*fa), _rebuild(*fb)))
         elif not isinstance(e, Nil):
             pinned = None
-            if ctx is not None and isinstance(e, (Var, FieldRef)):
+            if ctx is not None and isinstance(e, Var):
                 pinned = ctx.const_of(e)
             if pinned is None:
                 _add(terms, canon_key(e), k, e)
@@ -269,8 +266,6 @@ class _Graph:
 def _children(key) -> tuple:
     """The keys a composite key is built from; () for a leaf or a constant."""
     tag = key[0]
-    if tag == "field":
-        return (key[1],)
     if tag == "*":
         return key[1:]
     if tag == "+":
@@ -323,8 +318,6 @@ class _Solver:
 
     def _signature(self, key):
         tag, find = key[0], self.find
-        if tag == "field":
-            return ("field", find(key[1]), key[2])
         if tag == "*":
             return ("*", find(key[1]), find(key[2]))
         if tag == "+":
@@ -522,7 +515,7 @@ class _Solver:
     def _try(self, values: dict) -> bool:
         env = {}
         for key in self.parent:
-            if key[0] in ("var", "field", "rec"):
+            if key[0] in ("var", "rec"):
                 env[key] = values[self.find(key)]
         return self._verify(env)
 
@@ -544,7 +537,7 @@ def _eval_key(e: SymExpr, env: dict) -> Optional[int]:
         return e.value
     if isinstance(e, Nil):
         return 0
-    if isinstance(e, (Var, FieldRef, Record)):
+    if isinstance(e, (Var, Record)):
         return env.get(canon_key(e))
     if isinstance(e, ArithExpr):
         l, r = _eval_key(e.left, env), _eval_key(e.right, env)

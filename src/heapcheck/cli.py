@@ -22,6 +22,7 @@ from .symexec import INCONCLUSIVE, REFUTED, VERIFIED, Verdict, verify_program_te
 from .termir import (
     Term,
     check_predicates,
+    check_shape,
     emit_term_file,
     lower_program,
     parse_term,
@@ -58,10 +59,12 @@ def _unfold_depth(text: str) -> int:
 
 def _load_program_term(path: Path) -> Term:
     """The checked program term of a source or ``.plt`` file; ``parse_program``
-    checks a source file's predicates, and this a term file's."""
+    checks a source file, and this a term file's shape, then its predicates
+    (``check_predicates`` reads the shapes that ``check_shape`` checks)."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".plt":
         term = parse_term(text)
+        check_shape(term)
         check_predicates(program_items(term), term_class_fields(term))
         return term
     return lower_program(parse_program(text))

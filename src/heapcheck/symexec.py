@@ -8,12 +8,11 @@ is reported once.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from typing import Optional
 
 from . import formula as fm
-from .arith import SAT, UNKNOWN, UNSAT, simplify_expr
+from .arith import SAT, UNKNOWN, UNSAT, linear_form, simplify_expr
 from .entail import (
     EntailmentResult,
     Failed,
@@ -34,13 +33,14 @@ from .termir import (
     Int,
     Term,
     TList,
+    annotation_formulas,
     emit_text,
     offset_value,
     split_contracts,
     term_class_fields,
     term_functions,
+    term_key,
     term_predicates,
-    term_to_formula,
 )
 
 MEMORY_LEAK = "MemoryLeak"
@@ -86,7 +86,6 @@ class Diagnostic(Frozen):
 class Stats:
     rule_applications: int = 0
     branches: int = 0
-    seconds: float = 0.0
 
 
 @record
@@ -153,13 +152,13 @@ class _Engine:
         fn: Compound,
         contracts: dict[str, Contract],
         preds: dict[str, fm.PredDef],
-        class_fields: dict[str, tuple[str, ...]],
+        formulas: dict[tuple, fm.Formula],
         depth: int,
     ):
         self.fn = fn
         self.contracts = contracts
         self.preds = preds
-        self.class_fields = class_fields
+        self.formulas = formulas  # the function's annotation_formulas
         self.depth = depth
         self.fresh = FreshNames()
         self.builder = ProofBuilder()
@@ -318,8 +317,10 @@ class _Engine:
 
     def _reachable_atoms(self, state: SymState) -> set[int]:
         """Indices of spatial atoms reachable from the store roots: one
-        worklist pass, each value looked up by its solver class."""
+        worklist pass, each value looked up by its solver class.  A cell at
+        a reached value plus a constant is reached too."""
         heap = state.heap
+        shifts = _shifts(heap)
         reached: set[int] = set()
         seen: set[fm.SymExpr] = set()
         work = [x for v in state.store.values() for x in _components(v)]
@@ -328,7 +329,7 @@ class _Engine:
             if v in seen:
                 continue
             seen.add(v)
-            for i in heap.cells_at(v) + heap.args_at(v):
+            for i in _cells_from(heap, v, shifts) + heap.args_at(v):
                 if i in reached:
                     continue
                 reached.add(i)
@@ -370,11 +371,12 @@ class _Engine:
         if state.partial_heap:
             return
         heap = state.heap
+        shifts = _shifts(heap)
         held = [
             i
             for v in old_values
             for x in _components(v)
-            for i in sorted(heap.cells_at(x) + heap.roots_at(x))
+            for i in sorted(_cells_from(heap, x, shifts) + heap.roots_at(x))
         ]
         if not held:
             return
@@ -680,7 +682,7 @@ class _Engine:
         return [state]
 
     def exec_assert(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
-        goal = term_to_formula(s.args[0], self.class_fields)
+        goal = self.formulas[term_key(s)]
         res = self.establish(state, self.instantiate_formula(goal, state), "assert")
         if res is None:
             return [state]
@@ -717,7 +719,7 @@ class _Engine:
     def exec_while(self, s: Compound, state: SymState, span: Span) -> list[SymState]:
         self.note(state, "stmt", lambda: f"while({emit_text(s.args[0])}, ...)")
         cond_term = s.args[0]
-        inv_formula = term_to_formula(s.args[1].args[0], self.class_fields)  # type: ignore[union-attr]
+        inv_formula = self.formulas[term_key(s.args[1])]
         body = list(s.args[2].items)  # type: ignore[union-attr]
 
         # entry: current state must provide the invariant footprint
@@ -836,7 +838,6 @@ class _Engine:
     def verify(self, pre: fm.Formula, body: list[Term], post: fm.Formula) -> Verdict:
         """Verify the function against its own contracts ``pre`` and ``post``
         (from ``split_contracts``), ``body`` being its statements between them."""
-        t0 = time.perf_counter()
         name = self.fn.args[0].name  # type: ignore[union-attr]
         params = [p.args[0].name for p in self.fn.args[2].items]  # type: ignore[union-attr]
         root = self.builder.node("function", name)
@@ -851,7 +852,6 @@ class _Engine:
             pre_inst = fm.substitute(pre, {**store, **gmap})
             init_heaps = formula_to_symheaps(pre_inst, self.fresh, skolemize=True)
         except UnsupportedFormulaError as ex:
-            self.stats.seconds = time.perf_counter() - t0
             return Verdict(
                 name,
                 INCONCLUSIVE,
@@ -902,7 +902,6 @@ class _Engine:
                         f"chunk {text} is still allocated at return and not claimed by the postcondition",
                         leak_node,
                     )
-        self.stats.seconds = time.perf_counter() - t0
         seen = set()
         unique: list[Diagnostic] = []
         for d in self.diagnostics:
@@ -933,6 +932,23 @@ def _case_text(case: Case) -> str:
 
 def _residue(res: Failed) -> str:
     return ", ".join(fm.pretty(a) for a in res.residue_consequent)
+
+
+def _shifts(heap: SymHeap) -> list[int]:
+    """The constants, other than 0, that the points-to addresses of ``heap``
+    add to their other terms; empty when no address carries a constant."""
+    out: set[int] = set()
+    for a in heap.spatial:
+        if isinstance(a, fm.PointsTo) and isinstance(a.loc, fm.ArithExpr):
+            const, terms = linear_form(a.loc)
+            if const and terms:
+                out.add(const)
+    return sorted(out)
+
+
+def _cells_from(heap: SymHeap, v: fm.SymExpr, shifts: list[int]) -> list[int]:
+    """Points-to atoms at ``v`` or at ``v`` plus one of ``shifts``."""
+    return heap.cells_at(v) + [i for k in shifts for i in heap.cells_at(fm.shifted(v, k))]
 
 
 def _components(v: fm.SymExpr) -> list[fm.SymExpr]:
@@ -968,20 +984,10 @@ def _assigned_vars(stmts: list[Term]) -> set[str]:
 # --------------------------------------------------------------------------
 
 
-def verify_function(
-    fn: Compound,
-    contracts: dict[str, Contract],
-    preds: dict[str, fm.PredDef],
-    class_fields: Optional[dict[str, tuple[str, ...]]] = None,
-    depth: int = 4,
-) -> Verdict:
-    fields = class_fields or {}
-    return _Engine(fn, contracts, preds, fields, depth).verify(*split_contracts(fn, fields))
-
-
 def verify_program_term(program: Term, depth: int = 4) -> list[Verdict]:
     """Verify every function in a checked program term, in source order; the
-    loaders check its predicates (``termir.check_predicates``), not this."""
+    loaders check its predicates (``termir.check_predicates``), not this.
+    Each annotation is converted to a formula once, not once per path."""
     fields = term_class_fields(program)
     preds = fm.builtin_preds()
     preds.update((d.name, d) for d in term_predicates(program, fields))
@@ -992,4 +998,7 @@ def verify_program_term(program: Term, depth: int = 4) -> list[Verdict]:
         name = fn.args[0].name  # type: ignore[union-attr]
         params = tuple(p.args[0].name for p in fn.args[2].items)  # type: ignore[union-attr]
         contracts.setdefault(name, Contract(name, params, pre, post))
-    return [_Engine(fn, contracts, preds, fields, depth).verify(*split) for fn, split in functions]
+    return [
+        _Engine(fn, contracts, preds, annotation_formulas(fn, fields), depth).verify(*split)
+        for fn, split in functions
+    ]

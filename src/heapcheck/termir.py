@@ -270,22 +270,16 @@ class _TermParser:
         return Atom(t.text)
 
 
-def parse_term(text: str, check: bool = True) -> Term:
-    """Parse canonical (whitespace-tolerant) term text.
-
-    With check=True (the default and the import-path behavior) the term is
-    also validated against the statement/expression shape tables.
-    """
+def parse_term(text: str) -> Term:
+    """Parse canonical (whitespace-tolerant) term text; ``check_shape``
+    validates the result."""
     try:
         toks = tokenize(text)
     except LexError as e:
         raise TermSyntaxError(e.message, e.span) from None
     if not toks:
         raise TermSyntaxError("empty term text")
-    term = _TermParser(toks).parse()
-    if check:
-        check_shape(term)
-    return term
+    return _TermParser(toks).parse()
 
 
 # --------------------------------------------------------------------------
@@ -300,21 +294,24 @@ _STMT_FUNCTORS = ("assign", "new", "delete", "funcall", "ite", "while", "assert"
 
 
 def check_shape(t: Term) -> None:
-    """Validate a top-level term: program, class, function, statement, or formula."""
+    """Validate a top-level term: program, class, function, statement, or
+    formula.  Each formula in it is read by ``term_to_formula``, with the
+    program's class fields, in document order."""
     if isinstance(t, Compound) and t.functor == "program" and len(t.args) == 1:
-        items = _want_list(t, 0, "program items")
-        for item in items.items:
-            _check_program_item(item)
-        return
-    if isinstance(t, Compound) and (
+        items = _want_list(t, 0, "program items").items
+    elif isinstance(t, Compound) and (
         t.functor in ("class", "function") or (t.functor == "pred" and len(t.args) == 3)
     ):
-        _check_program_item(t)
+        items = (t,)
+    elif isinstance(t, TList) or (isinstance(t, Compound) and t.functor in _STMT_FUNCTORS):
+        _check_stmt(t, {})
         return
-    if isinstance(t, TList) or (isinstance(t, Compound) and t.functor in _STMT_FUNCTORS):
-        _check_stmt(t)
+    else:
+        term_to_formula(t)
         return
-    _check_formula(t)
+    fields = term_class_fields(t)
+    for item in items:
+        _check_program_item(item, fields)
 
 
 def _fail(msg: str) -> None:
@@ -327,23 +324,32 @@ def _want_list(t: Compound, i: int, what: str) -> TList:
     return t.args[i]  # type: ignore[return-value]
 
 
-def _check_program_item(t: Term) -> None:
+def _class_field_names(t: Compound) -> tuple[str, ...]:
+    """The field names a class term declares, once its name and fields are
+    checked."""
+    if len(t.args) != 3 or not isinstance(t.args[0], Atom):
+        _fail("class takes (name, [fields], [methods])")
+    names = []
+    for f in _want_list(t, 1, "fields").items:
+        if not (
+            isinstance(f, Compound)
+            and f.functor == "field"
+            and len(f.args) == 2
+            and all(isinstance(a, Atom) for a in f.args)
+        ):
+            _fail("class field entries are field(name, type)")
+        names.append(f.args[0].name)  # type: ignore[union-attr]
+    return tuple(names)
+
+
+def _check_program_item(t: Term, fields: dict[str, tuple[str, ...]]) -> None:
     if not isinstance(t, Compound):
         _fail("program items must be class/function/pred terms")
         return
     if t.functor == "class":
-        if len(t.args) != 3 or not isinstance(t.args[0], Atom):
-            _fail("class takes (name, [fields], [methods])")
-        for f in _want_list(t, 1, "fields").items:
-            if not (
-                isinstance(f, Compound)
-                and f.functor == "field"
-                and len(f.args) == 2
-                and all(isinstance(a, Atom) for a in f.args)
-            ):
-                _fail("class field entries are field(name, type)")
+        _class_field_names(t)
         for m in _want_list(t, 2, "methods").items:
-            _check_program_item(m)
+            _check_program_item(m, fields)
         return
     if t.functor == "function":
         if len(t.args) != 4 or not isinstance(t.args[0], Atom) or not isinstance(t.args[1], Atom):
@@ -357,7 +363,7 @@ def _check_program_item(t: Term) -> None:
             ):
                 _fail("function params are param(name, type)")
         for s in _want_list(t, 3, "body").items:
-            _check_stmt(s)
+            _check_stmt(s, fields)
         return
     if t.functor == "pred":
         if len(t.args) != 3 or not isinstance(t.args[0], Atom):
@@ -365,22 +371,22 @@ def _check_program_item(t: Term) -> None:
         for p in _want_list(t, 1, "params").items:
             if not isinstance(p, Atom):
                 _fail("pred params are atoms")
-        _check_formula(t.args[2])
+        term_to_formula(t.args[2], fields)
         return
     _fail(f"unknown program item '{t.functor}/{len(t.args)}'")
 
 
-def _check_block(t: Term, what: str) -> None:
+def _check_block(t: Term, what: str, fields: dict[str, tuple[str, ...]]) -> None:
     if not isinstance(t, TList):
         _fail(f"{what} must be a statement list")
         return
     for s in t.items:
-        _check_stmt(s)
+        _check_stmt(s, fields)
 
 
-def _check_stmt(t: Term) -> None:
+def _check_stmt(t: Term, fields: dict[str, tuple[str, ...]]) -> None:
     if isinstance(t, TList):  # bare block
-        _check_block(t, "block")
+        _check_block(t, "block", fields)
         return
     if not isinstance(t, Compound):
         _fail(f"statement expected, found {emit_text(t)}")
@@ -402,20 +408,20 @@ def _check_stmt(t: Term) -> None:
         return
     if f == "ite" and n in (2, 3):
         _check_cond(t.args[0])
-        _check_block(t.args[1], "ite then-block")
+        _check_block(t.args[1], "ite then-block", fields)
         if n == 3:
-            _check_block(t.args[2], "ite else-block")
+            _check_block(t.args[2], "ite else-block", fields)
         return
     if f == "while" and n == 3:
         _check_cond(t.args[0])
         inv = t.args[1]
         if not (isinstance(inv, Compound) and inv.functor == "assert" and len(inv.args) == 1):
             _fail("while invariant must be assert(formula)")
-        _check_formula(inv.args[0])  # type: ignore[union-attr]
-        _check_block(t.args[2], "while body")
+        term_to_formula(inv.args[0], fields)  # type: ignore[union-attr]
+        _check_block(t.args[2], "while body", fields)
         return
     if f == "assert" and n == 1:
-        _check_formula(t.args[0])
+        term_to_formula(t.args[0], fields)
         return
     _fail(f"unknown statement '{f}/{n}'")
 
@@ -451,18 +457,7 @@ def _check_loc(t: Term) -> None:
         return
     _check_loc1(t.args[0])
     if len(t.args) == 2:
-        d = t.args[1]
-        if isinstance(d, Int) and d.value >= 0:
-            return
-        if (
-            isinstance(d, Compound)
-            and d.functor == "minus"
-            and len(d.args) == 2
-            and d.args[0] == Int(0)
-            and isinstance(d.args[1], Int)
-        ):
-            return
-        _fail("offset displacement must be int or minus(0, int)")
+        offset_value(t.args[1])
 
 
 def _check_expr(t: Term) -> None:
@@ -481,7 +476,7 @@ def _check_expr(t: Term) -> None:
             _check_loc(t.args[0])
             return
         if f == "funcall" and n in (1, 2):
-            _check_stmt(t)  # same shape rule as statement position
+            _check_stmt(t, {})  # same shape rule as statement position
             return
     _fail(f"expression expected, found {emit_text(t)}")
 
@@ -498,61 +493,6 @@ def _check_cond(t: Term) -> None:
             _check_expr(t.args[1])
             return
     _fail(f"condition expected, found {emit_text(t)}")
-
-
-def _check_formula(t: Term) -> None:
-    # star/and/or/exists chains continue down their right argument in this loop
-    while isinstance(t, Compound) and len(t.args) == 2 and t.functor in _RIGHT_NESTED:
-        if t.functor != "exists":
-            _check_formula(t.args[0])
-        elif not isinstance(t.args[0], Atom):
-            _fail("exists binder must be an atom")
-        t = t.args[1]
-    if isinstance(t, Atom) and t.name in ("emp", "true", "false"):
-        return
-    if isinstance(t, Compound):
-        f, n = t.functor, len(t.args)
-        if f == "pto" and n == 2:
-            _check_fexpr(t.args[0])
-            _check_fexpr(t.args[1])
-            return
-        if f == "pred" and n == 2:
-            if not isinstance(t.args[0], Atom):
-                _fail("pred name must be an atom")
-            for a in _want_list(t, 1, "pred args").items:
-                _check_fexpr(a)
-            return
-        if f in _CMP_FUNCTORS and n == 2:
-            _check_fexpr(t.args[0])
-            _check_fexpr(t.args[1])
-            return
-    _fail(f"formula expected, found {emit_text(t)}")
-
-
-def _check_fexpr(t: Term) -> None:
-    if isinstance(t, (Int, Atom)):
-        return
-    if isinstance(t, Compound):
-        f, n = t.functor, len(t.args)
-        if f == "oa" and n == 2:
-            return
-        if f in ("add", "sub", "mul") and n == 2:
-            _check_fexpr(t.args[0])
-            _check_fexpr(t.args[1])
-            return
-        if f == "offset" and n in (1, 2):
-            _check_loc(t)
-            return
-        if f == "object" and n >= 1:
-            if not isinstance(t.args[0], Atom):
-                _fail("object tag must be an atom")
-            for a in t.args[1:]:
-                if isinstance(a, Compound) and a.functor == ":" and len(a.args) == 2:
-                    _check_fexpr(a.args[1])
-                else:
-                    _check_fexpr(a)
-            return
-    _fail(f"assertion expression expected, found {emit_text(t)}")
 
 
 # --------------------------------------------------------------------------
@@ -591,6 +531,8 @@ _FUNCTOR_CONNECTIVES = {"star": fm.Star, "and": fm.And, "or": fm.Or}
 
 
 def term_to_formula(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = None) -> fm.Formula:
+    """The formula of a formula term, its records read with ``class_fields``;
+    this is the one check of a formula term's shape."""
     fields = class_fields or {}
     if isinstance(t, Atom):
         if t.name == "emp":
@@ -615,11 +557,13 @@ def term_to_formula(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] 
                 return fm.join(_FUNCTOR_CONNECTIVES[f], parts)
             for link in links:
                 if not isinstance(link.args[0], Atom):
-                    raise TermShapeError(f"formula expected, found {emit_text(link)}")
+                    raise TermShapeError("exists binder must be an atom")
             binders = [link.args[0].name for link in links]  # type: ignore[union-attr]
             return fm.exists(binders, term_to_formula(t, fields))
-        if f == "pred" and n == 2 and isinstance(t.args[0], Atom) and isinstance(t.args[1], TList):
-            args = tuple(term_to_expr(a, fields) for a in t.args[1].items)
+        if f == "pred" and n == 2:
+            if not isinstance(t.args[0], Atom):
+                raise TermShapeError("pred name must be an atom")
+            args = tuple(term_to_expr(a, fields) for a in _want_list(t, 1, "pred args").items)
             return fm.PredApp(t.args[0].name, args)
         if f in FUNCTOR_TO_CMP and n == 2:
             return fm.PureAtom(
@@ -641,19 +585,23 @@ def term_to_expr(t: Term, class_fields: Optional[dict[str, tuple[str, ...]]] = N
         if f == "oa" and n == 2 and all(isinstance(a, Atom) for a in t.args):
             return fm.FieldRef(fm.Var(t.args[0].name), t.args[1].name)  # type: ignore[union-attr]
         if f == "offset" and n in (1, 2):
+            _check_loc1(t.args[0])
             base = term_to_expr(t.args[0], fields)
             return fm.shifted(base, offset_value(t.args[1]) if n == 2 else 0)
         if f in ("add", "sub", "mul") and n == 2:
             op = {"add": "+", "sub": "-", "mul": "*"}[f]
             return fm.ArithExpr(op, term_to_expr(t.args[0], fields), term_to_expr(t.args[1], fields))
-        if f == "object" and n >= 1 and isinstance(t.args[0], Atom):
+        if f == "object" and n >= 1:
+            if not isinstance(t.args[0], Atom):
+                raise TermShapeError("object tag must be an atom")
             tag: Optional[str] = t.args[0].name
             if tag == "_":
                 tag = None
             named: list[tuple[str, fm.SymExpr]] = []
             positional: list[fm.SymExpr] = []
             for a in t.args[1:]:
-                if isinstance(a, Compound) and a.functor == ":" and len(a.args) == 2:
+                pair = isinstance(a, Compound) and a.functor == ":" and len(a.args) == 2
+                if pair and isinstance(a.args[0], Atom):  # type: ignore[union-attr]
                     named.append((a.args[0].name, term_to_expr(a.args[1], fields)))  # type: ignore[union-attr]
                 else:
                     positional.append(term_to_expr(a, fields))
@@ -682,13 +630,15 @@ def _positional_names(
 
 
 def offset_value(t: Term) -> int:
-    """The displacement ``k`` or ``minus(0, k)`` of an ``offset`` term as an int."""
-    if isinstance(t, Int):
+    """The displacement of an ``offset`` term as an int: ``k`` for an int
+    ``k >= 0``, or ``minus(0, k)`` for ``-k``."""
+    if isinstance(t, Int) and t.value >= 0:
         return t.value
     if (
         isinstance(t, Compound)
         and t.functor == "minus"
         and len(t.args) == 2
+        and t.args[0] == Int(0)
         and isinstance(t.args[1], Int)
     ):
         return -t.args[1].value
@@ -764,7 +714,8 @@ def check_predicates(items: Sequence[Term], class_fields: dict[str, tuple[str, .
     for p in preds:
         check_instances(p.args[2], table, p.args[0].name, p.span)  # type: ignore[union-attr]
     for fn in functions + methods:
-        for a in _annotations(fn):  # type: ignore[arg-type]
+        pre, body, post = contract_terms(fn)  # type: ignore[arg-type]
+        for a in [c for c in (pre, post) if c is not None] + _annotations(body):
             check_instances(a.args[0], table, "annotation", a.span)
 
 
@@ -796,11 +747,10 @@ def check_instances(
                 )
 
 
-def _annotations(fn: Compound) -> list[Compound]:
-    """The assert terms of a function: its pre, its post, then those of its
-    body (statement asserts and loop invariants) in source order."""
-    pre, body, post = contract_terms(fn)
-    out = [a for a in (pre, post) if a is not None]
+def _annotations(body: list[Term]) -> list[Compound]:
+    """The assert terms of a function body (statement asserts and loop
+    invariants) in source order."""
+    out: list[Compound] = []
     work = body[::-1]
     while work:
         s = work.pop()
@@ -814,12 +764,17 @@ def _annotations(fn: Compound) -> list[Compound]:
 
 
 def term_class_fields(t: Term) -> dict[str, tuple[str, ...]]:
+    """The field names each class of a program term declares.  A class whose
+    name or fields have the wrong shape declares none here; ``check_shape``
+    rejects it where it stands."""
     out: dict[str, tuple[str, ...]] = {}
     for item in program_items(t):
         if isinstance(item, Compound) and item.functor == "class":
-            name = item.args[0].name  # type: ignore[union-attr]
-            fields = tuple(f.args[0].name for f in item.args[1].items)  # type: ignore[union-attr]
-            out[name] = fields
+            try:
+                names = _class_field_names(item)
+            except TermShapeError:
+                continue
+            out[item.args[0].name] = names  # type: ignore[union-attr]
     return out
 
 
@@ -831,6 +786,40 @@ def contract_terms(fn: Compound) -> tuple[Optional[Compound], list[Term], Option
     pre = body.pop(0) if body and is_assert(body[0]) else None
     post = body.pop() if body and is_assert(body[-1]) else None
     return pre, body, post  # type: ignore[return-value]
+
+
+def term_key(t: Term) -> tuple:
+    """A flat tuple that is equal for equal terms: the term in prefix order,
+    arguments right to left, a compound as None, its functor and arity, a
+    list as ``...`` and its length, and a leaf as its name or value.  Hashing
+    it needs no recursion, as hashing a long ``*`` chain term would."""
+    out: list = []
+    work = [t]
+    while work:
+        t = work.pop()
+        if isinstance(t, Compound):
+            out += (None, t.functor, len(t.args))
+            work += t.args
+        elif isinstance(t, TList):
+            out += (..., len(t.items))
+            work += t.items
+        else:
+            out.append(t.name if isinstance(t, Atom) else t.value)  # type: ignore[attr-defined]
+    return tuple(out)
+
+
+def annotation_formulas(
+    fn: Compound, class_fields: dict[str, tuple[str, ...]]
+) -> dict[tuple, fm.Formula]:
+    """The formula of each statement assert and loop invariant of a function
+    (``split_contracts`` reads its contracts), converted once and keyed by
+    its ``term_key``, so equal terms share one."""
+    out: dict[tuple, fm.Formula] = {}
+    for a in _annotations(contract_terms(fn)[1]):
+        key = term_key(a)
+        if key not in out:
+            out[key] = term_to_formula(a.args[0], class_fields)
+    return out
 
 
 def split_contracts(

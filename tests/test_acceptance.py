@@ -34,7 +34,6 @@ from heapcheck.symexec import (
     INVALID_FREE,
     REFUTED,
     VERIFIED,
-    verify_function,
     verify_program_term,
 )
 from heapcheck.termir import (
@@ -301,7 +300,7 @@ def test_criterion_5_symbolic_vs_concrete():
     violations: list[str] = []
     for stmts in _criterion5_programs():
         fn = comp("function", Atom("f"), Atom("int"), _PARAMS, TList(tuple(stmts)))
-        verdict = verify_function(fn, {}, PREDS)
+        verdict = verify_program_term(fn)[0]
         count += 1
         if verdict.status == VERIFIED:
             faults = concrete_faults(fn)
@@ -424,7 +423,7 @@ def test_criterion_7_round_trips():
     with report("7 round trips", "terms, generated programs, proof trees"):
         for _ in range(1500):
             t = rand_term(rng)
-            assert parse_term(emit_text(t), check=False) == t
+            assert parse_term(emit_text(t)) == t
         from test_parser import rand_program
 
         for _ in range(300):

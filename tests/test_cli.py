@@ -97,14 +97,21 @@ def test_run_checks_the_predicates_of_a_term_file(tmp_path):
 
 
 def _count_calls(monkeypatch, name: str) -> list:
-    """The argument tuples of the calls of ``termir.<name>`` made through any
-    package module that binds the name."""
+    """The argument tuples of the outermost calls of ``termir.<name>`` made
+    through any package module that binds the name; a call it makes of
+    itself is not counted."""
     orig = getattr(termir, name)
     calls: list = []
+    depth = [0]
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return orig(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("heapcheck") and getattr(mod, name, None) is orig:
@@ -140,6 +147,54 @@ def test_verify_splits_each_function_once(monkeypatch, name):
     splits = _count_calls(monkeypatch, "split_contracts")
     run_cli("verify", str(data_path(name)))
     assert sorted(args[0].args[0].name for args in splits) == sorted(functions)
+
+
+def test_verify_converts_each_annotation_once(tmp_path, monkeypatch):
+    # ten independent branches make 1,024 paths through the body assert
+    params = "".join(f", int y{i}" for i in range(10))
+    ifs = " ".join(f"if (y{i} == 0) {{ z = {i}; }}" for i in range(10))
+    src = tmp_path / "branches.oc"
+    src.write_text(f"void f(node x{params}) @ x->1 @ {{ {ifs} @ exists v. x->v @; }} @ x->1 * emp @\n")
+    conversions = _count_calls(monkeypatch, "term_to_formula")
+    code, out, _ = run_cli("verify", str(src), "--format", "structured")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["branches"] == 1023
+    assert len(conversions) == 3
+
+
+# Each malformed formula is rejected when a term file loads, by run and
+# verify-term alike; term_to_formula is the one check of a formula term.
+_PARAM = "[param(x, node)]"
+MALFORMED_TERMS = [
+    ("record-mix", f"function(f, void, {_PARAM}, [assert(x->object(_, 1, v: 2)), assign(y, 1), assert(x->1)])",
+     "record mixes positional and named components"),
+    ("name-not-atom", f"function(f, void, {_PARAM}, [assert(x->object(_, ':'(f(y), 1)))])",
+     "assertion expression expected, found f(y): 1"),
+    ("node-arity", f"function(f, void, {_PARAM}, [assert(x->1), assign(y, 1), assert(x->object(node, 1))])",
+     "'node' records take 2 components"),
+    ("class-arity", "program([function(f, void, [param(x, k)], [assign(y, 1), assert(x->object(k, 1))]), "
+     "class(k, [field(a, int), field(b, int)], [])])",
+     "class 'k' declares 2 fields, record has 1"),
+    ("exists-binder", f"function(f, void, {_PARAM}, [assert(exists(f(y), x->1))])",
+     "exists binder must be an atom"),
+    ("pred-name", f"program([pred(p, [a], a->1), function(f, void, {_PARAM}, [assert(pred(f(y), [x]))])])",
+     "pred name must be an atom"),
+    ("offset-base", f"function(f, void, {_PARAM}, [while(lt(x, 1), assert(offset(add(x, 1), 1)->1), [])])",
+     "location must be name or oa(o.f): add(x, 1)"),
+    ("displacement-negative", "pred(p, [x], offset(x, -3)->1)",
+     "offset displacement must be int or minus(0, int)"),
+    ("displacement-minus", f"function(f, void, {_PARAM}, [assign(y, mem(offset(x, minus(5, 3))))])",
+     "offset displacement must be int or minus(0, int)"),
+]
+
+
+@pytest.mark.parametrize("text, error", [row[1:] for row in MALFORMED_TERMS],
+                         ids=[row[0] for row in MALFORMED_TERMS])
+def test_malformed_term_file_is_a_load_error(tmp_path, text, error):
+    f = tmp_path / "bad.plt"
+    f.write_text(text + ".\n")
+    for command in ("run", "verify-term"):
+        assert run_cli(command, str(f)) == (2, "", f"error: ?:?: {error}\n"), command
 
 
 def test_term_annotations_get_the_arity_check(tmp_path):

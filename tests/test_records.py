@@ -76,12 +76,12 @@ TABLE = {
                          "Diagnostic(kind='MemoryLeak', span=Span(line=1, col=2, end_line=1, end_col=5), "
                          "message='m', counterexample='', proof_ref=-1)"),
     symexec.Stats: ({"rule_applications": 2}, {"branches": 1},
-                    "Stats(rule_applications=2, branches=0, seconds=0.0)"),
+                    "Stats(rule_applications=2, branches=0)"),
     symexec.Verdict: ({"function": "f", "status": "Verified", "diagnostics": [], "proof": tree,
                        "stats": symexec.Stats()}, {"inconclusive_reason": "r"},
                       "Verdict(function='f', status='Verified', diagnostics=[], "
                       "proof=ProofTree(root=ProofNode(id=0, rule='r', input='in', outcome='ok', children=[])), "
-                      "stats=Stats(rule_applications=0, branches=0, seconds=0.0), inconclusive_reason='')"),
+                      "stats=Stats(rule_applications=0, branches=0), inconclusive_reason='')"),
     symexec.SymState: ({"store": {"x": x}, "heap": heap, "scopes": [set()], "node": node}, {"tainted": True},
                        "SymState(store={'x': Var(name='x')}, heap=SymHeap(pure=PureSet(atoms=(), separated=()), "
                        "spatial=(), existentials=frozenset()), scopes=[set()], "

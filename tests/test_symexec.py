@@ -4,7 +4,7 @@ import pytest
 from conftest import data_text, shallow_stack
 
 from heapcheck import formula as fm
-from heapcheck.arith import PureSet
+from heapcheck.arith import PureSet, linear_form
 from heapcheck.entail import SymHeap
 from heapcheck.parser import parse_program
 from heapcheck.prooftree import FAILED, ProofBuilder
@@ -432,6 +432,36 @@ def test_offset_below_a_cell_is_found_like_one_above():
     assert [d.kind for d in below.diagnostics] == [d.kind for d in above.diagnostics]
 
 
+# -- a cell at an address plus a constant is reached from the address ---------
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("body, value", [("", 2), ("[x{}1] = 3;", 3), ("a = [x{}1];", 2)],
+                         ids=["empty", "write", "read"])
+def test_cell_at_an_offset_is_reached_from_its_base(sign, body, value):
+    body = body.format(sign)
+    v = only_verdict(f"void f(node x) @ x->1 * x{sign}1->2 @ {{ {body} }} @ x->1 * x{sign}1->{value} @")
+    assert v.status == VERIFIED and not v.diagnostics
+
+
+def test_overwriting_the_base_of_a_block_loses_every_cell():
+    v = only_verdict("void f(node x) @ x->1 * x+1->2 @ { x = nil; } @ emp @")
+    assert v.status == REFUTED
+    assert [(d.kind, d.span.line, d.message) for d in v.diagnostics] == [
+        (MEMORY_LEAK, 1, "last reference to chunk $p1->1 was overwritten"),
+        (MEMORY_LEAK, 1, "last reference to chunk ($p1+1)->2 was overwritten"),
+    ]
+
+
+def test_long_annotations_verify():
+    # the verifier looks each annotation up by a flat key; hashing the term
+    # of a 3,000-part chain would take a frame per part
+    chain = " * ".join(["emp"] * 3000)
+    body = f"@ {chain} @; while (y < 1) @ {chain} @ {{ y = y + 1; }}"
+    v = only_verdict(f"void f(int y) @ {chain} @ {{ {body} }} @ {chain} @")
+    assert v.status == VERIFIED and not v.diagnostics
+
+
 def test_double_delete_of_precondition_node_is_invalid_free():
     # the freed node's distinctness from the remaining cells outlives it
     v = only_verdict(walk_source(8, ("delete(p5);", "delete(p5);")))
@@ -484,11 +514,20 @@ def _scan_cells(heap: SymHeap, addr: fm.SymExpr) -> list[int]:
 
 
 def _scan_reachable(heap: SymHeap, roots: list) -> set[int]:
-    """Reachability as a fixpoint of pairwise equal tests over every atom."""
+    """Reachability as a fixpoint of pairwise equal tests over every atom: a
+    cell is reached from a value at its address, or at its address less the
+    constant of any points-to address."""
     pure = heap.sep_pure()
+    forms = [linear_form(a.loc) for a in heap.spatial if isinstance(a, fm.PointsTo)]
+    shifts = [0] + sorted({c for c, terms in forms if c and terms})
 
     def expand(v):
         return [x for _, f in v.fields for x in expand(f)] if isinstance(v, fm.Record) else [v]
+
+    def anchored(atom, v) -> bool:
+        if isinstance(atom, fm.PointsTo):
+            return any(pure.equal(atom.loc, fm.shifted(v, k)) for k in shifts)
+        return any(pure.equal(a, v) for a in atom.args)
 
     flat = [x for v in roots for x in expand(v)]
     reached: set[int] = set()
@@ -496,8 +535,7 @@ def _scan_reachable(heap: SymHeap, roots: list) -> set[int]:
     while changed:
         changed = False
         for i, atom in enumerate(heap.spatial):
-            anchors = [atom.loc] if isinstance(atom, fm.PointsTo) else list(atom.args)
-            if i not in reached and any(pure.equal(a, v) for a in anchors for v in flat):
+            if i not in reached and any(anchored(atom, v) for v in flat):
                 reached.add(i)
                 flat += expand(atom.val) if isinstance(atom, fm.PointsTo) else list(atom.args)
                 changed = True

@@ -48,7 +48,7 @@ def test_emit_examples():
 def test_emit_quotes_non_lowercase_atoms():
     assert tir.emit_text(tir.Atom("MyClass")) == "'MyClass'"
     assert tir.emit_text(tir.Atom("it's")) == "'it\\'s'"
-    assert tir.parse_term("'MyClass'", check=False) == tir.Atom("MyClass")
+    assert tir.parse_term("'MyClass'") == tir.Atom("MyClass")
 
 
 def test_parse_examples():
@@ -56,7 +56,7 @@ def test_parse_examples():
     ok = tir.parse_term("ite(lt(a,b), [assign(a,1)])")
     assert ok.functor == "ite" and len(ok.args) == 2
     with pytest.raises(TermShapeError):
-        tir.parse_term("funcall(f, [1,2,3], extra)")
+        tir.check_shape(tir.parse_term("funcall(f, [1,2,3], extra)"))
 
 
 def test_shape_errors():
@@ -68,7 +68,7 @@ def test_shape_errors():
         "offset(x, minus(1, 2))",
     ]:
         with pytest.raises(TermShapeError):
-            tir.parse_term(bad)
+            tir.check_shape(tir.parse_term(bad))
 
 
 def test_syntax_errors():
@@ -89,7 +89,19 @@ def test_roundtrip_property():
     for _ in range(500):
         t = rand_term(rng)
         text = tir.emit_text(t)
-        assert tir.parse_term(text, check=False) == t, text
+        assert tir.parse_term(text) == t, text
+
+
+def test_term_key_is_equal_exactly_for_equal_terms():
+    rng = random.Random(29)
+    terms = [rand_term(rng) for _ in range(300)]
+    for a, b in zip(terms, terms[1:] + terms[:1]):
+        assert (tir.term_key(a) == tir.term_key(b)) == (a == b)
+        assert tir.term_key(a) == tir.term_key(tir.parse_term(tir.emit_text(a)))
+    # an atom and an int, or a list and a compound, do not share a key
+    assert tir.term_key(tir.Atom("1")) != tir.term_key(tir.Int(1))
+    assert tir.term_key(tir.TList((tir.Atom("a"),))) != tir.term_key(tir.comp("[", tir.Atom("a")))
+    assert tir.term_key(tir.TList((tir.Atom("..."), tir.Int(0)))) != tir.term_key(tir.TList((tir.TList(()),)))
 
 
 def test_lowering_total_on_parse_valid_programs():
@@ -188,29 +200,29 @@ TERM_ERROR_TABLE = [
 @pytest.mark.parametrize("text, message, span", TERM_ERROR_TABLE)
 def test_term_syntax_error_table(text, message, span):
     with pytest.raises(TermSyntaxError) as e:
-        tir.parse_term(text, check=False)
+        tir.parse_term(text)
     s = e.value.span
     assert (e.value.message, (s.line, s.col, s.end_line, s.end_col)) == (message, span)
 
 
 
 # -- formula shape errors along star/and/or/exists chains, recorded before the
-# checker and the converter read a chain in a loop: (text, error from the shape
-# check on import, error from term_to_formula on the unchecked term)
+# checker and the converter read a chain in a loop: (text, the one error that
+# the load-time shape check and term_to_formula both give)
 
 FORMULA_SHAPE_TABLE = [
-    ('star(a->1, star(b->2))', 'TermShapeError: formula expected, found star(b->2)', 'TermShapeError: formula expected, found star(b->2)'),
-    ('exists(x, exists(f(y), x->1))', 'TermShapeError: exists binder must be an atom', 'TermShapeError: formula expected, found exists(f(y), x->1)'),
-    ('exists(f(y), x->1)', 'TermShapeError: exists binder must be an atom', 'TermShapeError: formula expected, found exists(f(y), x->1)'),
-    ('exists(x)', 'TermShapeError: formula expected, found exists(x)', 'TermShapeError: formula expected, found exists(x)'),
-    ('star(a->1, exists(x, and(x->1, foo)))', 'TermShapeError: formula expected, found foo', 'TermShapeError: formula expected, found foo'),
-    ('star(foo, star(bar, b->2))', 'TermShapeError: formula expected, found foo', 'TermShapeError: formula expected, found foo'),
-    ('or(a->1, or(b->2, 3))', 'TermShapeError: formula expected, found 3', 'TermShapeError: formula expected, found 3'),
-    ('exists(x, star(x->1, exists(y, pred(p, q))))', 'TermShapeError: pred: pred args must be a list', 'TermShapeError: formula expected, found pred(p, q)'),
-    ('star(a->1, star(b->2, c->3), d)', 'TermShapeError: formula expected, found star(a->1, b->2 * c->3, d)', 'TermShapeError: formula expected, found star(a->1, b->2 * c->3, d)'),
-    ('and(star(a->1, b), c->2)', 'TermShapeError: formula expected, found b', 'TermShapeError: formula expected, found b'),
-    ('exists(x, exists(y, star(x->oa(y.f), y->object(_, 1, v: 2))))', 'ok', 'TermShapeError: record mixes positional and named components'),
-    ('x->1 * exists(y, 2 * y->1)', 'TermShapeError: formula expected, found 2', 'TermShapeError: formula expected, found 2'),
+    ('star(a->1, star(b->2))', 'TermShapeError: formula expected, found star(b->2)'),
+    ('exists(x, exists(f(y), x->1))', 'TermShapeError: exists binder must be an atom'),
+    ('exists(f(y), x->1)', 'TermShapeError: exists binder must be an atom'),
+    ('exists(x)', 'TermShapeError: formula expected, found exists(x)'),
+    ('star(a->1, exists(x, and(x->1, foo)))', 'TermShapeError: formula expected, found foo'),
+    ('star(foo, star(bar, b->2))', 'TermShapeError: formula expected, found foo'),
+    ('or(a->1, or(b->2, 3))', 'TermShapeError: formula expected, found 3'),
+    ('exists(x, star(x->1, exists(y, pred(p, q))))', 'TermShapeError: pred: pred args must be a list'),
+    ('star(a->1, star(b->2, c->3), d)', 'TermShapeError: formula expected, found star(a->1, b->2 * c->3, d)'),
+    ('and(star(a->1, b), c->2)', 'TermShapeError: formula expected, found b'),
+    ('exists(x, exists(y, star(x->oa(y.f), y->object(_, 1, v: 2))))', 'TermShapeError: record mixes positional and named components'),
+    ('x->1 * exists(y, 2 * y->1)', 'TermShapeError: formula expected, found 2'),
 ]
 
 
@@ -222,28 +234,29 @@ def _error(fn) -> str:
     return "ok"
 
 
-@pytest.mark.parametrize("text, checked, converted", FORMULA_SHAPE_TABLE)
-def test_formula_shape_error_table(text, checked, converted):
-    assert _error(lambda: tir.parse_term(text)) == checked
-    assert _error(lambda: tir.term_to_formula(tir.parse_term(text, check=False))) == converted
+@pytest.mark.parametrize("text, error", FORMULA_SHAPE_TABLE)
+def test_formula_shape_error_table(text, error):
+    assert _error(lambda: tir.check_shape(tir.parse_term(text))) == error
+    assert _error(lambda: tir.term_to_formula(tir.parse_term(text))) == error
+
 
 def test_empty_quoted_atom_is_a_syntax_error():
     for text, message in (("''", "expected term, found ''"), ("f('', a)", "expected term, found ''"),
                           ("''(a)", "expected term, found ''"), ("oa(''.f)", "expected name, found ''")):
         with pytest.raises(TermSyntaxError) as e:
-            tir.parse_term(text, check=False)
+            tir.parse_term(text)
         assert e.value.message == message
 
 
 def test_parser_depth_is_one_frame_per_nesting_level():
     # the parent parser spent about six frames per level, so 300 levels failed
     nested = "f(" * 300 + "a" + ")" * 300
-    t = tir.parse_term(nested, check=False)
+    t = tir.parse_term(nested)
     for _ in range(300):
         t = t.args[0]
     assert t == tir.Atom("a")
     # an infix chain costs no depth at all, and folds to the right
-    chain = tir.parse_term(" * ".join(["a -> 1"] * 5000) + " || b", check=False)
+    chain = tir.parse_term(" * ".join(["a -> 1"] * 5000) + " || b")
     assert chain.functor == "or"
     left = chain.args[0]
     for _ in range(4999):
