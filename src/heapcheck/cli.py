@@ -8,6 +8,7 @@ Exit codes: 0 everything verified, 1 any refutation (or fault in ``run``),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -38,6 +39,8 @@ EXIT_OK, EXIT_REFUTED, EXIT_ERROR, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
 
 def _default_depth() -> int:
+    """The unfold bound when ``--unfold-depth`` is not given, read from
+    ``HEAPCHECK_UNFOLD_DEPTH`` at each call."""
     raw = os.environ.get(DEPTH_ENV, "")
     try:
         return max(1, int(raw)) if raw else 4
@@ -148,7 +151,9 @@ def _emit_proofs(verdicts: list[Verdict], outdir: Path) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    verdicts = verify_program_term(_load_program_term(path), depth=args.unfold_depth)
+    verdicts = verify_program_term(
+        _load_program_term(path), depth=args.unfold_depth or _default_depth()
+    )
     if args.emit_proof:
         _emit_proofs(verdicts, Path(args.emit_proof))
     return _print_verdicts(verdicts, str(path), args.format == "structured")
@@ -199,6 +204,7 @@ def _cmd_entail(args: argparse.Namespace) -> int:
         print(f"{path}: no entailment queries found", file=sys.stderr)
         return EXIT_ERROR
     fresh = FreshNames()
+    depth = args.unfold_depth or _default_depth()
     any_failed = False
     for i, (ant_text, con_text) in enumerate(queries, 1):
         ant_f = term_to_formula(parse_term(ant_text))
@@ -208,7 +214,7 @@ def _cmd_entail(args: argparse.Namespace) -> int:
         proved = None
         for ant in ants:
             for con in cons:
-                res = prove(ant, con, depth=args.unfold_depth)
+                res = prove(ant, con, depth=depth)
                 if isinstance(res, Proved):
                     proved = res
                     break
@@ -253,7 +259,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--unfold-depth",
             type=_unfold_depth,
-            default=_default_depth(),
             help=f"predicate unfold bound (default 4, env {DEPTH_ENV})",
         )
 
@@ -288,18 +293,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call; parsing
+    leaves it unchanged, so every later call reuses it."""
+    return build_arg_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except HeapcheckError as e:
+    except (OSError, UnicodeDecodeError, HeapcheckError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import DATA, data_path, data_text, validate_dot
 
-from heapcheck import termir
+from heapcheck import cli, termir
 from heapcheck.cli import main
 from heapcheck.parser import parse_program
 
@@ -412,3 +412,233 @@ def test_verify_term_on_a_long_walk_matches_verify(tmp_path):
         assert direct[0] == term[0] == 0
         assert term[1] == direct[1].replace("walk.oc", "walk.plt")
         assert f"walk{n}: Verified" in term[1]
+
+
+# The whole argument-parsing surface, recorded before the parser was built
+# once per process: each row is an argument list and its exact (exit code,
+# stdout, stderr). argparse wraps help text to the terminal width, so the
+# table runs with COLUMNS=80.
+_TOP_USAGE = "usage: heapcheck [-h] {verify,emit-term,verify-term,run,entail} ...\n"
+_VERIFY_USAGE = (
+    "usage: heapcheck verify [-h] [--format {human,structured}] [--emit-proof DIR]\n"
+    "                        [--unfold-depth UNFOLD_DEPTH]\n"
+    "                        file\n"
+)
+_DEPTH_HELP = (
+    "  --unfold-depth UNFOLD_DEPTH\n"
+    "                        predicate unfold bound (default 4, env\n"
+    "                        HEAPCHECK_UNFOLD_DEPTH)\n"
+)
+CLI_SURFACE = [
+    ("help", ["--help"], (0, _TOP_USAGE + (
+        "\n"
+        "Static verifier for dynamically allocated memory in an annotated object-\n"
+        "oriented C dialect.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {verify,emit-term,verify-term,run,entail}\n"
+        "    verify              verify an annotated source file\n"
+        "    emit-term           lower a source file to a .plt term file\n"
+        "    verify-term         verify a .plt term file\n"
+        "    run                 run a program on the concrete interpreter\n"
+        "    entail              answer entailment queries from a .q file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), "")),
+    ("verify-help", ["verify", "--help"], (0, _VERIFY_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {human,structured}\n"
+        "  --emit-proof DIR      write .dot and .pt.json proofs\n"
+    ) + _DEPTH_HELP, "")),
+    ("verify-term-help", ["verify-term", "--help"], (0, (
+        "usage: heapcheck verify-term [-h] [--format {human,structured}]\n"
+        "                             [--emit-proof DIR] [--unfold-depth UNFOLD_DEPTH]\n"
+        "                             file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {human,structured}\n"
+        "  --emit-proof DIR\n"
+    ) + _DEPTH_HELP, "")),
+    ("emit-term-help", ["emit-term", "--help"], (0, (
+        "usage: heapcheck emit-term [-h] [-o OUTPUT] file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  -o OUTPUT, --output OUTPUT\n"
+    ), "")),
+    ("run-help", ["run", "--help"], (0, (
+        "usage: heapcheck run [-h] [--fuel FUEL] file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --fuel FUEL\n"
+    ), "")),
+    ("entail-help", ["entail", "--help"], (0, (
+        "usage: heapcheck entail [-h] [--unfold-depth UNFOLD_DEPTH] file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ) + _DEPTH_HELP, "")),
+    ("no-arguments", [], (2, "", _TOP_USAGE
+        + "heapcheck: error: the following arguments are required: command\n")),
+    ("unknown-command", ["frobnicate"], (2, "", _TOP_USAGE
+        + "heapcheck: error: argument command: invalid choice: 'frobnicate' "
+          "(choose from 'verify', 'emit-term', 'verify-term', 'run', 'entail')\n")),
+    ("missing-file", ["verify"], (2, "", _VERIFY_USAGE
+        + "heapcheck verify: error: the following arguments are required: file\n")),
+    ("format-xml", ["verify", "f.oc", "--format", "xml"], (2, "", _VERIFY_USAGE
+        + "heapcheck verify: error: argument --format: invalid choice: 'xml' "
+          "(choose from 'human', 'structured')\n")),
+    ("depth-0", ["verify", "f.oc", "--unfold-depth", "0"], (2, "", _VERIFY_USAGE
+        + "heapcheck verify: error: argument --unfold-depth: must be at least 1, got 0\n")),
+    ("depth-minus-1", ["verify", "f.oc", "--unfold-depth", "-1"], (2, "", _VERIFY_USAGE
+        + "heapcheck verify: error: argument --unfold-depth: must be at least 1, got -1\n")),
+    ("depth-two", ["verify", "f.oc", "--unfold-depth", "two"], (2, "", _VERIFY_USAGE
+        + "heapcheck verify: error: argument --unfold-depth: invalid int value: 'two'\n")),
+    ("unknown-option", ["verify", "f.oc", "--frob"], (2, "", _TOP_USAGE
+        + "heapcheck: error: unrecognized arguments: --frob\n")),
+    ("fuel-x", ["run", "f.oc", "--fuel", "x"], (2, "", (
+        "usage: heapcheck run [-h] [--fuel FUEL] file\n"
+        "heapcheck run: error: argument --fuel: invalid int value: 'x'\n"))),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [row[1:] for row in CLI_SURFACE],
+                         ids=[row[0] for row in CLI_SURFACE])
+def test_cli_surface(monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*argv) == expected
+
+
+def test_cli_surface_twice_in_one_process(monkeypatch):
+    # a parser reused across calls carries nothing from one call to the next
+    monkeypatch.setenv("COLUMNS", "80")
+    for _, argv, expected in CLI_SURFACE + CLI_SURFACE[::-1]:
+        assert run_cli(*argv) == expected, argv
+
+
+def test_format_does_not_carry_over_to_the_next_call():
+    src = str(data_path("ex2.oc"))
+    code, out, _ = run_cli("verify", src, "--format", "structured")
+    assert code == 1 and all(line.startswith("{") for line in out.splitlines())
+    code, out, _ = run_cli("verify", src)
+    assert code == 1 and out.endswith(f"{src}: verified 0, refuted 1, inconclusive 0\n")
+
+
+def test_unfold_depth_env_is_read_at_each_call(tmp_path, monkeypatch):
+    # the depth handed to the verifier and the prover, not a verdict, since
+    # which verdicts depend on the depth may change
+    depths = []
+
+    def verify(term, depth):
+        depths.append(depth)
+        return []
+
+    real_prove = cli.prove
+
+    def prove(ant, con, depth):
+        depths.append(depth)
+        return real_prove(ant, con, depth=depth)
+
+    monkeypatch.setattr(cli, "verify_program_term", verify)
+    monkeypatch.setattr(cli, "prove", prove)
+    src = tmp_path / "f.oc"
+    src.write_text("int f() { }")
+    query = tmp_path / "q.q"
+    query.write_text("entail. x->1 |- x->1.\n")
+    for command, path in (("verify", src), ("entail", query)):
+        depths.clear()
+        monkeypatch.setenv("HEAPCHECK_UNFOLD_DEPTH", "8")
+        assert run_cli(command, str(path))[0] == 0
+        monkeypatch.delenv("HEAPCHECK_UNFOLD_DEPTH")
+        assert run_cli(command, str(path))[0] == 0
+        monkeypatch.setenv("HEAPCHECK_UNFOLD_DEPTH", "8")
+        assert run_cli(command, str(path), "--unfold-depth", "6")[0] == 0
+        assert depths == [8, 4, 6], command
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    real_build = cli.build_arg_parser
+
+    def build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_arg_parser", build)
+    cli._arg_parser.cache_clear()
+    assert run_cli("verify", str(data_path("ex2.oc")))[0] == 1
+    assert run_cli("emit-term", str(data_path("ex2.oc")), "-o", str(tmp_path / "ex2.plt"))[0] == 0
+    assert run_cli("entail", str(data_path("queries.q")))[0] == 1
+    assert built == [1]
+    # the reused parser looks the verifier and the prover up at each call,
+    # so the benchmark's capture hooks still see them
+    seen = []
+    real_verify, real_prove = cli.verify_program_term, cli.prove
+    monkeypatch.setattr(cli, "verify_program_term",
+                        lambda *a, **k: seen.append("verify") or real_verify(*a, **k))
+    monkeypatch.setattr(cli, "prove", lambda *a, **k: seen.append("prove") or real_prove(*a, **k))
+    run_cli("verify", str(data_path("ex2.oc")))
+    run_cli("entail", str(data_path("queries.q")))
+    assert seen[0] == "verify" and set(seen[1:]) == {"prove"}
+    assert built == [1]
+
+
+def test_import_builds_no_parser():
+    code = "import heapcheck.cli as cli; print(cli._arg_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(__file__).parent.parent)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+# An input that cannot be read or decoded is a usage error (exit 2) with one
+# error line, not a traceback and the exit code of a refutation.
+UNREADABLE = [
+    ("verify-directory", ["verify", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ("verify-term-directory", ["verify-term", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ("emit-term-directory", ["emit-term", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ("run-directory", ["run", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ("entail-directory", ["entail", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
+    ("verify-bytes", ["verify", "{bytes}"], "{decode}"),
+    ("verify-term-bytes", ["verify-term", "{bytes}"], "{decode}"),
+    ("emit-term-bytes", ["emit-term", "{bytes}"], "{decode}"),
+    ("run-bytes", ["run", "{bytes}"], "{decode}"),
+    ("entail-bytes", ["entail", "{bytes}"], "{decode}"),
+    ("emit-proof-under-a-file", ["verify", "{ok}", "--emit-proof", "{ok}/x"],
+     "[Errno 20] Not a directory: '{ok}/x'"),
+]
+
+
+@pytest.mark.parametrize("argv, error", [row[1:] for row in UNREADABLE],
+                         ids=[row[0] for row in UNREADABLE])
+def test_unreadable_input_is_a_usage_error(tmp_path, argv, error):
+    (tmp_path / "d.oc").mkdir()
+    (tmp_path / "bytes.oc").write_bytes(b"\xff\xfe int f() { }")
+    (tmp_path / "ok.oc").write_text("int f() { }")
+    names = {
+        "dir": tmp_path / "d.oc",
+        "bytes": tmp_path / "bytes.oc",
+        "ok": tmp_path / "ok.oc",
+        "decode": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }
+    argv = [arg.format(**names) for arg in argv]
+    assert run_cli(*argv) == (2, "", f"error: {error.format(**names)}\n")
