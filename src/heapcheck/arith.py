@@ -8,7 +8,13 @@ equalities are then single-source Dijkstra runs on reduced costs (Cotton &
 Maler, SAT 2006).  Everything outside that fragment degrades to Unknown,
 never to a wrong verdict.  Sat answers always carry a verified witness.
 
-Each ``PureSet`` builds its solver once, on first use, and keeps it.  The
+Each ``PureSet`` makes its solver once, on first use, and keeps it.  A set
+derived from another (``add``, ``extend``, ``grown``) makes it by copying
+the solver its parent has built and asserting only the new atoms and
+locations, the way an incremental congruence closure extends its store
+(Nieuwenhuis & Oliveras, "Fast Congruence Closure and Extensions", I&C
+2007); ``entails`` checks the negated atom on a one-step copy and drops it.
+There is no undo trail: a copy of the tables is the whole mechanism.  The
 separation of a heap's points-to locations arrives as the set's
 ``separated`` tuple (pairwise distinct, none nil) instead of O(n^2)
 disequality atoms.  A ``ClassIndex`` groups terms by their class under one
@@ -24,7 +30,8 @@ linear arithmetic.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+import operator
+from itertools import combinations, count
 from typing import Optional
 
 from .formula import (
@@ -275,29 +282,60 @@ def _children(key) -> tuple:
     return ()
 
 
+_VERSIONS = count(1)
+
+
 class _Solver:
     """Congruence closure + difference-constraint graph for one pure set.
 
-    Queries may intern new terms; ``version`` counts the unions and new
-    constants that change the graph, so the graph is rebuilt only then.
+    A solver is only ever grown: ``_Solver(atoms, separated, base)`` copies
+    the tables of ``base`` (or starts from empty ones) and asserts ``atoms``
+    and ``separated`` after everything ``base`` asserted.  ``base`` itself
+    is left as it was.
+
+    Queries may intern new terms; ``version`` moves on the unions and new
+    constants that change the classes or the graph, to a number no other
+    solver state has had, so two solvers at one version have the same
+    classes for the terms they share.  The graph is rebuilt when the version
+    or the number of edges moves.
     """
 
     ZERO = ("int", 0)
 
-    def __init__(self, atoms: tuple[PureAtomT, ...], separated: tuple[SymExpr, ...]):
-        self.atoms = atoms
-        self.separated = separated
-        self.parent: dict = {}
-        self.const: dict = {}  # rep -> pinned integer
-        self.sig: dict = {}  # (functor-ish, child reps) -> rep
-        self.parents_of: dict = {}  # rep -> set of composite keys using it
-        self.contradiction = False
-        self.diseqs: list[tuple] = []
-        self.sep_keys: list = []
-        self.edges: list[tuple] = []  # (x, y, c) meaning x - y <= c, over keys
-        self.version = 0
-        self._graph_memo: Optional[tuple[int, _Graph]] = None
-        self._build()
+    def __init__(
+        self,
+        atoms: tuple[PureAtomT, ...],
+        separated: tuple[SymExpr, ...],
+        base: Optional["_Solver"] = None,
+    ):
+        if base is None:
+            self.atoms: tuple[PureAtomT, ...] = ()
+            self.separated: tuple[SymExpr, ...] = ()
+            self.parent: dict = {}
+            self.const: dict = {}  # rep -> pinned integer
+            self.sig: dict = {}  # (functor-ish, child reps) -> rep
+            self.parents_of: dict = {}  # rep -> set of composite keys using it
+            self.contradiction = False
+            self.diseqs: list[tuple] = []
+            self.sep_keys: list = []
+            self.sep_reps: tuple[int, set] = (0, set())  # (version, reps of sep_keys)
+            self.edges: list[tuple] = []  # (x, y, c) meaning x - y <= c, over keys
+            self.version = next(_VERSIONS)
+            self._graph_memo: Optional[tuple[tuple[int, int], _Graph]] = None
+        else:
+            self.atoms, self.separated = base.atoms, base.separated
+            self.parent = base.parent.copy()
+            self.const = base.const.copy()
+            self.sig = base.sig.copy()
+            self.parents_of = {rep: set(keys) for rep, keys in base.parents_of.items()}
+            self.contradiction = base.contradiction
+            self.diseqs = base.diseqs.copy()
+            self.sep_keys = base.sep_keys.copy()
+            self.sep_reps = base.sep_reps  # replaced, never changed in place
+            self.edges = base.edges.copy()
+            self.version = base.version
+            self._graph_memo = base._graph_memo  # a graph is never changed once built
+        self._assert(atoms, separated)
 
     # union-find ------------------------------------------------------------
 
@@ -307,7 +345,7 @@ class _Solver:
         self.parent[key] = key
         if key[0] == "int":
             self.const[key] = key[1]
-            self.version += 1
+            self.version = next(_VERSIONS)
             return
         children = _children(key)
         if children:
@@ -352,7 +390,7 @@ class _Solver:
         if cb is None and ca is not None:
             ra, rb = rb, ra
         self.parent[ra] = rb
-        self.version += 1
+        self.version = next(_VERSIONS)
         if self.const.get(ra) is not None:
             self.const[rb] = self.const[ra]
         moved = self.parents_of.pop(ra, set())
@@ -362,8 +400,13 @@ class _Solver:
 
     # construction ------------------------------------------------------------
 
-    def _build(self) -> None:
-        for op, l, r in self.atoms:
+    def _assert(self, atoms: tuple[PureAtomT, ...], separated: tuple[SymExpr, ...]) -> None:
+        self.atoms += atoms
+        self.separated += separated
+        if self.contradiction:
+            return
+        version, n_diseqs, n_seps = self.version, len(self.diseqs), len(self.sep_keys)
+        for op, l, r in atoms:
             lk, rk = canon_key(l), canon_key(r)
             self._intern(lk)
             self._intern(rk)
@@ -374,18 +417,34 @@ class _Solver:
             self._add_linear(op, l, r)
             if self.contradiction:
                 return
-        for loc in self.separated:
+        for loc in separated:
             key = canon_key(loc)
             self._intern(key)
             self._intern(self.ZERO)
             self.sep_keys.append(key)
-        for lk, rk in self.diseqs:
+        # once classes have moved, every disequality and location is checked
+        # again; otherwise only the new ones
+        moved = self.version != version
+        for lk, rk in self.diseqs if moved else self.diseqs[n_diseqs:]:
             if self.find(lk) == self.find(rk):
                 self.contradiction = True
                 return
-        reps = [self.find(k) for k in self.sep_keys]
-        if len(set(reps)) < len(reps) or (reps and self.find(self.ZERO) in reps):
-            self.contradiction = True
+        if moved or self.sep_reps[0] != version:
+            self._separate(self.sep_keys, set())
+        elif len(self.sep_keys) > n_seps:
+            self._separate(self.sep_keys[n_seps:], set(self.sep_reps[1]))
+
+    def _separate(self, keys: list, reps: set) -> None:
+        """Add the classes of ``keys`` to ``reps``, the classes of the other
+        separated locations; a shared class or the zero class contradicts."""
+        zero = self.find(self.ZERO) if keys else None
+        for key in keys:
+            rep = self.find(key)
+            if rep in reps or rep == zero:
+                self.contradiction = True
+                return
+            reps.add(rep)
+        self.sep_reps = (self.version, reps)
 
     def _add_linear(self, op: str, l: SymExpr, r: SymExpr) -> None:
         const, terms = linear_form(ArithExpr("-", l, r))
@@ -435,8 +494,9 @@ class _Solver:
     # difference graph ----------------------------------------------------------
 
     def _graph(self) -> _Graph:
-        if self._graph_memo is None or self._graph_memo[0] != self.version:
-            self._graph_memo = (self.version, _Graph(self))
+        at = (self.version, len(self.edges))
+        if self._graph_memo is None or self._graph_memo[0] != at:
+            self._graph_memo = (at, _Graph(self))
         return self._graph_memo[1]
 
     def check(self) -> SatResult:
@@ -524,7 +584,7 @@ class _Solver:
             lv, rv = _eval_key(l, env), _eval_key(r, env)
             if lv is None or rv is None:
                 return False
-            if not _cmp(op, lv, rv):
+            if not _CMP[op](lv, rv):
                 return False
         locs = [_eval_key(loc, env) for loc in self.separated]
         if None in locs or 0 in locs:
@@ -547,15 +607,14 @@ def _eval_key(e: SymExpr, env: dict) -> Optional[int]:
     return None
 
 
-def _cmp(op: str, a: int, b: int) -> bool:
-    return {
-        "==": a == b,
-        "!=": a != b,
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-    }[op]
+_CMP = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 # --------------------------------------------------------------------------
@@ -569,29 +628,45 @@ class PureSet(Frozen):
 
     ``separated`` holds locations known to be pairwise distinct and non-nil
     (the points-to locations of a heap) without spelling out their O(n^2)
-    disequalities.  The solver is built on first use and kept on the set.
+    disequalities.  The solver is made on first use and kept on the set.  A
+    set derived from another (``add``, ``extend``, ``grown``) makes its
+    solver by extending the one its parent has built, asserting only what is
+    new; until then it holds that built solver, never an unbuilt parent.
     """
 
     atoms: tuple[PureAtomT, ...] = ()
     separated: tuple[SymExpr, ...] = ()
 
     def add(self, op: str, left: SymExpr, right: SymExpr) -> "PureSet":
-        return PureSet(self.atoms + ((op, left, right),), self.separated)
+        return self.grown(self.atoms + ((op, left, right),), self.separated)
 
     def extend(self, more: "PureSet") -> "PureSet":
-        return PureSet(self.atoms + more.atoms, self.separated + more.separated)
+        return self.grown(self.atoms + more.atoms, self.separated + more.separated)
+
+    def grown(self, atoms: tuple[PureAtomT, ...], separated: tuple[SymExpr, ...]) -> "PureSet":
+        """The set of ``atoms`` and ``separated``, which start with this
+        set's own; its solver will extend this set's."""
+        child = PureSet(atoms, separated)
+        memo = self.__dict__
+        base = memo.get("_solver") or memo.get("_base")
+        if base is not None:
+            child.__dict__["_base"] = base
+        return child
 
     @lazy
     def _solver(self) -> _Solver:
-        return _Solver(self.atoms, self.separated)
+        base = self.__dict__.pop("_base", None)
+        if base is None:
+            return _Solver(self.atoms, self.separated)
+        return _Solver(self.atoms[len(base.atoms):], self.separated[len(base.separated):], base)
 
     def check_sat(self) -> SatResult:
         return self._solver.check()
 
     def entails(self, op: str, left: SymExpr, right: SymExpr) -> str:
-        """yes / no / unknown for this set entailing the comparison atom."""
-        negated = self.add(NEGATED_CMP[op], left, right)
-        res = negated.check_sat()
+        """yes / no / unknown for this set entailing the comparison atom: the
+        negated atom is checked on a copy of this set's solver, then dropped."""
+        res = _Solver(((NEGATED_CMP[op], left, right),), (), self._solver).check()
         if res.status == UNSAT:
             return YES
         if res.status == SAT:
@@ -627,14 +702,24 @@ class ClassIndex:
     that bounds force equal to it, and every expression when the set is
     contradictory.  Entries come in tag order.  The table is built on the
     first ``find``.  Representatives move only when classes merge, which
-    moves the solver's ``version``; the table is then rebuilt.
+    moves the solver's ``version``; the table is then rebuilt.  An index
+    made by ``grown`` starts its table from its parent's while the solver is
+    still at the version that table was built at.
     """
 
-    def __init__(self, pure: PureSet, entries: list[tuple[SymExpr, int]]):
+    def __init__(self, pure: PureSet, entries: list[tuple[SymExpr, object]]):
         self._pure = pure
         self._entries = entries
         self._version = -1
-        self._by_class: dict = {}
+        self._by_class: dict = {}  # representative -> tags
+        self._base: Optional[ClassIndex] = None
+
+    def grown(self, pure: PureSet, more: list[tuple[SymExpr, object]]) -> "ClassIndex":
+        """An index of this index's entries and then ``more`` under ``pure``,
+        whose solver extends this index's."""
+        index = ClassIndex(pure, self._entries + more if more else self._entries)
+        index._base = self if self._version >= 0 else self._base
+        return index
 
     def first(self, e: SymExpr) -> Optional[int]:
         """The first tag of ``find(e)``.  Like ``PureSet.equal``, it needs no
@@ -647,7 +732,7 @@ class ClassIndex:
         found = self.find(e)
         return found[0] if found else None
 
-    def find(self, e: SymExpr) -> list[int]:
+    def find(self, e: SymExpr) -> list:
         if not self._entries:
             return []
         key = canon_key(e)
@@ -666,12 +751,24 @@ class ClassIndex:
         return sorted(t for r in graph.forced_class(rep) for t in self._by_class.get(r, ()))
 
     def _table(self, solver: _Solver) -> dict:
-        by_class: dict = {}
-        for e, tag in self._entries:
-            key = canon_key(e)
-            solver._intern(key)
-            by_class.setdefault(solver.find(key), []).append(tag)
+        base, self._base = self._base, None
+        if base is None or base._version != solver.version:
+            return _classes(solver, self._entries)
+        # the base's tag lists are shared, so a class that gains a tag gets a new list
+        by_class = base._by_class.copy()
+        for rep, tags in _classes(solver, self._entries[len(base._entries):]).items():
+            by_class[rep] = by_class.get(rep, []) + tags
         return by_class
+
+
+def _classes(solver: _Solver, entries: list) -> dict:
+    """The tags of ``entries`` by the class of each entry's term."""
+    by_class: dict = {}
+    for e, tag in entries:
+        key = canon_key(e)
+        solver._intern(key)
+        by_class.setdefault(solver.find(key), []).append(tag)
+    return by_class
 
 
 # --------------------------------------------------------------------------

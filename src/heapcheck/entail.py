@@ -55,6 +55,12 @@ class SymHeap(Frozen):
     built on first use, its canonical text and an index of its spatial atoms
     by the solver class of their addresses (``cell_at`` and friends), which
     stands in for scanning the atoms with ``PureSet.equal``.
+
+    A heap derived by adding pure atoms or spatial atoms at the end
+    (``add_pure``, ``with_atom``, ``star``, ``released``) grows its parent's
+    ``sep_pure`` and indexes, where the parent has them, so their solver
+    extends the parent's instead of being built again.  A heap that only
+    changes the value of a cell (``replace_atom``) shares them.
     """
 
     pure: PureSet = field(default_factory=PureSet)
@@ -63,22 +69,59 @@ class SymHeap(Frozen):
 
     def star(self, other: "SymHeap") -> "SymHeap":
         """``self * other``, under the existentials of ``self``."""
-        return SymHeap(self.pure.extend(other.pure), self.spatial + other.spatial, self.existentials)
+        return self._grown(self.pure.extend(other.pure), other.spatial)
 
     def with_atom(self, atom: SpatialAtom) -> "SymHeap":
-        return SymHeap(self.pure, self.spatial + (atom,), self.existentials)
+        return self._grown(self.pure, (atom,))
 
     def without(self, atom: SpatialAtom) -> "SymHeap":
         out = list(self.spatial)
         out.remove(atom)
-        return SymHeap(self.pure, tuple(out), self.existentials)
+        heap = SymHeap(self.pure, tuple(out), self.existentials)
+        if isinstance(atom, fm.PredApp):
+            self._share(heap, "_sep_pure")
+        return heap
 
     def replace_atom(self, old: SpatialAtom, new: SpatialAtom) -> "SymHeap":
-        out = [new if a == old else a for a in self.spatial]
-        return SymHeap(self.pure, tuple(out), self.existentials)
+        if isinstance(old, fm.PointsTo):
+            # an atom equal to ``old`` is located in its class
+            at = [i for i in self.cells_at(old.loc) if self.spatial[i] == old]
+        else:
+            at = [i for i, a in enumerate(self.spatial) if a == old]
+        out = list(self.spatial)
+        for i in at:
+            out[i] = new
+        heap = SymHeap(self.pure, tuple(out), self.existentials)
+        if isinstance(old, fm.PointsTo) and isinstance(new, fm.PointsTo) and old.loc == new.loc:
+            self._share(heap, "_sep_pure", "_cells", "_args")
+        return heap
 
     def add_pure(self, op: str, l: fm.SymExpr, r: fm.SymExpr) -> "SymHeap":
-        return SymHeap(self.pure.add(op, l, r), self.spatial, self.existentials)
+        return self._grown(self.pure.add(op, l, r))
+
+    def _grown(self, pure: PureSet, added: tuple[SpatialAtom, ...] = ()) -> "SymHeap":
+        """This heap with ``pure``, whose atoms start with this heap's, and
+        with ``added`` after its spatial atoms."""
+        heap = SymHeap(pure, self.spatial + added, self.existentials)
+        sep = self.__dict__.get("_sep_pure")
+        if sep is None or pure.separated != self.pure.separated:
+            return heap
+        locs = tuple(a.loc for a in added if isinstance(a, fm.PointsTo))
+        sep = heap.__dict__["_sep_pure"] = sep.grown(pure.atoms, sep.separated + locs)
+        n = len(self.spatial)
+        cells = self.__dict__.get("_cells")
+        if cells is not None:
+            heap.__dict__["_cells"] = cells.grown(sep, _cell_entries(added, n))
+        args = self.__dict__.get("_args")
+        if args is not None:
+            heap.__dict__["_args"] = args.grown(sep, _arg_entries(added, n))
+        return heap
+
+    def _share(self, heap: "SymHeap", *memos: str) -> None:
+        for name in memos:
+            value = self.__dict__.get(name)
+            if value is not None:
+                heap.__dict__[name] = value
 
     def sep_pure(self) -> PureSet:
         """Pure part together with the separation of the spatial part."""
@@ -87,7 +130,7 @@ class SymHeap(Frozen):
     @lazy
     def _sep_pure(self) -> PureSet:
         locs = tuple(a.loc for a in self.spatial if isinstance(a, fm.PointsTo))
-        return PureSet(self.pure.atoms, self.pure.separated + locs)
+        return self.pure.grown(self.pure.atoms, self.pure.separated + locs)
 
     # Spatial atoms by the solver class of an anchor under ``sep_pure``.  A
     # lookup gives the positions, in spatial order, that a scan with
@@ -112,17 +155,11 @@ class SymHeap(Frozen):
 
     @lazy
     def _cells(self) -> ClassIndex:
-        atoms = enumerate(self.spatial)
-        return ClassIndex(self.sep_pure(), [(a.loc, i) for i, a in atoms if isinstance(a, fm.PointsTo)])
+        return ClassIndex(self.sep_pure(), _cell_entries(self.spatial))
 
     @lazy
     def _args(self) -> ClassIndex:
-        # tagged (atom position, argument position)
-        atoms = enumerate(self.spatial)
-        return ClassIndex(
-            self.sep_pure(),
-            [(x, (i, k)) for i, a in atoms if isinstance(a, fm.PredApp) for k, x in enumerate(a.args)],
-        )
+        return ClassIndex(self.sep_pure(), _arg_entries(self.spatial))
 
     def released(self, gone: Iterable[SpatialAtom]) -> "SymHeap":
         """Keep as pure facts that the cells ``gone``, which just left the heap,
@@ -131,8 +168,7 @@ class SymHeap(Frozen):
         facts = tuple(("!=", g.loc, loc) for g in gone if isinstance(g, fm.PointsTo) for loc in locs)
         if not facts:
             return self
-        pure = PureSet(self.pure.atoms + facts, self.pure.separated)
-        return SymHeap(pure, self.spatial, self.existentials)
+        return self._grown(self.pure.grown(self.pure.atoms + facts, self.pure.separated))
 
     def consistent(self) -> bool:
         return self.sep_pure().check_sat().status != UNSAT
@@ -152,6 +188,23 @@ class SymHeap(Frozen):
 
     def sorted_spatial(self) -> list[SpatialAtom]:
         return sorted(self.spatial, key=fm.star_key)
+
+
+def _cell_entries(atoms: Iterable[SpatialAtom], start: int = 0) -> list:
+    """The locations of the points-to atoms among ``atoms``, tagged with
+    their positions, numbered from ``start``."""
+    return [(a.loc, i) for i, a in enumerate(atoms, start) if isinstance(a, fm.PointsTo)]
+
+
+def _arg_entries(atoms: Iterable[SpatialAtom], start: int = 0) -> list:
+    """The arguments of the predicate instances among ``atoms``, numbered
+    from ``start``, tagged (atom position, argument position)."""
+    return [
+        (x, (i, k))
+        for i, a in enumerate(atoms, start)
+        if isinstance(a, fm.PredApp)
+        for k, x in enumerate(a.args)
+    ]
 
 
 # --------------------------------------------------------------------------

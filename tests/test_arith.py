@@ -1,10 +1,13 @@
+import gc
 import itertools
 import operator
 import random
+import weakref
 
 from heapcheck import arith
 from heapcheck.arith import (
     NO,
+    ClassIndex,
     PureSet,
     SAT,
     UNKNOWN,
@@ -13,7 +16,7 @@ from heapcheck.arith import (
     simplify_expr,
 )
 from heapcheck.entail import SymHeap
-from heapcheck.formula import ArithExpr, IntLit, Nil, PointsTo, Var, pretty, shifted
+from heapcheck.formula import ArithExpr, IntLit, Nil, PointsTo, PredApp, Record, Var, pretty, shifted
 from heapcheck.parser import parse_assertion
 from heapcheck.termir import parse_term, term_to_formula
 
@@ -305,3 +308,234 @@ def test_solver_is_owned_by_the_set():
     assert not hasattr(arith, "_solver_cache")
     p = PureSet().add("<", X, Y)
     assert p._solver is p._solver
+
+
+# -- derived sets extend their parent's solver ----------------------------------
+
+_GROW_VARS = [X, Y, Z, W, P, Q]
+
+
+def _grow_term(rng):
+    roll = rng.random()
+    v = rng.choice(_GROW_VARS)
+    if roll < 0.45:
+        return v
+    if roll < 0.6:
+        return shifted(v, rng.choice((-2, -1, 1, 2, 3)))
+    if roll < 0.7:
+        return ArithExpr("*", v, rng.choice(_GROW_VARS))
+    if roll < 0.8:
+        return Record("node", (("next", v), ("value", rng.choice([IntLit(1), rng.choice(_GROW_VARS)]))))
+    if roll < 0.9:
+        return IntLit(rng.randint(-3, 3))
+    return Nil()
+
+
+def _grow_atom(rng):
+    if rng.random() < 0.03:  # an outright contradiction
+        v = rng.choice(_GROW_VARS)
+        return rng.choice([("!=", v, v), ("<", v, v), ("==", IntLit(1), IntLit(2))])
+    return (rng.choice(list(_OPS)), _grow_term(rng), _grow_term(rng))
+
+
+def _grow_loc(rng):
+    roll = rng.random()
+    if roll < 0.6:
+        return Var(f"c{rng.randint(0, 99)}")
+    if roll < 0.9:
+        return rng.choice(_GROW_VARS)
+    return rng.choice([shifted(rng.choice(_GROW_VARS), 1), Nil()])
+
+
+def _terms_of(pure):
+    """The terms of the set's atoms and locations.  A consistent set's solver
+    has interned them, so queries over them leave its tables as they are."""
+    out = []
+    for _, l, r in pure.atoms:
+        out += [l, r]
+    out += list(pure.separated)
+    return list(dict.fromkeys(out))
+
+
+def _has_record(e) -> bool:
+    if isinstance(e, Record):
+        return True
+    if isinstance(e, ArithExpr):
+        return _has_record(e.left) or _has_record(e.right)
+    return False
+
+
+def _same_as_fresh(grown, rng, in_order):
+    """``grown`` answers as a solver built from scratch over its atoms and
+    locations does."""
+    fresh = PureSet(grown.atoms, grown.separated)
+    assert "_base" not in vars(fresh)
+    got, want = grown.check_sat(), fresh.check_sat()
+    assert got.status == want.status, (grown.atoms, grown.separated)
+    if got.status == SAT:
+        env = {v.name: 0 for v in _GROW_VARS} | got.witness
+        for op, l, r in grown.atoms:
+            if not (_has_record(l) or _has_record(r)):
+                assert _OPS[op](_ev(l, env), _ev(r, env)), (op, l, r, env)
+        if in_order:
+            assert got.witness == want.witness
+    terms = _terms_of(grown)
+    for _ in range(6 if terms else 0):
+        a, b = rng.choice(terms), rng.choice(terms)
+        assert grown.equal(a, b) == fresh.equal(a, b), (a, b)
+    # a contradictory set pins whatever its assertions reached before the
+    # contradiction, and that depends on the order they came in
+    if in_order or not grown._solver.contradiction:
+        for v in _GROW_VARS:
+            assert grown.const_of(v) == fresh.const_of(v)
+    entries = [(t, i) for i, t in enumerate(terms)]
+    index, ref = ClassIndex(grown, entries), ClassIndex(fresh, entries)
+    for t in terms:
+        assert index.find(t) == ref.find(t), t
+
+
+def _in_order(child) -> bool:
+    """Whether the child's solver, not built yet, will assert in the order a
+    build from scratch would: a base with locations, then more atoms, is
+    not that order.  A solver built before was compared then."""
+    if "_solver" in vars(child):
+        return False
+    base = vars(child).get("_base")
+    return base is None or not base.separated or len(child.atoms) == len(base.atoms)
+
+
+def test_grown_sets_match_a_fresh_build():
+    rng = random.Random(27)
+    for _ in range(60):
+        p = PureSet()
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.7:
+                p = p.add(*_grow_atom(rng))
+            else:
+                more = tuple(_grow_atom(rng) for _ in range(rng.randint(0, 2)))
+                locs = tuple(_grow_loc(rng) for _ in range(rng.randint(0, 2)))
+                p = p.extend(PureSet(more, locs))
+            if rng.random() < 0.3:
+                continue  # leave it unbuilt: the next set extends the same built solver
+            order = _in_order(p)
+            _same_as_fresh(p, rng, order)
+            # a query leaves the set's later answers as they were
+            before = p.check_sat()
+            answers = [p.equal(a, b) for a in _terms_of(p) for b in _terms_of(p)]
+            op, l, r = _grow_atom(rng)
+            assert p.entails(op, l, r) == {UNSAT: YES, SAT: NO}.get(
+                p.add(arith.NEGATED_CMP[op], l, r).check_sat().status, UNKNOWN
+            )
+            assert p.distinct(l, r) == (PureSet(p.atoms + (("==", l, r),), p.separated).check_sat().status == UNSAT)
+            assert p.check_sat() == before
+            assert answers == [p.equal(a, b) for a in _terms_of(p) for b in _terms_of(p)]
+
+
+def test_grown_heaps_match_a_fresh_build():
+    rng = random.Random(28)
+    for _ in range(60):
+        h = SymHeap(PureSet(tuple(_grow_atom(rng) for _ in range(rng.randint(0, 2)))))
+        for step in range(rng.randint(1, 10)):
+            cells = [a for a in h.spatial if isinstance(a, PointsTo)]
+            preds = [a for a in h.spatial if isinstance(a, PredApp)]
+            roll = rng.random()
+            if roll < 0.3:
+                h = h.with_atom(PointsTo(_grow_loc(rng), _grow_term(rng)))
+            elif roll < 0.35:
+                h = h.with_atom(PredApp("list", (_grow_loc(rng), _grow_term(rng))))
+            elif roll < 0.5:
+                h = h.add_pure(*_grow_atom(rng))
+            elif roll < 0.65 and cells:
+                old = rng.choice(cells)
+                loc = old.loc if rng.random() < 0.8 else _grow_loc(rng)
+                h = h.replace_atom(old, PointsTo(loc, _grow_term(rng)))
+            elif roll < 0.8 and cells:
+                gone = rng.choice(cells)
+                h = h.without(gone).released([gone])
+            elif roll < 0.85 and preds:
+                h = h.without(rng.choice(preds))
+            else:
+                seps = (_grow_loc(rng),) if rng.random() < 0.3 else ()
+                other = SymHeap(PureSet((_grow_atom(rng),), seps), (PointsTo(_grow_loc(rng), Nil()),))
+                h = h.star(other)
+            if rng.random() < 0.3:
+                continue
+            locs = tuple(a.loc for a in h.spatial if isinstance(a, PointsTo))
+            sep = h.sep_pure()
+            assert sep == PureSet(h.pure.atoms, h.pure.separated + locs)
+            order = _in_order(sep)
+            _same_as_fresh(sep, rng, order)
+            _same_as_fresh(h.pure, rng, _in_order(h.pure))
+            fresh = ClassIndex(PureSet(sep.atoms, sep.separated), [(loc, i) for i, loc in enumerate(locs)])
+            positions = [i for i, a in enumerate(h.spatial) if isinstance(a, PointsTo)]
+            for loc in locs:
+                assert h.cells_at(loc) == [positions[j] for j in fresh.find(loc)], loc
+            args = [(x, (i, k)) for i, a in enumerate(h.spatial) if isinstance(a, PredApp) for k, x in enumerate(a.args)]
+            fresh_args = ClassIndex(PureSet(sep.atoms, sep.separated), args)
+            for x, _ in args:
+                assert h.args_at(x) == [i for i, _ in fresh_args.find(x)], x
+
+
+def test_a_derived_set_does_not_pin_its_parent():
+    parent = PureSet().add("<", X, Y).add("!=", Y, IntLit(3))
+    assert parent.check_sat().status == SAT
+    parent_ref, solver_ref = weakref.ref(parent), weakref.ref(parent._solver)
+    child = parent.add("==", Y, Z)
+    # a set derived from an unbuilt one holds the nearest built solver, never the unbuilt set
+    grandchild = child.add("<=", Z, IntLit(9))
+    assert vars(grandchild)["_base"] is vars(child)["_base"] is parent._solver
+    del child
+    assert grandchild.check_sat().status == SAT
+    assert "_base" not in vars(grandchild)
+    del parent
+    gc.collect()
+    assert parent_ref() is None and solver_ref() is None
+    assert grandchild.equal(Y, Z) and not grandchild.equal(X, Y)
+
+
+def test_a_derived_heap_does_not_pin_its_parent():
+    parent = SymHeap(PureSet(), (PointsTo(X, IntLit(1)),))
+    assert parent.cells_at(X) == [0]
+    refs = [weakref.ref(o) for o in (parent, parent.sep_pure(), parent.sep_pure()._solver)]
+    child = parent.add_pure("!=", Y, Nil()).with_atom(PointsTo(Y, IntLit(2)))
+    assert child.cells_at(Y) == [1] and child.cells_at(X) == [0]
+    del parent
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_a_grown_set_checks_old_facts_once_classes_move():
+    # a disequality or a separated pair of the built parent, broken by a new
+    # equality, makes the child contradictory: it proves any equality
+    for parent in (PureSet().add("!=", X, Y), PureSet(separated=(X, Y))):
+        assert parent.check_sat().status == SAT
+        child = parent.add("==", X, Y)
+        assert child.check_sat().status == UNSAT and child.equal(Z, W)
+    # a query merges y+1's class into a new term, which becomes its
+    # representative; a location in that class is then not a new class
+    base = PureSet((("==", X, Y),), (shifted(Y, 1),))
+    assert base.check_sat().status == SAT
+    assert base.equal(shifted(X, 1), shifted(Y, 1))
+    child = base.grown(base.atoms, base.separated + (shifted(X, 1),))
+    assert child.check_sat().status == UNSAT and child.equal(Z, W)
+
+
+def test_a_grown_index_takes_no_table_from_another_history():
+    # the parent and the child each merge classes after the child copied
+    # the parent's solver; the child must not read the parent's new table
+    U = Var("u")
+    parent = SymHeap(PureSet((("==", U, W),)), (PointsTo(X, IntLit(1)), PointsTo(shifted(W, 1), IntLit(2))))
+    assert parent.cells_at(X) == [0]
+    child = parent.add_pure("==", X, Z)
+    assert child.sep_pure().check_sat().status != UNSAT  # copies the parent's solver; x's class moves
+    assert parent.cells_at(shifted(U, 1)) == [1]  # the parent merges u+1 into w+1's class
+    assert child.cells_at(X) == child.cells_at(Z) == [0]
+    assert child.cells_at(shifted(U, 1)) == [1]
+
+
+def test_a_grown_index_leaves_its_parent_table_alone():
+    parent = SymHeap(PureSet(), (PredApp("list", (X, Nil())),))
+    assert parent.args_at(Nil()) == [0]
+    child = parent.with_atom(PredApp("list", (Y, Nil())))
+    assert child.args_at(Nil()) == [0, 1] and child.roots_at(Y) == [1]
+    assert parent.args_at(Nil()) == [0]

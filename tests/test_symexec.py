@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import data_text, shallow_stack
 
+from heapcheck import arith
 from heapcheck import formula as fm
 from heapcheck.arith import PureSet, linear_form
 from heapcheck.entail import SymHeap
@@ -375,7 +376,7 @@ def walk_source(n: int, tail: tuple[str, ...] = ()) -> str:
     return _function(f"walk{n}", ["x"], f"x->{nodes}", body + list(tail), f"x->{nodes}")
 
 
-def copy_source(n: int) -> str:
+def copy_source(n: int, tail: tuple[str, ...] = ()) -> str:
     """Copy an n-node list into n fresh cells, last node first."""
     nodes = ",".join(f"a{i}" for i in range(n))
     body = ["p0 = x;"] + [f"p{i} = p{i - 1}.next;" for i in range(1, n)]
@@ -384,6 +385,7 @@ def copy_source(n: int) -> str:
         body.append(f"q{i}.value = p{i}.value;")
         body.append(f"q{i}.next = " + (f"q{i + 1};" if i + 1 < n else "null;"))
     body.append("z = q0;")
+    body += tail
     return _function(f"copy{n}", ["x", "z"], f"x->{nodes}", body, f"x->{nodes} * z->{nodes}")
 
 
@@ -715,6 +717,29 @@ def test_binder_and_lookup_work_grows_linearly_on_walks(monkeypatch):
         work[n] = dict(counts)
     for name in ("substitute", "free_vars", "equal"):
         assert work[128][name] <= 2.5 * work[64][name], (name, work)
+
+
+def test_solver_work_grows_linearly_on_copies(monkeypatch):
+    # deterministic counts instead of wall-clock time: solvers built from an
+    # empty one, and the atoms plus locations every solver asserts
+    counts = {"scratch": 0, "asserted": 0}
+    real = arith._Solver.__init__
+
+    def counted(self, atoms, separated, base=None):
+        counts["scratch"] += base is None
+        counts["asserted"] += len(atoms) + len(separated)
+        real(self, atoms, separated, base)
+
+    monkeypatch.setattr(arith._Solver, "__init__", counted)
+    work = {}
+    for n in (16, 32, 64):
+        counts.update(scratch=0, asserted=0)
+        v = only_verdict(copy_source(n, (f"delete(q{n // 2});", f"delete(q{n // 2});")))
+        assert v.status == REFUTED and [d.kind for d in v.diagnostics] == [INVALID_FREE]
+        work[n] = dict(counts)
+    assert work[16]["scratch"] == work[32]["scratch"] == work[64]["scratch"], work
+    for n in (16, 32):
+        assert work[2 * n]["asserted"] <= 2.3 * work[n]["asserted"], work
 
 
 # Every heap access kind against every way of resolving its address: the
