@@ -552,13 +552,20 @@ class _Solver:
                 values[r] = self.const[r]
         if self._try(values):
             return self._assignment(values)
-        # spread classes that no difference edge touches to break collisions
+        # spread classes that no difference edge touches to break collisions,
+        # in the order of their least member: which member represents a
+        # class depends on the order its equalities came in
         touched = {self.find(k) for x, y, _ in self.edges for k in (x, y)}
         if zero is not None:
             touched.add(zero)
+        least: dict = {}
+        for key in self.parent:
+            r = self.find(key)
+            if r not in touched and (r not in least or key < least[r]):
+                least[r] = key
         spread = dict(values)
         step = 1_000_003
-        for i, r in enumerate(sorted(reps - touched)):
+        for i, r in enumerate(sorted(least, key=least.__getitem__)):
             if self.const.get(r) is None:
                 spread[r] = step * (i + 1)
         if self._try(spread):
@@ -704,7 +711,8 @@ class ClassIndex:
     first ``find``.  Representatives move only when classes merge, which
     moves the solver's ``version``; the table is then rebuilt.  An index
     made by ``grown`` starts its table from its parent's while the solver is
-    still at the version that table was built at.
+    still at the version that table was built at.  It keeps only that table,
+    not the parent index, so it does not hold the parent's solver.
     """
 
     def __init__(self, pure: PureSet, entries: list[tuple[SymExpr, object]]):
@@ -712,13 +720,17 @@ class ClassIndex:
         self._entries = entries
         self._version = -1
         self._by_class: dict = {}  # representative -> tags
-        self._base: Optional[ClassIndex] = None
+        # (version, table, number of entries) of the parent's built table
+        self._base: Optional[tuple[int, dict, int]] = None
 
     def grown(self, pure: PureSet, more: list[tuple[SymExpr, object]]) -> "ClassIndex":
         """An index of this index's entries and then ``more`` under ``pure``,
         whose solver extends this index's."""
         index = ClassIndex(pure, self._entries + more if more else self._entries)
-        index._base = self if self._version >= 0 else self._base
+        if self._version >= 0:
+            index._base = (self._version, self._by_class, len(self._entries))
+        else:
+            index._base = self._base
         return index
 
     def first(self, e: SymExpr) -> Optional[int]:
@@ -752,11 +764,12 @@ class ClassIndex:
 
     def _table(self, solver: _Solver) -> dict:
         base, self._base = self._base, None
-        if base is None or base._version != solver.version:
+        if base is None or base[0] != solver.version:
             return _classes(solver, self._entries)
+        _, table, n = base
         # the base's tag lists are shared, so a class that gains a tag gets a new list
-        by_class = base._by_class.copy()
-        for rep, tags in _classes(solver, self._entries[len(base._entries):]).items():
+        by_class = table.copy()
+        for rep, tags in _classes(solver, self._entries[n:]).items():
             by_class[rep] = by_class.get(rep, []) + tags
         return by_class
 

@@ -60,7 +60,7 @@ class SymHeap(Frozen):
     (``add_pure``, ``with_atom``, ``star``, ``released``) grows its parent's
     ``sep_pure`` and indexes, where the parent has them, so their solver
     extends the parent's instead of being built again.  A heap that only
-    changes the value of a cell (``replace_atom``) shares them.
+    changes the value of a cell (``with_value``) shares them.
     """
 
     pure: PureSet = field(default_factory=PureSet)
@@ -77,23 +77,21 @@ class SymHeap(Frozen):
     def without(self, atom: SpatialAtom) -> "SymHeap":
         out = list(self.spatial)
         out.remove(atom)
-        heap = SymHeap(self.pure, tuple(out), self.existentials)
-        if isinstance(atom, fm.PredApp):
-            self._share(heap, "_sep_pure")
-        return heap
+        return SymHeap(self.pure, tuple(out), self.existentials)
 
-    def replace_atom(self, old: SpatialAtom, new: SpatialAtom) -> "SymHeap":
-        if isinstance(old, fm.PointsTo):
-            # an atom equal to ``old`` is located in its class
-            at = [i for i in self.cells_at(old.loc) if self.spatial[i] == old]
-        else:
-            at = [i for i, a in enumerate(self.spatial) if a == old]
+    def with_value(self, cell: fm.PointsTo, value: fm.SymExpr) -> "SymHeap":
+        """Every points-to atom equal to ``cell`` holding ``value`` instead."""
+        new = fm.PointsTo(cell.loc, value)
         out = list(self.spatial)
-        for i in at:
-            out[i] = new
+        # an atom equal to ``cell`` is located in its class
+        for i in self.cells_at(cell.loc):
+            if out[i] == cell:
+                out[i] = new
         heap = SymHeap(self.pure, tuple(out), self.existentials)
-        if isinstance(old, fm.PointsTo) and isinstance(new, fm.PointsTo) and old.loc == new.loc:
-            self._share(heap, "_sep_pure", "_cells", "_args")
+        # the locations stay, so the solver and the indexes do too
+        for name in ("_sep_pure", "_cells", "_args"):
+            if name in self.__dict__:
+                heap.__dict__[name] = self.__dict__[name]
         return heap
 
     def add_pure(self, op: str, l: fm.SymExpr, r: fm.SymExpr) -> "SymHeap":
@@ -116,12 +114,6 @@ class SymHeap(Frozen):
         if args is not None:
             heap.__dict__["_args"] = args.grown(sep, _arg_entries(added, n))
         return heap
-
-    def _share(self, heap: "SymHeap", *memos: str) -> None:
-        for name in memos:
-            value = self.__dict__.get(name)
-            if value is not None:
-                heap.__dict__[name] = value
 
     def sep_pure(self) -> PureSet:
         """Pure part together with the separation of the spatial part."""

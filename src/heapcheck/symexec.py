@@ -496,7 +496,7 @@ class _Engine:
             # the first field write displaces whatever scalar was there
             newval = fm.Record(None, ((fieldname, value),))
             lost = [old]
-        state.heap = state.heap.replace_atom(cell, fm.PointsTo(cell.loc, newval))
+        state.heap = state.heap.with_value(cell, newval)
         self.leak_check(state, lost, span)
 
     # -- contracts ---------------------------------------------------------------
@@ -658,7 +658,7 @@ class _Engine:
             )
             if cell is None:
                 raise _PathFault()
-            state.heap = state.heap.replace_atom(cell, fm.PointsTo(cell.loc, value))
+            state.heap = state.heap.with_value(cell, value)
             self.leak_check(state, [cell.val], span)
             return
         raise AssertionError(f"bad assignment target {lhs!r}")
