@@ -1,7 +1,7 @@
 """Golden outputs: ``verify --format structured`` on every corpus file,
-``entail`` on the query file, the ``--emit-proof`` JSON proof tree of every
-corpus function and the ``emit-term`` ``.plt`` text of every corpus file must
-stay byte-identical to the recorded files in ``tests/data/expected/``.
+``entail`` on the query file, the ``--emit-proof`` DOT graph and JSON proof
+tree of every corpus function and the ``emit-term`` ``.plt`` text of every
+corpus file must stay byte-identical to the recorded files in ``tests/data/expected/``.
 
 The CLI runs from the repository root with repo-relative paths, so the
 ``"file"`` field of each diagnostic is the same on every machine.  After a
@@ -48,13 +48,21 @@ def render(name: str) -> tuple[int, str]:
     return _run("verify", path, "--format", "structured")
 
 
+PROOF_GLOBS = ("*.dot", "*.pt.json")
+
+
 def render_proofs(name: str) -> dict[str, str]:
-    """The ``.pt.json`` proof trees that ``verify --emit-proof`` writes for a
-    corpus file, keyed by the golden file name ``<file>.<function>.pt.json``."""
+    """The ``.dot`` graphs and ``.pt.json`` proof trees that ``verify
+    --emit-proof`` writes for a corpus file, keyed by the golden file name
+    ``<file>.<function>.dot`` or ``<file>.<function>.pt.json``."""
     with tempfile.TemporaryDirectory() as outdir:
         _run("verify", f"tests/data/{name}", "--emit-proof", outdir)
-        trees = sorted(Path(outdir).glob("*.pt.json"))
-        return {f"{name}.{p.name}": p.read_text(encoding="utf-8") for p in trees}
+        proofs = sorted(p for glob in PROOF_GLOBS for p in Path(outdir).glob(glob))
+        return {f"{name}.{p.name}": p.read_text(encoding="utf-8") for p in proofs}
+
+
+def _golden_proofs() -> set[str]:
+    return {p.name for glob in PROOF_GLOBS for p in EXPECTED.glob(glob)}
 
 
 def render_term(name: str) -> str:
@@ -94,7 +102,7 @@ def test_every_golden_file_has_an_input():
     assert recorded == set(CORPUS + [QUERIES])
     assert set(_exit_codes()) == recorded
     trees = {golden for name in CORPUS for golden in render_proofs(name)}
-    assert {p.name for p in EXPECTED.glob("*.pt.json")} == trees
+    assert _golden_proofs() == trees
     assert {p.name[: -len(".plt")] for p in EXPECTED.glob("*.plt")} == set(CORPUS)
 
 
@@ -104,8 +112,8 @@ def _regenerate() -> None:
     for name in CORPUS + [QUERIES]:
         codes[name], out = render(name)
         (EXPECTED / f"{name}.out").write_text(out, encoding="utf-8")
-    for old in EXPECTED.glob("*.pt.json"):
-        old.unlink()
+    for old in _golden_proofs():
+        (EXPECTED / old).unlink()
     for name in CORPUS:
         for golden, text in render_proofs(name).items():
             (EXPECTED / golden).write_text(text, encoding="utf-8")
