@@ -143,10 +143,15 @@ def _print_verdicts(
 
 def _emit_proofs(verdicts: list[Verdict], outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
+    seen: dict[str, int] = {}
     for v in verdicts:
+        # functions of different classes may share a name: the k-th verdict
+        # of a name (k > 1) writes <name>-k, which no identifier can spell
+        seen[v.function] = k = seen.get(v.function, 0) + 1
+        stem = v.function if k == 1 else f"{v.function}-{k}"
         tree = v.proof
-        (outdir / f"{v.function}.dot").write_text(to_dot(tree, DotOptions()), encoding="utf-8")
-        (outdir / f"{v.function}.pt.json").write_text(to_structured(tree), encoding="utf-8")
+        (outdir / f"{stem}.dot").write_text(to_dot(tree, DotOptions()), encoding="utf-8")
+        (outdir / f"{stem}.pt.json").write_text(to_structured(tree), encoding="utf-8")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,5 +1,10 @@
 """Proof trees: rule-application records built during entailment and symbolic
 execution, exportable as DOT graphs and as a JSON structure that round-trips.
+
+Each exporter writes its text in one pre-order pass from an explicit stack, so
+no export recurses on tree depth.  The JSON bytes are those of
+``json.dumps(..., indent=1)`` with ``ensure_ascii``.  A label is still
+rendered once, on its first read.
 """
 
 from __future__ import annotations
@@ -40,9 +45,12 @@ class ProofNode:
         return text
 
     def walk(self) -> Iterator["ProofNode"]:
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """The nodes in pre-order, from an explicit stack."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack += reversed(n.children)
 
 
 @record
@@ -85,39 +93,55 @@ def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+_STYLE = {FAILED: ', style=filled, fillcolor="#f8d0d0"', PRUNED: ", style=dashed"}
+
+
 def to_dot(tree: ProofTree, opts: DotOptions = DotOptions()) -> str:
+    """One pre-order pass: node lines, then edge lines, each in pre-order."""
     lines = [f"digraph {opts.graph_name} {{", "  node [shape=box];"]
-    for n in tree.root.walk():
-        text = "" if opts.verbosity == "rule" else n.input
-        label = f"{n.rule}\n{text}" if text else n.rule
-        attrs = f'label="{_esc(label)}"'
-        if n.outcome == FAILED:
-            attrs += ', style=filled, fillcolor="#f8d0d0"'
-        elif n.outcome == PRUNED:
-            attrs += ', style=dashed'
-        lines.append(f"  n{n.id} [{attrs}];")
-    for n in tree.root.walk():
-        for c in n.children:
-            lines.append(f"  n{n.id} -> n{c.id};")
+    edges = []
+    full = opts.verbosity != "rule"
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        text = n.input if full else ""
+        label = _esc(f"{n.rule}\n{text}" if text else n.rule)
+        lines.append(f'  n{n.id} [label="{label}"{_STYLE.get(n.outcome, "")}];')
+        if n.children:
+            edges += [f"  n{n.id} -> n{c.id};" for c in n.children]
+            stack += reversed(n.children)
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _node_dict(n: ProofNode) -> dict:
-    return {
-        "id": n.id,
-        "rule": n.rule,
-        "input": n.input,
-        "outcome": n.outcome,
-        "children": [_node_dict(c) for c in n.children],
-    }
-
-
 def to_structured(tree: ProofTree) -> str:
-    """Machine-readable export; ``read_structured`` is its inverse."""
-    import json  # imported here, as only the structured export uses it
+    """Machine-readable export; ``read_structured`` is its inverse.  Writes
+    ``json.dumps(<the tree as dicts>, indent=1)`` and a newline in one pass."""
+    # json.dumps's string encoder under ensure_ascii; json loads on export only
+    from json.encoder import encode_basestring_ascii as enc
 
-    return json.dumps(_node_dict(tree.root), indent=1) + "\n"
+    out = []
+    # (text before the node, node at tree depth k), or (closing text, None, 0)
+    stack = [("", tree.root, 0)]
+    while stack:
+        lead, n, k = stack.pop()
+        out.append(lead)
+        if n is None:
+            continue
+        pad = "\n" + " " * (2 * k + 1)  # a newline and the indent of n's keys
+        out.append(f'{{{pad}"id": {n.id},{pad}"rule": {enc(n.rule)},{pad}"input": {enc(n.input)},'
+                   f'{pad}"outcome": {enc(n.outcome)},{pad}"children": ')
+        end = pad[:-1] + "}"
+        if n.children:
+            item = pad + " "
+            stack.append((pad + "]" + end, None, 0))
+            stack += [("," + item, c, k + 1) for c in reversed(n.children)]
+            stack[-1] = ("[" + item, n.children[0], k + 1)
+        else:
+            out.append("[]" + end)
+    out.append("\n")
+    return "".join(out)
 
 
 def _node_from(d: dict) -> ProofNode:
@@ -131,6 +155,7 @@ def _node_from(d: dict) -> ProofNode:
 
 
 def read_structured(text: str) -> ProofTree:
+    """Recursive on tree depth, as ``json.loads`` itself recurses (in C)."""
     import json
 
     return ProofTree(_node_from(json.loads(text)))

@@ -321,6 +321,28 @@ def test_emit_proof_writes_dot_and_structured(tmp_path):
     assert sum(1 for _ in tree.root.walk()) >= 3
 
 
+def test_emit_proof_keeps_each_proof_of_a_shared_function_name(tmp_path):
+    src = tmp_path / "get.oc"
+    src.write_text(
+        "class A { int v; int get() { r = 1; } }\n"
+        "class B { int w; int get() { r = 2; } }\n"
+        "int get() { r = 3; }\n"
+    )
+    proof_dir = tmp_path / "proofs"
+    code, out, _ = run_cli("verify", str(src), "--emit-proof", str(proof_dir))
+    assert code == 0 and out.count("get: Verified") == 3
+    stems = ("get", "get-2", "get-3")  # in verdict order
+    assert sorted(p.name for p in proof_dir.iterdir()) == sorted(
+        f"{s}{ext}" for s in stems for ext in (".dot", ".pt.json")
+    )
+    from heapcheck.prooftree import read_structured
+
+    for stem, value in zip(stems, "123"):
+        assert f"assign(r, {value})" in (proof_dir / f"{stem}.dot").read_text()
+        tree = read_structured((proof_dir / f"{stem}.pt.json").read_text())
+        assert any(n.input == f"assign(r, {value})" for n in tree.root.walk())
+
+
 def test_structured_output_deterministic_across_processes():
     cmd = [
         sys.executable,

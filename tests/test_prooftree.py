@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from heapcheck.prooftree import (
     DotOptions,
     FAILED,
     OK,
+    PRUNED,
     ProofBuilder,
     ProofNode,
     ProofTree,
@@ -86,6 +88,103 @@ def test_dot_validates_for_generated_trees():
         for opts in (DotOptions(), DotOptions(verbosity="rule")):
             n, _ = validate_dot(to_dot(tree, opts))
             assert n == sum(1 for _ in tree.root.walk())
+
+
+# -- the exporters as they were written before the one-pass writers: a
+# recursive walk, DOT from two walks, and json.dumps over a dict copy.  The
+# writers must keep their bytes.
+
+
+def reference_walk(n: ProofNode):
+    yield n
+    for c in n.children:
+        yield from reference_walk(c)
+
+
+def reference_dot(tree: ProofTree, opts: DotOptions = DotOptions()) -> str:
+    lines = [f"digraph {opts.graph_name} {{", "  node [shape=box];"]
+    for n in reference_walk(tree.root):
+        text = "" if opts.verbosity == "rule" else n.input
+        label = f"{n.rule}\n{text}" if text else n.rule
+        esc = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        attrs = f'label="{esc}"'
+        if n.outcome == FAILED:
+            attrs += ', style=filled, fillcolor="#f8d0d0"'
+        elif n.outcome == PRUNED:
+            attrs += ', style=dashed'
+        lines.append(f"  n{n.id} [{attrs}];")
+    for n in reference_walk(tree.root):
+        for c in n.children:
+            lines.append(f"  n{n.id} -> n{c.id};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dict(n: ProofNode) -> dict:
+    return {
+        "id": n.id,
+        "rule": n.rule,
+        "input": n.input,
+        "outcome": n.outcome,
+        "children": [reference_dict(c) for c in n.children],
+    }
+
+
+def reference_structured(tree: ProofTree) -> str:
+    return json.dumps(reference_dict(tree.root), indent=1) + "\n"
+
+
+PIECES = ('"', "\\", "\n", "\t", "\x00", "\x1f", "é", "→", "𝑥", "\u2028", "", "x->5", " ")
+
+
+def adversarial_tree(rng: random.Random, b: ProofBuilder, depth: int) -> ProofNode:
+    """A random tree whose rules and inputs mix quotes, backslashes, control
+    characters, non-ASCII and astral characters, U+2028 and empty strings;
+    some inputs are callable labels, rendered on first read."""
+    children = []
+    if depth > 0:
+        children = [adversarial_tree(rng, b, depth - 1) for _ in range(rng.randint(0, 3))]
+    rule, text = ("".join(rng.choices(PIECES, k=rng.randint(0, 4))) for _ in range(2))
+    label = (lambda: text) if rng.random() < 0.3 else text
+    return b.node(rule, label, rng.choice((OK, FAILED, PRUNED, "other")), children)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_writers_match_the_reference_exporters(seed):
+    rng = random.Random(seed)
+    options = (DotOptions(), DotOptions(verbosity="rule"), DotOptions(graph_name="g_2"),
+               DotOptions(verbosity="rule", graph_name="proof_of_f"))
+    for _ in range(80):
+        tree = ProofTree(adversarial_tree(rng, ProofBuilder(), rng.randint(0, 5)))
+        assert list(tree.root.walk()) == list(reference_walk(tree.root))
+        for opts in options:
+            assert to_dot(tree, opts) == reference_dot(tree, opts)
+        assert to_structured(tree) == reference_structured(tree)
+
+
+def test_rule_only_dot_reads_no_label():
+    b = ProofBuilder()
+
+    def unreadable() -> str:
+        raise AssertionError("a rule-only graph rendered a label")
+
+    tree = ProofTree(b.node("function", unreadable, OK, [b.node("stmt", unreadable)]))
+    assert to_dot(tree, DotOptions(verbosity="rule")) == reference_dot(tree, DotOptions(verbosity="rule"))
+
+
+def test_deep_chain_exports_and_walks():
+    depth = 5000
+    b = ProofBuilder()
+    node = b.node("leaf", 'x"\n')
+    for i in range(depth - 1):
+        node = b.node("step", f"s{i}", OK, [node])
+    tree = ProofTree(node)
+    assert [n.id for n in tree.root.walk()] == list(range(depth - 1, -1, -1))
+    assert validate_dot(to_dot(tree)) == (depth, depth - 1)
+    text = to_structured(tree)
+    assert text.count('"id": ') == depth and text.count('"children": []') == 1
+    assert f'\n{" " * (2 * depth - 1)}"input": "x\\"\\n",\n' in text
+    assert text.endswith('\n  }\n ]\n}\n')
 
 
 def test_node_ids_in_application_order():
