@@ -499,29 +499,32 @@ class _Solver:
             self._graph_memo = (at, _Graph(self))
         return self._graph_memo[1]
 
-    def check(self) -> SatResult:
+    def unsat(self) -> bool:
+        """Whether ``check`` answers UNSAT; it builds no witness."""
         if self.contradiction:
-            return SatResult(UNSAT)
+            return True
         graph = self._graph()
         if graph.negative_cycle:
-            return SatResult(UNSAT)
+            return True
         for lk, rk in self.diseqs:
             ra, rb = self.find(lk), self.find(rk)
             if ra == rb or graph.forced_equal(ra, rb):
-                return SatResult(UNSAT)
+                return True
         if self.sep_keys:
             reps = {self.find(k) for k in self.sep_keys}
             zero = self.find(self.ZERO)
             if len(reps) < len(self.sep_keys) or zero in reps:
-                return SatResult(UNSAT)
+                return True
             # only representatives that an edge touches can be forced equal
             touched = [r for r in reps | {zero} if r in graph.index]
-            if any(graph.forced_equal(a, b) for a, b in combinations(touched, 2)):
-                return SatResult(UNSAT)
-        witness = self._witness(graph)
-        if witness is not None:
-            return SatResult(SAT, witness)
-        return SatResult(UNKNOWN)
+            return any(graph.forced_equal(a, b) for a, b in combinations(touched, 2))
+        return False
+
+    def check(self) -> SatResult:
+        if self.unsat():
+            return SatResult(UNSAT)
+        witness = self._witness(self._graph())
+        return SatResult(UNKNOWN) if witness is None else SatResult(SAT, witness)
 
     def provably_equal(self, lk, rk) -> bool:
         # interning is monotone: it extends the congruence closure with the
@@ -670,15 +673,15 @@ class PureSet(Frozen):
     def check_sat(self) -> SatResult:
         return self._solver.check()
 
+    def unsat(self) -> bool:
+        """``check_sat().status == UNSAT``, without the witness."""
+        return self._solver.unsat()
+
     def entails(self, op: str, left: SymExpr, right: SymExpr) -> str:
         """yes / no / unknown for this set entailing the comparison atom: the
         negated atom is checked on a copy of this set's solver, then dropped."""
-        res = _Solver(((NEGATED_CMP[op], left, right),), (), self._solver).check()
-        if res.status == UNSAT:
-            return YES
-        if res.status == SAT:
-            return NO
-        return UNKNOWN
+        status = _Solver(((NEGATED_CMP[op], left, right),), (), self._solver).check().status
+        return YES if status == UNSAT else NO if status == SAT else UNKNOWN
 
     def equal(self, a: SymExpr, b: SymExpr) -> bool:
         """Provable equality (congruence or zero-weight constraint cycle)."""

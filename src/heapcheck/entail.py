@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, Optional, Union
 
 from . import formula as fm
-from .arith import ClassIndex, PureSet, YES, UNSAT, lazy
+from .arith import ClassIndex, PureSet, YES, lazy
 from .errors import UnknownPredicateError, UnsupportedFormulaError
 from .prooftree import FAILED, OK, PRUNED, ProofBuilder, ProofNode
 from .records import Frozen, field, record
@@ -163,7 +163,7 @@ class SymHeap(Frozen):
         return self._grown(self.pure.grown(self.pure.atoms + facts, self.pure.separated))
 
     def consistent(self) -> bool:
-        return self.sep_pure().check_sat().status != UNSAT
+        return not self.sep_pure().unsat()
 
     def to_formula(self) -> fm.Formula:
         pure = [fm.PureAtom(op, l, r) for op, l, r in self.pure.atoms]
@@ -171,12 +171,16 @@ class SymHeap(Frozen):
         # the last name in sorted order is the outermost binder
         return fm.exists(sorted(self.existentials, reverse=True), fm.join(fm.And, [*pure, out]))
 
+    def key(self) -> fm.Formula:
+        """The normalized formula of this heap; equal keys print equal text."""
+        return fm.normalize(self.to_formula())
+
     def pretty(self) -> str:
         return self._text
 
     @lazy
     def _text(self) -> str:
-        return fm.pretty(fm.normalize(self.to_formula()))
+        return fm.pretty(self.key())
 
     def sorted_spatial(self) -> list[SpatialAtom]:
         return sorted(self.spatial, key=fm.star_key)
@@ -401,7 +405,8 @@ class _Prover:
                         )
                     )
                     return "pure-check"
-                if ant_pure.entails(op, ls, rs) != YES:
+                # ``_prove`` found ``ant`` not UNSAT, so ``equal`` decides == exactly
+                if not (ant_pure.equal(ls, rs) if op == "==" else ant_pure.entails(op, ls, rs) == YES):
                     nodes.append(self.builder.node("pure-check", text, FAILED))
                     return "pure-check"
                 nodes.append(self.builder.node("pure-check", text, OK))
@@ -473,8 +478,8 @@ class _Prover:
             return "depth-exceeded"
         # fold: replace the consequent predicate by one of its body disjuncts
         args = tuple(fm.substitute_expr(a, binding) for a in atom.args)
-        body = pred_body(self.preds, atom.name, args)
-        for i, disjunct in enumerate(formula_to_symheaps(body, self.qfresh, skolemize=False)):
+        d = lookup_pred(self.preds, atom.name, len(args))
+        for i, disjunct in enumerate(pred_cases(d, args, self.qfresh, skolemize=False)):
             new_exist = exist | disjunct.existentials
             new_con = disjunct.spatial + rest
             new_pure = con_pure + disjunct.pure.atoms
@@ -496,7 +501,7 @@ class _Prover:
         for h in (ant, con):
             for a in h.spatial:
                 if isinstance(a, fm.PredApp):
-                    pred_body(self.preds, a.name, a.args)  # raises on a bad name or arity
+                    lookup_pred(self.preds, a.name, len(a.args))
         # rename consequent existentials into the reserved namespace so they
         # can never alias antecedent symbols
         rename = {v: fm.Var(f"$?{i}") for i, v in enumerate(sorted(con.existentials), 1)}
@@ -527,7 +532,7 @@ class _Prover:
         """``ant |- con``, with ``con``'s atoms renamed into the reserved
         namespace as ``con_pure`` and ``con_spatial``; ``con`` itself only
         labels the proof."""
-        if ant.sep_pure().check_sat().status == UNSAT:
+        if ant.sep_pure().unsat():
             node = self.builder.node("pure-contradiction", ant.pretty)
             return Proved(SymHeap(), {}, node)
 
@@ -578,7 +583,7 @@ class _Prover:
                     nearest = "unfold"
                     break
             if all_ok and frames:
-                canon = {f.pretty() for f in frames}
+                canon = {f.key() for f in frames}
                 if len(canon) == 1:
                     root = self.builder.node("entail", label, OK, case_results)
                     return Proved(frames[0], bindings[0], root)
@@ -625,30 +630,42 @@ def unfold(
     With prune=True, disjuncts whose pure part is unsatisfiable are dropped.
     """
     table = preds if preds is not None else fm.builtin_preds()
-    fresh = fresh or FreshNames()
-    body = pred_body(table, inst.name, inst.args)
+    d = lookup_pred(table, inst.name, len(inst.args))
     if inst not in h.spatial:
         raise UnknownPredicateError(f"predicate instance not present: {inst.name}")
     base = h.without(inst)
-    out: list[SymHeap] = []
-    for disjunct in formula_to_symheaps(body, fresh, skolemize=True):
-        merged = base.star(disjunct)
-        if prune and not merged.consistent():
-            continue
-        out.append(merged)
-    return out
+    cases = [base.star(c) for c in pred_cases(d, inst.args, fresh or FreshNames(), skolemize=True)]
+    return [c for c in cases if not prune or c.consistent()]
 
 
-def pred_body(
-    preds: dict[str, fm.PredDef], name: str, args: tuple[fm.SymExpr, ...]
-) -> fm.Formula:
-    """The body of predicate ``name`` with its formals replaced by ``args``;
-    an unknown name or a wrong arity raises."""
+def lookup_pred(preds: dict[str, fm.PredDef], name: str, arity: int) -> fm.PredDef:
+    """The definition of ``name``; an unknown name or a wrong arity raises."""
     d = preds.get(name)
     if d is None:
         raise UnknownPredicateError(f"unknown predicate '{name}'")
-    if len(d.params) != len(args):
-        raise UnknownPredicateError(
-            f"predicate '{name}' takes {len(d.params)} arguments, got {len(args)}"
-        )
-    return fm.substitute(d.body, dict(zip(d.params, args)))
+    if len(d.params) != arity:
+        raise UnknownPredicateError(f"predicate '{name}' takes {len(d.params)} arguments, got {arity}")
+    return d
+
+
+def pred_cases(d: fm.PredDef, args: tuple, fresh: FreshNames, skolemize: bool) -> list[SymHeap]:
+    """``formula_to_symheaps`` of ``d``'s body with its formals replaced by
+    ``args``: the body's cases, converted once with placeholder binders and
+    kept on ``d``, under one simultaneous substitution of the formals and of
+    the binders, by fresh names drawn in the same order."""
+    cases = d.__dict__.get("_cases")
+    if cases is None:
+        # placeholders start with a prefix longer than any free name of ``d``
+        prefix = "#" * max(map(len, {*d.params, *fm.free_vars(d.body)}), default=0)
+        cases = d.__dict__["_cases"] = [
+            (h, sorted(h.existentials, key=lambda v: int(v[len(prefix) + 2:])))
+            for h in formula_to_symheaps(d.body, FreshNames(prefix))
+        ]
+    out, sub = [], fm.substitute_expr
+    for heap, binders in cases:
+        names = [fresh.var("e") for _ in binders]
+        m = dict(zip((*d.params, *binders), (*args, *map(fm.Var, names))))
+        pure = PureSet(tuple((op, sub(l, m), sub(r, m)) for op, l, r in heap.pure.atoms))
+        spatial = tuple(fm.substitute(a, m) for a in heap.spatial)
+        out.append(SymHeap(pure, spatial, frozenset() if skolemize else frozenset(names)))
+    return out

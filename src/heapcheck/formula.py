@@ -13,6 +13,7 @@ form; ``pretty`` prints text that reparses to the same normalized formula.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Any, Callable, Generator, Iterable, Mapping, Sequence
 
@@ -546,12 +547,17 @@ def _canon_binders(f: Formula) -> Formula:
 # --------------------------------------------------------------------------
 
 
-def builtin_preds() -> dict[str, PredDef]:
+@cache
+def _builtins() -> dict[str, PredDef]:
     s, e, t, v = Var("s"), Var("e"), Var("t"), Var("v")
     empty = join(And, [PureAtom("==", s, e), Emp()])
     step = join(Star, [PointsTo(s, node_record(v, t)), PredApp("list", (t, e))])
     body = join(Or, [empty, exists(["t", "v"], step)])
     return {"list": PredDef("list", ("s", "e"), body)}
+
+
+def builtin_preds() -> dict[str, PredDef]:
+    return dict(_builtins())  # a new table of shared definitions, which keep their cases
 
 
 def or_free(f: Formula) -> list[Formula]:

@@ -44,6 +44,11 @@ class ProofNode:
         del self._render
         return text
 
+    def __eq__(self, other: object) -> bool:
+        """Equal fields and children, compared in pre-order, not recursively."""
+        key = lambda n: [(m.id, m.rule, m.input, m.outcome, len(m.children)) for m in n.walk()]
+        return other.__class__ is ProofNode and key(self) == key(other)
+
     def walk(self) -> Iterator["ProofNode"]:
         """The nodes in pre-order, from an explicit stack."""
         stack = [self]
@@ -144,18 +149,38 @@ def to_structured(tree: ProofTree) -> str:
     return "".join(out)
 
 
-def _node_from(d: dict) -> ProofNode:
-    return ProofNode(
-        int(d["id"]),
-        str(d["rule"]),
-        str(d["input"]),
-        str(d["outcome"]),
-        [_node_from(c) for c in d.get("children", [])],
-    )
-
-
 def read_structured(text: str) -> ProofTree:
-    """Recursive on tree depth, as ``json.loads`` itself recurses (in C)."""
-    import json
+    """The inverse of ``to_structured`` at any depth: open arrays and objects wait
+    on an explicit stack, ``json`` decodes only the scalars, and an object
+    becomes a node when it closes."""
+    from json.decoder import WHITESPACE, JSONDecoder
 
-    return ProofTree(_node_from(json.loads(text)))
+    scalar = JSONDecoder().raw_decode
+    stack: list = [(None, [])]  # (closing mark, items) of each open array and object
+    i, item = 0, True  # whether an item (a value, or an object's key) comes next
+    while True:
+        i = WHITESPACE.match(text, i).end()
+        mark = text[i] if i < len(text) and text[i] in "{}[],:" else ""
+        i += len(mark)
+        closer, items = stack[-1]
+        pair = closer == "}" and len(items) % 2  # an object's items alternate keys and values
+        if item and mark in ("{", "["):
+            stack.append(("}" if mark == "{" else "]", []))
+        elif item and not mark and i < len(text):
+            value, i = scalar(text, i)
+            items.append(value)
+            item = False
+        elif mark == closer and not pair and not (item and items):
+            stack.pop()
+            if mark == "}":
+                d = dict(zip(items[::2], items[1::2]))
+                fields = (int(d["id"]), str(d["rule"]), str(d["input"]), str(d["outcome"]))
+                items = ProofNode(*fields, list(d.get("children", [])))
+            stack[-1][1].append(items)
+            item = False
+        elif mark and not item and mark == (":" if pair else ","):
+            item = True
+        elif not (mark or item) and i == len(text) and closer is None and isinstance(items[0], ProofNode):
+            return ProofTree(items[0])
+        else:
+            raise ValueError(f"malformed proof tree at offset {i}")

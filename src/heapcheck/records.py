@@ -3,7 +3,7 @@
 
 ``@record`` reads the class's own field annotations, in order, and writes
 the four methods as one source text, the code ``dataclasses`` writes for the
-same class:
+same class; like ``dataclasses``, it keeps a method the class defines itself:
 
 - ``__init__`` takes the fields as positional-or-keyword parameters, with their
   defaults, calls each ``default_factory`` afresh, and ends with
@@ -107,6 +107,7 @@ def record(cls: type) -> type:
     if frozen:
         source += f"def __hash__(self):\n return hash(({mine}))\n"
         methods.append("__hash__")
+    methods = [name for name in methods if name not in cls.__dict__]  # the class's own stay
 
     def build() -> None:
         exec(source, env)

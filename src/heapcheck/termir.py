@@ -10,7 +10,7 @@ functional notation.
 from __future__ import annotations
 
 import re
-from typing import Generator, Optional, Sequence
+from typing import Generator, NoReturn, Optional, Sequence
 
 from . import formula as fm
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     TermSyntaxError,
     UnknownPredicateError,
 )
-from .lexer import RESERVED, Token, tokenize
+from .lexer import RESERVED, Token, scan, tokenize
 from .records import Frozen, field, record
 
 # --------------------------------------------------------------------------
@@ -168,60 +168,97 @@ class _TermParser:
     """Operator-precedence parser (Pratt, POPL 1973): one loop reads operands
     and infix operators, so an infix chain costs no stack depth, and each
     nested argument list, list or parenthesis is one suspended step of
-    ``fm.run_steps``, not one Python frame."""
+    ``fm.run_steps``, not one Python frame; a name or number that ends its
+    argument or item is read in place.  It reads the token texts and kinds of
+    ``lexer.scan``; only an error asks ``tokenize`` for spans."""
 
-    def __init__(self, toks: list[Token]):
-        # the sentinel makes every lookahead an index that exists
-        self.toks = toks + [Token("eof", "<eof>", toks[-1].span)]
+    def __init__(self, text: str, words: list[str], kinds: list[str]):
+        self.text = text
+        # the sentinels make every lookahead an index that exists
+        self.words = words + ["", ""]
+        self.kinds = kinds + ["eof", "eof"]
         self.pos = 0
 
+    def fail(self, i: int, message: str) -> NoReturn:
+        """Raise ``message``, whose ``{}`` is token i's text, at token i."""
+        try:
+            toks = tokenize(self.text)
+        except LexError as e:
+            raise TermSyntaxError(e.message, e.span) from None
+        t = toks[i] if i < len(toks) else Token("eof", "<eof>", toks[-1].span)
+        raise TermSyntaxError(message.format(repr(t.text)), t.span)
+
     def expect(self, kind: str) -> None:
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            raise TermSyntaxError(f"expected {kind!r}, found {t.text!r}", t.span)
+        if self.kinds[self.pos] != kind:
+            self.fail(self.pos, f"expected {kind!r}, found {{}}")
         self.pos += 1
 
     def parse(self) -> Term:
-        t = fm.run_steps(self.term, ())
-        if self.toks[self.pos].kind == ".":
+        try:
+            t = fm.run_steps(self.term, ())
+        except ValueError:  # an int() of more digits than it converts: a lexical error
+            self.fail(0, "")
+        if self.kinds[self.pos] == ".":
             self.pos += 1
-        trailing = self.toks[self.pos]
-        if trailing.kind != "eof":
-            raise TermSyntaxError(f"unexpected {trailing.text!r} after term", trailing.span)
+        if self.kinds[self.pos] != "eof":
+            self.fail(self.pos, "unexpected {} after term")
         return t
+
+    def atom(self, i: int) -> Optional[Atom]:
+        """The atom token i names, if it names one ('' names none)."""
+        name = self.words[i] if self.kinds[i] in _NAME_KINDS else ""
+        return Atom(name) if name else None
+
+    def leaf(self) -> Optional[Term]:
+        """The name or number at ``pos`` when ',', ')' or ']' follows it."""
+        i = self.pos
+        if self.kinds[i + 1] not in (",", ")", "]"):
+            return None
+        t = Int(int(self.words[i])) if self.kinds[i] == "int" else self.atom(i)
+        self.pos = i + (t is not None)
+        return t
+
+    def items(self, closer: str) -> Generator[tuple, Term, list[Term]]:
+        """Terms separated by ',' up to ``closer``; an argument may be "name: value"."""
+        kinds, out = self.kinds, []
+        while kinds[self.pos] != closer or out:  # after a ',' an item follows
+            a = self.pos
+            if closer == ")" and kinds[a] in _NAME_KINDS and kinds[a] != "atomq" and kinds[a + 1] == ":":
+                self.pos += 2
+                out.append(Compound(":", (Atom(self.words[a]), self.leaf() or (yield ()))))
+            else:
+                out.append(self.leaf() or (yield ()))
+            if kinds[self.pos] != ",":
+                break
+            self.pos += 1
+        self.expect(closer)
+        return out
 
     def term(self) -> Generator[tuple, Term, Term]:
         """One term; a nested term is read by yielding (see ``fm.run_steps``)."""
-        toks = self.toks
+        kinds, words = self.kinds, self.words
         operands: list[Term] = []
         pending: list[tuple[int, str]] = []  # operators not yet applied, weakest first
         chained = False
         while True:
-            t = toks[self.pos]
-            kind = t.kind
+            i = self.pos
+            kind = kinds[i]
             self.pos += 1
             if kind == "int":
-                operands.append(Int(t.value))
-            elif kind == "-" and toks[self.pos].kind == "int":
-                operands.append(Int(-toks[self.pos].value))
+                operands.append(Int(int(words[i])))
+            elif kind == "-" and kinds[self.pos] == "int":
+                operands.append(Int(-int(words[self.pos])))
                 self.pos += 1
             elif kind == "(":
                 operands.append((yield ()))
                 self.expect(")")
             elif kind == "[":
-                items: list[Term] = []
-                if toks[self.pos].kind != "]":
-                    items.append((yield ()))
-                    while toks[self.pos].kind == ",":
-                        self.pos += 1
-                        items.append((yield ()))
-                self.expect("]")
-                operands.append(TList(tuple(items)))
-            elif kind not in _NAME_KINDS or not t.text:  # '' names no atom
-                raise TermSyntaxError(f"expected term, found {t.text!r}", t.span)
-            elif toks[self.pos].kind != "(":
-                operands.append(Atom(t.text))
-            elif t.text == "oa":
+                operands.append(TList(tuple((yield from self.items("]")))))
+            elif (name := self.atom(i)) is None:
+                self.fail(i, "expected term, found {}")
+            elif kinds[self.pos] != "(":
+                operands.append(name)
+            elif name.name == "oa":
                 self.pos += 1
                 left = self._name()
                 self.expect(".")
@@ -230,29 +267,14 @@ class _TermParser:
                 operands.append(Compound("oa", (left, right)))
             else:
                 self.pos += 1
-                args: list[Term] = []
-                if toks[self.pos].kind != ")":
-                    while True:
-                        # record components may be written "name: value"
-                        a = toks[self.pos]
-                        named = a.kind in _NAME_KINDS and a.kind != "atomq"
-                        if named and toks[self.pos + 1].kind == ":":
-                            self.pos += 2
-                            args.append(Compound(":", (Atom(a.text), (yield ()))))
-                        else:
-                            args.append((yield ()))
-                        if toks[self.pos].kind != ",":
-                            break
-                        self.pos += 1
-                self.expect(")")
-                operands.append(Compound(t.text, tuple(args)))
+                operands.append(Compound(name.name, tuple((yield from self.items(")")))))
 
-            after = toks[self.pos]
-            op = _OPERATORS.get(after.kind, _END)
+            after = kinds[self.pos]
+            op = _OPERATORS.get(after, _END)
             if chained or op is _PTO and pending and pending[-1] is _PTO:
                 # '->' does not chain: read the whole chain, then point past it
                 if op is not _PTO:
-                    raise TermSyntaxError("'->' does not chain", after.span)
+                    self.fail(self.pos, "'->' does not chain")
                 chained = True
             while pending and pending[-1][0] > op[0]:
                 right = operands.pop()
@@ -263,23 +285,17 @@ class _TermParser:
             pending.append(op)
 
     def _name(self) -> Atom:
-        t = self.toks[self.pos]
-        if t.kind not in _NAME_KINDS or not t.text:
-            raise TermSyntaxError(f"expected name, found {t.text!r}", t.span)
         self.pos += 1
-        return Atom(t.text)
+        return self.atom(self.pos - 1) or self.fail(self.pos - 1, "expected name, found {}")
 
 
 def parse_term(text: str) -> Term:
     """Parse canonical (whitespace-tolerant) term text; ``check_shape``
     validates the result."""
-    try:
-        toks = tokenize(text)
-    except LexError as e:
-        raise TermSyntaxError(e.message, e.span) from None
-    if not toks:
+    words, kinds = scan(text)
+    if not words:
         raise TermSyntaxError("empty term text")
-    return _TermParser(toks).parse()
+    return _TermParser(text, words, kinds).parse()
 
 
 # --------------------------------------------------------------------------

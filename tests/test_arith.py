@@ -549,3 +549,28 @@ def test_a_grown_index_leaves_its_parent_table_alone():
     child = parent.with_atom(PredApp("list", (Y, Nil())))
     assert child.args_at(Nil()) == [0, 1] and child.roots_at(Y) == [1]
     assert parent.args_at(Nil()) == [0]
+
+
+def test_unsat_and_equal_answer_as_the_witness_checks_do():
+    # the prover's UNSAT tests build no witness, and on a set that is not
+    # UNSAT it decides a consequent == by equal instead of entails: both
+    # answer as the checks they stand for, on fresh and on grown sets, before
+    # and after other queries have interned terms into the solver
+    rng = random.Random(30)
+    for _ in range(150):
+        p = PureSet()
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.7:
+                p = p.add(*_grow_atom(rng))
+            else:
+                locs = tuple(_grow_loc(rng) for _ in range(rng.randint(0, 2)))
+                p = p.extend(PureSet((_grow_atom(rng),), locs))
+            for q in (p, PureSet(p.atoms, p.separated)):
+                assert q.unsat() == (q.check_sat().status == UNSAT), (q.atoms, q.separated)
+                if q.unsat():
+                    continue
+                for _ in range(4):
+                    l, r = _grow_term(rng), _grow_term(rng)
+                    want = q.entails("==", l, r) == YES
+                    assert q.equal(l, r) == want, (q.atoms, q.separated, l, r)
+                    assert q.unsat() == (q.check_sat().status == UNSAT)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import DATA, data_path, data_text, validate_dot
 
-from heapcheck import cli, termir
+from heapcheck import arith, cli, entail, formula as fm, termir
 from heapcheck.cli import main
 from heapcheck.parser import parse_program
 
@@ -96,11 +96,11 @@ def test_run_checks_the_predicates_of_a_term_file(tmp_path):
     assert run_cli("run", str(f)) == (2, "", "error: ?:?: unknown predicate 'nosuch'\n")
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """The argument tuples of the outermost calls of ``termir.<name>`` made
+def _count_calls(monkeypatch, name: str, owner=termir) -> list:
+    """The argument tuples of the outermost calls of ``<owner>.<name>`` made
     through any package module that binds the name; a call it makes of
     itself is not counted."""
-    orig = getattr(termir, name)
+    orig = getattr(owner, name)
     calls: list = []
     depth = [0]
 
@@ -160,6 +160,67 @@ def test_verify_converts_each_annotation_once(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out.splitlines()[0])["branches"] == 1023
     assert len(conversions) == 3
+
+
+def test_prover_converts_each_side_and_definition_once(monkeypatch):
+    # a predicate's cases are converted once, on first use, and kept on its
+    # definition; folds and unfolds substitute into them
+    list_def = fm.builtin_preds()["list"]
+    monkeypatch.delitem(vars(list_def), "_cases", raising=False)
+    conversions = _count_calls(monkeypatch, "formula_to_symheaps", entail)
+
+    def bodies():  # the conversions of a case split of `list`
+        return [f for f, *_ in conversions if " || exists t, v. " in fm.pretty(f)]
+
+    assert run_cli("entail", str(data_path("queries.q")))[0] == 1  # the third query fails
+    assert len(conversions) == 2 * data_text("queries.q").count("entail.") + 1
+    assert bodies() == [list_def.body]
+    conversions.clear()
+    code, out, _ = run_cli("verify", str(data_path("list_ops.oc")))
+    assert "seg_walk: Verified" in out and "seg_nil: Verified" in out
+    assert conversions and bodies() == []
+
+
+def test_consistency_tests_build_no_witness(monkeypatch):
+    # the prover's first check, that the antecedent is not UNSAT, and
+    # SymHeap.consistent never reach the witness search; consequent ==
+    # side conditions are decided without one too
+    checking = [0]
+    real_prove, real_match = entail._Prover._prove, entail._Prover.match
+    real_consistent, real_witness = entail.SymHeap.consistent, arith._Solver._witness
+
+    def prove_(self, *args):
+        checking[0] += 1  # until the first match step starts
+        try:
+            return real_prove(self, *args)
+        finally:
+            checking[0] = 0
+
+    def match_(self, *args):
+        checking[0] = 0
+        return real_match(self, *args)
+
+    def consistent_(self):
+        checking[0] += 1
+        try:
+            return real_consistent(self)
+        finally:
+            checking[0] -= 1
+
+    def witness_(self, graph):
+        assert not checking[0], "a consistency test searched for a witness"
+        witnesses.append(self)
+        return real_witness(self, graph)
+
+    witnesses: list = []
+    monkeypatch.setattr(entail._Prover, "_prove", prove_)
+    monkeypatch.setattr(entail._Prover, "match", match_)
+    monkeypatch.setattr(entail.SymHeap, "consistent", consistent_)
+    monkeypatch.setattr(arith._Solver, "_witness", witness_)
+    assert run_cli("entail", str(data_path("queries.q")))[0] == 1
+    assert witnesses == []
+    assert run_cli("verify", str(data_path("list_ops.oc")))[0] == 1
+    assert witnesses  # the counterexamples still read a witness
 
 
 # Each malformed formula is rejected when a term file loads, by run and

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import heap_of
+from conftest import heap_of, rand_expr, rand_formula
 from oracle import OracleConfig, _Goal, check_entailment_sound, enumerate_models
 
 from heapcheck import formula as fm
@@ -13,6 +13,7 @@ from heapcheck.entail import (
     SymHeap,
     formula_to_symheaps,
     infer_frame,
+    pred_cases,
     prove,
     unfold,
 )
@@ -472,3 +473,68 @@ def test_pred_match_frees_an_instance_on_backtracking():
     assert isinstance(r, Proved)
     assert r.frame.spatial == () and list(r.binding.values()) == [fm.Var("y")]
     assert [n.rule for n in r.tree.children] == ["pred-match", "pred-match"]
+
+
+# -- predicate cases: the definition's cases under one substitution ----------
+
+
+def _instances(d: fm.PredDef, args: tuple, start: int, skolemize: bool):
+    """The cases of ``d`` at ``args``, by substituting into the body and
+    converting it, and from the cases kept on ``d``; then the next name
+    each supply draws."""
+    out = []
+    for cases in (
+        lambda fresh: formula_to_symheaps(fm.substitute(d.body, dict(zip(d.params, args))), fresh, skolemize),
+        lambda fresh: pred_cases(d, args, fresh, skolemize),
+    ):
+        fresh = FreshNames("?")
+        fresh._n = start
+        try:
+            heaps = cases(fresh)
+        except UnsupportedFormulaError as e:
+            heaps = e.message
+        out.append((heaps, fresh.var()))
+    return out
+
+
+def test_pred_cases_match_converting_the_substituted_body():
+    rng = random.Random(31)
+    # actuals reuse the binder names of the bodies (t, u, v, w) or carry '$?' names
+    names = [fm.Var(n) for n in ("t", "u", "v", "w", "x", "$?1", "$?e2", "$e1", "$#e1")]
+
+    def actual():
+        return rng.choice(names) if rng.random() < 0.5 else rand_expr(rng)
+
+    t, v, w = fm.Var("t"), fm.Var("v"), fm.Var("w")
+    written = [
+        # nested exists, and || under exists, over records and arithmetic
+        fm.PredDef("nest", ("x", "y"), parse_assertion(
+            "exists t. (x->object(node, t, y) * (exists v. t->v+1 || (exists w. t->w * w->x)))")),
+        fm.PredDef("pure", ("x", "y"), fm.join(fm.Or, [fm.FalseF(), fm.PureAtom("<", fm.Var("x"), fm.Var("y"))])),
+        fm.PredDef("shadow", ("x", "t"), fm.exists(["t"], fm.PointsTo(t, fm.ArithExpr("*", v, w)))),
+        fm.PredDef("hash", ("$#e1", "x"), fm.exists(["t"], fm.PointsTo(fm.Var("$#e1"), t))),
+    ]
+    for i in range(300):
+        if i < len(written):
+            d = written[i]
+        elif i % 3 == 0:
+            d = fm.builtin_preds()["list"]
+        else:
+            # a fresh definition each time, so each builds its own cases once
+            d = fm.PredDef(f"p{i}", ("x", "y", "z"), rand_formula(rng, 4))
+        args = tuple(actual() for _ in d.params)
+        for skolemize in (False, True):
+            want, got = _instances(d, args, rng.randint(0, 40), skolemize)
+            assert got == want, (fm.pretty(d.body), args)
+
+
+def test_bad_predicate_names_and_arities_raise_as_before():
+    unknown = SymHeap(spatial=(fm.PredApp("mystery", (fm.Var("q"),)),))
+    short = SymHeap(spatial=(fm.PredApp("list", (fm.Var("q"),)),))
+    for h, message in ((unknown, "unknown predicate 'mystery'"),
+                       (short, "predicate 'list' takes 2 arguments, got 1")):
+        for call in (lambda: unfold(h, h.spatial[0], PREDS), lambda: prove(h, con("emp"), PREDS),
+                     lambda: prove(con("emp"), h, PREDS)):
+            with pytest.raises(UnknownPredicateError) as info:
+                call()
+            assert info.value.message == message

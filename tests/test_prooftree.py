@@ -185,6 +185,21 @@ def test_deep_chain_exports_and_walks():
     assert text.count('"id": ') == depth and text.count('"children": []') == 1
     assert f'\n{" " * (2 * depth - 1)}"input": "x\\"\\n",\n' in text
     assert text.endswith('\n  }\n ]\n}\n')
+    assert read_structured(text) == tree
+
+
+def test_read_structured_takes_any_json_layout_and_rejects_malformed_text():
+    rng = random.Random(5)
+    for _ in range(20):
+        tree = ProofTree(rand_tree(rng, ProofBuilder()))
+        data = json.loads(to_structured(tree))
+        for text in (json.dumps(data), json.dumps(data, indent=3, ensure_ascii=False)):
+            assert read_structured(text) == tree
+    good = to_structured(ProofTree(ProofBuilder().node("leaf", "x")))
+    for bad in ("", "[]", "1", good + "{}", good.replace('"id": 0,', '"id": 0'),
+                good.replace('"id":', '"id"'), good.replace("[]", "[0,]"), good.replace("[]", "[}")):
+        with pytest.raises(ValueError):
+            read_structured(bad)
 
 
 def test_node_ids_in_application_order():

@@ -77,6 +77,50 @@ def test_syntax_errors():
             tir.parse_term(bad)
 
 
+# term text, the error's message and its span (line, column, end line, end column)
+TERM_SYNTAX_ERRORS = [
+    ("f(", "expected term, found '<eof>'", (1, 2, 1, 3)),
+    ("f(a,)", "expected term, found ')'", (1, 5, 1, 6)),
+    ("", "empty term text", (0, 0, 0, 0)),
+    ("f(a)) ", "unexpected ')' after term", (1, 5, 1, 6)),
+    ("[a,]", "expected term, found ']'", (1, 4, 1, 5)),
+    ("x -> y -> z", "'->' does not chain", (1, 11, 1, 12)),
+    ("a->b * c->d->e", "'->' does not chain", (1, 14, 1, 15)),
+    ("f(a b)", "expected ')', found 'b'", (1, 5, 1, 6)),
+    ("'abc", "unterminated quoted atom", (1, 1, 1, 2)),
+    ("@x", "unterminated '@' annotation", (1, 1, 1, 2)),
+    ("x /* c", "unterminated comment", (1, 3, 1, 4)),
+    ("x # y", "illegal character '#'", (1, 3, 1, 4)),
+    ("f(²)", "illegal character '²'", (1, 3, 1, 4)),
+    ("9" * 5000, "integer literal too long", (1, 1, 1, 5001)),
+    ("g(1,\n  " + "9" * 5000 + ")", "integer literal too long", (2, 3, 2, 5003)),
+    ("f(a) # " + "9" * 5000, "illegal character '#'", (1, 6, 1, 7)),
+    ("oa(x y)", "expected '.', found 'y'", (1, 6, 1, 7)),
+    ("oa(x.)", "expected name, found ')'", (1, 6, 1, 7)),
+    ("f(a).g", "unexpected 'g' after term", (1, 6, 1, 7)),
+    ("f(a:)", "expected term, found ')'", (1, 5, 1, 6)),
+    ("f('')", "expected term, found ''", (1, 3, 1, 4)),
+    ("f('a\\'b' c)", "expected ')', found 'c'", (1, 10, 1, 11)),
+    ("- x", "expected term, found '-'", (1, 1, 1, 2)),
+    ("[a", "expected ']', found '<eof>'", (1, 2, 1, 3)),
+    ("f(a\n,\n", "expected term, found '<eof>'", (2, 1, 2, 2)),
+    ("f(x,\n  @y@)", "expected term, found 'y'", (2, 4, 2, 6)),
+    ("f(x) ]", "unexpected ']' after term", (1, 6, 1, 7)),
+    ("f(x, y: )", "expected term, found ')'", (1, 9, 1, 10)),
+    ("(a", "expected ')', found '<eof>'", (1, 2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("text, message, span", TERM_SYNTAX_ERRORS,
+                         ids=[repr(row[0][:12]) for row in TERM_SYNTAX_ERRORS])
+def test_term_syntax_errors_keep_text_and_span(text, message, span):
+    # the term reader asks the lexer for spans only on an error, and a
+    # lexical error anywhere in the text comes before a syntax error
+    with pytest.raises(TermSyntaxError) as info:
+        tir.parse_term(text)
+    assert (info.value.message, tuple(info.value.span)) == (message, span)
+
+
 def test_term_file_terminator():
     t = tir.comp("new", tir.Atom("x"))
     assert tir.emit_term_file(t) == "new(x).\n"
