@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from string import ascii_letters, digits
 from typing import NamedTuple
 
 from .errors import LexError, Span
@@ -44,7 +43,8 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 # the kind of a punctuation or reserved word, and of a word by its first character
-_KINDS = {**dict.fromkeys(ascii_letters + "_$", "ident"), **dict.fromkeys(digits, "int")}
+_KINDS = dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "ident")
+_KINDS.update(dict.fromkeys("0123456789", "int"))
 _KINDS.update((w, w) for w in (*RESERVED, *_OPS))
 # the hot paths build records with tuple.__new__, under half the cost of a class call
 _new = tuple.__new__
@@ -100,8 +100,9 @@ def tokenize(text: str, base_line: int = 1, base_col: int = 1) -> list[Token]:
 
 
 def scan(text: str) -> tuple[list[str], list[str]]:
-    """The texts and kinds of the tokens, by one ``findall``: 'bad' where
-    ``tokenize`` raises, and a quoted atom's text is the name it quotes."""
+    """The texts and kinds of the tokens, by one ``findall``: 'bad' for a
+    character ``tokenize`` rejects, and a quoted atom's text is the name it
+    quotes.  An over-long digit run is an 'int' here; ``int()`` rejects it."""
     found = [w for w in _TOKEN.findall(text) if w]
     get = _KINDS.get
     kinds = [get(w) or get(w[0]) or _rare_kind(w) for w in found]
@@ -114,4 +115,3 @@ def _rare_kind(w: str) -> str:
     if len(w) > 1 and w[0] in "'@":
         return "atomq" if w[0] == "'" else "annot"
     return "ident" if w[0].isalpha() else "int" if w[0].isdecimal() else "bad"
-
